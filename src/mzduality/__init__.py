@@ -4,11 +4,11 @@ from .errors import (
     BadDimension,
     DegenerateFidelity,
     DimensionMismatch,
+    InvalidArgument,
     InvalidEffect,
     InvalidInstance,
     InvalidState,
     MZDualityError,
-    NoConvergence,
     NotHermitian,
     NotMeasurable,
     NotUnitary,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import joint_observable_residuals, run_all
-from .errors import MZDualityError, ScenarioError
+from .errors import InvalidArgument, MZDualityError, ScenarioError
 from .jointmeas import (
     JMInstance,
     feasibility_oracle,
@@ -174,6 +174,8 @@ def cmd_check_jm(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 0:
+        raise InvalidArgument(f"--count must be >= 0, got {args.count}")
     lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
     violations = []
     for index in range(args.count):
@@ -233,6 +235,8 @@ def cmd_gamma_slope(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        raise InvalidArgument(f"--count must be >= 0, got {args.count}")
     results = run_all(seed=args.seed, oracle_count=args.count)
     for result in results:
         print(result.line())
@@ -300,9 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MZDualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,6 @@ class NotUnitary(MZDualityError):
     """Input matrix is not unitary within tolerance."""
 
 
-class NoConvergence(MZDualityError):
-    """Iterative eigensolver exceeded its sweep cap."""
-
-
 class DimensionMismatch(MZDualityError):
     """Matrix dimensions are incompatible with the requested operation."""
 
@@ -43,6 +39,10 @@ class NotMeasurable(MZDualityError):
 
 class DegenerateFidelity(MZDualityError):
     """Fidelity too close to zero for the requested ratio."""
+
+
+class InvalidArgument(MZDualityError, ValueError):
+    """Numeric argument outside the range an operation accepts."""
 
 
 class ScenarioError(MZDualityError):

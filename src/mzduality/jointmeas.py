@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInstance, NotMeasurable
+from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import hermitian_eig
 from .mzi import MZISetup, Strategy, a_priori_visibility, strategy_stats, visibility_with_detector
 from .qubit import IDENTITY_2, PAULI, as_generator
@@ -44,6 +44,8 @@ class JMInstance:
         n_vec = np.asarray(self.n_vec, dtype=float)
         if m_vec.shape != (3,) or n_vec.shape != (3,):
             raise InvalidInstance("m_vec and n_vec must be 3-vectors")
+        if not (np.isfinite(self.m0) and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
+            raise InvalidInstance("m0, m_vec and n_vec must be finite")
         if not (-NORM_SLACK <= self.m0 <= 1.0 + NORM_SLACK):
             raise InvalidInstance(f"m0 = {self.m0} outside [0, 1]")
         if abs(float(m_vec @ n_vec)) > ORTHOGONALITY_TOL:
@@ -191,9 +193,9 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
     (up to a 1e-9 floating-point guard).
     """
     if not (0.0 < resolution <= 0.05):
-        raise ValueError(f"resolution must lie in (0, 0.05], got {resolution}")
+        raise InvalidArgument(f"resolution must lie in (0, 0.05], got {resolution}")
     if mode not in ("full", "reduced"):
-        raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
 
     m0, m, n = inst.m0, inst.m, inst.n
     axis_vals = _axis_grid(inst, resolution)

@@ -1,9 +1,11 @@
-"""Dense complex-matrix kernel for the small dimensions used here (<= 16).
+"""Dense complex-matrix kernel for the small dimensions used here: detector
+operators up to 8x8 and quanton-detector operators up to 16x16.
 
-The eigensolver is a cyclic Jacobi iteration with complex plane rotations,
-kept self-contained so that eigenbases (and everything derived from them,
-such as measurement strategies) are bit-reproducible across platforms.
-Everything else is thin, validated plumbing on top of numpy arrays.
+Eigendecompositions come from LAPACK via ``numpy.linalg.eigh`` with a fixed
+eigenvector phase convention, so eigenbases (and everything derived from
+them, such as measurement strategies) are byte-identical run to run for a
+given platform and numpy build.  Everything else is thin, validated plumbing
+on top of numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,19 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidState,
-    NoConvergence,
-    NotHermitian,
-    NotUnitary,
-)
+from .errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 PSD_TOL = 1e-10
-OFF_DIAGONAL_TOL = 1e-12
-MAX_JACOBI_SWEEPS = 100
 
 
 class EigDecomposition(NamedTuple):
@@ -42,11 +36,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise DimensionMismatch("matrix entries must be finite")
     return m
-
-
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(a, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -82,88 +71,20 @@ def require_density(a, dim: int | None = None, tol: float = PSD_TOL) -> np.ndarr
     return m
 
 
-def hermitian_eig(a, tol: float = OFF_DIAGONAL_TOL, max_sweeps: int = MAX_JACOBI_SWEEPS) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+def hermitian_eig(a) -> EigDecomposition:
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     Returns eigenvalues sorted ascending with orthonormal eigenvector columns.
-    The result is deterministic for a fixed input: rotations are applied in a
-    fixed row-cyclic order and each eigenvector is rephased so that its first
-    component larger than 1e-12 in modulus is real positive.
+    Each eigenvector is rephased so that its first component larger than
+    1e-12 in modulus is real positive, so the result is deterministic for a
+    fixed input on a given platform and numpy build.
 
-    Raises NotHermitian on asymmetric input and NoConvergence if the
-    off-diagonal norm has not dropped below ``tol * ||A||_F`` after
-    ``max_sweeps`` sweeps.
+    Raises NotHermitian on asymmetric input.
     """
-    work = require_hermitian(a).copy()
-    n = work.shape[0]
-    vecs = np.eye(n, dtype=complex)
-    scale = float(np.sqrt(np.sum(np.abs(work) ** 2)))
-    if scale == 0.0 or n == 1:
-        return _finalize_eig(work, vecs)
-    threshold = tol * scale
-    # rotating below this pivot size cannot help; keeps sweeps finite
-    pivot_floor = threshold / max(n, 2)
-
-    for _ in range(max_sweeps):
-        if _off_diagonal_norm(work) <= threshold:
-            return _finalize_eig(work, vecs)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                w = work[p, q]
-                b = abs(w)
-                if b <= pivot_floor:
-                    continue
-                phase = w / b
-                app = work[p, p].real
-                aqq = work[q, q].real
-                tau = (aqq - app) / (2.0 * b)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                colp = work[:, p].copy()
-                colq = work[:, q].copy()
-                work[:, p] = c * colp - s * np.conj(phase) * colq
-                work[:, q] = s * colp + c * np.conj(phase) * colq
-                rowp = work[p, :].copy()
-                rowq = work[q, :].copy()
-                work[p, :] = c * rowp - s * phase * rowq
-                work[q, :] = s * rowp + c * phase * rowq
-                # exact by construction; clears rounding residue
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * np.conj(phase) * vq
-                vecs[:, q] = s * vp + c * np.conj(phase) * vq
-    if _off_diagonal_norm(work) <= threshold:
-        return _finalize_eig(work, vecs)
-    raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-
-def _off_diagonal_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _finalize_eig(work: np.ndarray, vecs: np.ndarray) -> EigDecomposition:
-    vals = np.real(np.diag(work)).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            vecs[:, k] = col * (np.conj(lead) / abs(lead))
-    return EigDecomposition(vals, vecs)
+    vals, vecs = np.linalg.eigh(require_hermitian(a))
+    # every column has unit norm, so each has a component above the cut
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(vecs.shape[1])]
+    return EigDecomposition(vals, vecs * (lead.conj() / np.abs(lead)))
 
 
 def trace_norm(a) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MZDualityError
+from .errors import DimensionMismatch, InvalidArgument, MZDualityError
 from .linalg import (
     hermitian_eig,
     kron,
@@ -290,7 +290,7 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy) -> np.ndarray:
 def sample_outcomes(setup: MZISetup, strategy: Strategy, n_shots: int, seed) -> np.ndarray:
     """Multinomial sample of the joint outcome table; deterministic per seed."""
     if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+        raise InvalidArgument(f"n_shots must be >= 1, got {n_shots}")
     probs = outcome_probabilities(setup, strategy)
     rng = as_generator(seed)
     return rng.multinomial(int(n_shots), probs.ravel()).reshape(2, 2)

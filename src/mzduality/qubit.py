@@ -117,6 +117,8 @@ class BinaryQubitObservable:
         v = np.asarray(self.vector, dtype=float)
         if v.shape != (3,):
             raise InvalidEffect(f"vector must have shape (3,), got {v.shape}")
+        if not (np.isfinite(self.bias) and np.isfinite(v).all()):
+            raise InvalidEffect("bias and vector must be finite")
         norm = float(np.linalg.norm(v))
         if norm > min(self.bias, 1.0 - self.bias) + PSD_TOL:
             raise InvalidEffect(

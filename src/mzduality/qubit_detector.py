@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFidelity, InvalidInstance
+from .errors import DegenerateFidelity, InvalidArgument, InvalidInstance
 from .linalg import fidelity_unitary_pair, require_density, require_unitary
 from .mzi import MZISetup, optimal_strategy, predictability, strategy_stats, tightness_gap
 from .qubit import QubitState, matrix_to_bloch
@@ -134,7 +134,7 @@ def gap_slope_empirical(rho_d, u, p_step: float = 1e-4) -> float:
     are combined by Richardson extrapolation.
     """
     if not 1e-6 <= p_step <= 1e-2:
-        raise ValueError(f"p_step must lie in [1e-6, 1e-2], got {p_step}")
+        raise InvalidArgument(f"p_step must lie in [1e-6, 1e-2], got {p_step}")
     coarse = gap_at_bias(rho_d, u, p_step) / p_step
     fine = gap_at_bias(rho_d, u, 0.5 * p_step) / (0.5 * p_step)
     return 2.0 * fine - coarse

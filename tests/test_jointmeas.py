@@ -37,6 +37,14 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance):
             axis_instance(1.2, 0.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["m0", "m_vec", "n_vec"])
+    def test_rejects_non_finite(self, field, bad):
+        fields = {"m0": 0.5, "m_vec": np.array([0.1, 0.0, 0.0]), "n_vec": np.array([0.0, 0.0, 0.1])}
+        fields[field] = bad if field == "m0" else np.array([0.0, bad, 0.0])
+        with pytest.raises(InvalidInstance):
+            JMInstance(**fields)
+
 
 class TestCriterion:
     def test_two_sharp_observables(self):

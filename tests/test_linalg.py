@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mzduality import mzi
 from mzduality.errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 from mzduality.linalg import (
     EigDecomposition,
@@ -10,12 +14,31 @@ from mzduality.linalg import (
     partial_trace_detector,
     trace_norm,
 )
-from mzduality.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z, random_detector_state, random_unitary
+from mzduality.qubit import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    random_detector_state,
+    random_pure_detector_state,
+    random_qubit_state,
+    random_unitary,
+)
 
 
 def random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian d x d matrices, d in 2..8, with small-integer and general
+    entries so that degenerate spectra and zero components turn up."""
+    n = draw(st.integers(2, 8))
+    entries = st.one_of(st.integers(-2, 2).map(float), st.floats(-10.0, 10.0))
+    g = draw(arrays(float, (2, n, n), elements=entries))
+    m = g[0] + 1j * g[1]
+    return (m + m.conj().T) / 2
 
 
 class TestHermitianEig:
@@ -62,6 +85,46 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hermitian_matrices())
+    def test_contract_property(self, a):
+        vals, vecs = hermitian_eig(a)
+        n = a.shape[0]
+        scale = max(1.0, float(np.abs(a).max()))
+        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, a, atol=1e-12 * n * scale)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12 * n)
+        assert np.all(np.diff(vals) >= 0)
+        for k in range(n):
+            lead = vecs[np.flatnonzero(np.abs(vecs[:, k]) > 1e-12)[0], k]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15
+
+    def test_degenerate_spectrum_strategy_is_basis_free(self):
+        # a pure d = 8 detector state makes the guess operator rank 2: six
+        # (numerically) zero eigenvalues whose basis eigh picks arbitrarily
+        rng = np.random.default_rng(111)
+        for _ in range(20):
+            setup = mzi.MZISetup(
+                rho=random_qubit_state(rng),
+                rho_d=random_pure_detector_state(8, rng),
+                u=random_unitary(8, rng),
+            )
+            guess = mzi.guess_operator(setup)
+            vals, vecs = np.linalg.eigh(guess)
+            positive = vecs[:, vals > 1e-12]
+            projector = positive @ positive.conj().T
+            rotated = setup.u @ setup.rho_d @ setup.u.conj().T
+            optimal = mzi.optimal_strategy(setup)
+            stats = mzi.strategy_stats(setup, optimal)
+            assert stats.eta_s == pytest.approx(np.trace(projector @ setup.rho_d).real, abs=1e-12)
+            assert stats.eta_s_u == pytest.approx(np.trace(projector @ rotated).real, abs=1e-12)
+            # another orthonormal basis of the complement gives the same statistics
+            rest = sorted(optimal.complement())
+            basis = optimal.basis.copy()
+            basis[:, rest] = basis[:, rest] @ random_unitary(len(rest), rng)
+            mixed = mzi.strategy_stats(setup, mzi.Strategy(basis, optimal.subset))
+            assert mixed.eta_s == pytest.approx(stats.eta_s, abs=1e-12)
+            assert mixed.eta_s_u == pytest.approx(stats.eta_s_u, abs=1e-12)
 
 
 class TestTraceNorm:

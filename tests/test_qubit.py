@@ -100,6 +100,13 @@ class TestBinaryQubitObservable:
         with pytest.raises(InvalidEffect):
             BinaryQubitObservable(bias=0.9, vector=np.array([0.2, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidEffect):
+            BinaryQubitObservable(bias=bad, vector=np.zeros(3))
+        with pytest.raises(InvalidEffect):
+            BinaryQubitObservable(bias=0.5, vector=np.array([0.0, bad, 0.0]))
+
 
 class TestRandomGenerators:
     def test_states_pass_validators(self):

@@ -96,6 +96,25 @@ class TestCli:
     def test_report_missing_file(self, capsys):
         assert main(["report", "--scenario", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--scenario", str(SATURATING), "--shots", "0"],
+            ["gamma-slope", "--scenario", str(QUARTER_TURN), "--p-step", "1"],
+            ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--oracle", "full",
+             "--resolution", "0.5"],
+            ["check-jm", "--m0", "0.5", "--m", "nan", "--n", "0.1"],
+            ["check-jm", "--m0", "0.5", "--m", "0.1", "--n", "inf"],
+            ["sweep", "--count", "-3"],
+            ["verify", "--count", "-3"],
+        ],
+    )
+    def test_bad_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_sweep_deterministic_and_clean(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
