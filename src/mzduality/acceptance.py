@@ -25,7 +25,9 @@ from .qubit import (
 )
 
 ORACLE_RESOLUTION = 0.01
-MARGIN_BAND = 3.0 * ORACLE_RESOLUTION
+# per-setup gates of criteria 3-4, shared with the sweep's check
+BOUND_TOL = 1e-10
+IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,6 @@ class CriterionResult:
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, index])
-
-
-def _random_setup(rng: np.random.Generator, dim: int) -> mzi.MZISetup:
-    return mzi.MZISetup(
-        rho=random_qubit_state(rng),
-        rho_d=random_detector_state(dim, rng),
-        u=random_unitary(dim, rng),
-        phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-    )
 
 
 def criteria_oracle_agreement(
@@ -98,9 +91,7 @@ def joint_observable_residuals(
 ) -> tuple[float, float, float]:
     """(most negative effect eigenvalue, completeness residual, marginal residual)."""
     effects = mzi.joint_observable(setup, strategy)
-    min_eig = min(
-        float(hermitian_eig(effects[i, j]).eigenvalues[0]) for i in range(2) for j in range(2)
-    )
+    min_eig = jointmeas.min_effect_eigenvalue(effects)
     completeness = float(np.max(np.abs(effects.sum(axis=(0, 1)) - np.eye(2))))
     port_povm = mzi.interference_povm(setup)
     guess_povm = mzi.which_path_povm(setup, strategy)
@@ -116,6 +107,47 @@ def joint_observable_residuals(
     return min_eig, completeness, marginal
 
 
+def identity_residual(
+    setup: mzi.MZISetup, strategy: mzi.Strategy, report: mzi.DualityReport
+) -> float:
+    """Signed residual of ``D_S^2 + cross^2 (1 - P^2) = 1 - gamma_S^2``, with
+    ``cross = sqrt(eta_S eta_S^U) + sqrt(eta_Sbar eta_Sbar^U)``: the identity
+    behind the strategy-resolved duality bound."""
+    stats = mzi.strategy_stats(setup, strategy)
+    cross = np.sqrt(stats.eta_s * stats.eta_s_u) + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
+    return float(
+        report.distinguishability**2
+        + cross**2 * (1.0 - report.predictability**2)
+        - (1.0 - report.tightness_gap**2)
+    )
+
+
+def setup_violations(setup: mzi.MZISetup, strategy: mzi.Strategy, optimal: bool) -> list[str]:
+    """The per-setup checks of criteria 3 and 4, one message per failed gate.
+    The classic bound is checked only when ``optimal`` says the strategy is
+    the optimal one."""
+    problems = []
+    report = mzi.duality_report(setup, strategy)
+    min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
+    if min_eig < -BOUND_TOL:
+        problems.append(f"effect eigenvalue {min_eig:.3e} below -{BOUND_TOL:g}")
+    if completeness > BOUND_TOL or marginal > BOUND_TOL:
+        problems.append(f"POVM residual {max(completeness, marginal):.3e} above {BOUND_TOL:g}")
+    if report.duality_lhs > report.duality_rhs + BOUND_TOL:
+        problems.append(
+            f"duality violated: lhs {report.duality_lhs!r} > rhs {report.duality_rhs!r}"
+        )
+    identity = identity_residual(setup, strategy, report)
+    if abs(identity) > IDENTITY_TOL:
+        problems.append(f"gap identity residual {identity:.3e} above {IDENTITY_TOL:g}")
+    if optimal and report.jsve_lhs > 1.0 + BOUND_TOL:
+        problems.append(f"classic duality bound violated: {report.jsve_lhs!r}")
+    margin = jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy))
+    if margin < -BOUND_TOL:
+        problems.append(f"derived instance infeasible: margin {margin:.3e}")
+    return problems
+
+
 def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionResult:
     """Criterion 3: realized joint observables are POVMs with the right
     marginals, and the derived instance is never infeasible."""
@@ -124,13 +156,13 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
     worst_margin = np.inf
     for index in range(count):
         rng = _rng(seed, 3, index)
-        setup = _random_setup(rng, dim=2 + index % 3)
+        setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
         worst_eig = min(worst_eig, min_eig)
         worst_residual = max(worst_residual, completeness, marginal)
         worst_margin = min(worst_margin, jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy)))
-    passed = worst_eig >= -1e-10 and worst_residual <= 1e-10 and worst_margin >= -1e-10
+    passed = worst_eig >= -BOUND_TOL and worst_residual <= BOUND_TOL and worst_margin >= -BOUND_TOL
     return CriterionResult(
         3,
         "realized joint observables are valid POVMs",
@@ -149,7 +181,7 @@ def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResul
     strict_found = False
     for index in range(count):
         rng = _rng(seed, 4, index)
-        setup = _random_setup(rng, dim=2 + index % 3)
+        setup = mzi.random_setup(2 + index % 3, rng)
         optimal = index % 2 == 0
         strategy = (
             mzi.optimal_strategy(setup)
@@ -158,21 +190,16 @@ def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResul
         )
         report = mzi.duality_report(setup, strategy)
         worst_gap = max(worst_gap, report.duality_lhs - report.duality_rhs)
-        stats = mzi.strategy_stats(setup, strategy)
-        _, w_plus, w_minus = mzi.predictability(setup.rho)
-        cross = np.sqrt(stats.eta_s * stats.eta_s_u) + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
-        identity = (
-            report.distinguishability**2
-            + cross**2 * (1.0 - report.predictability**2)
-            - (1.0 - report.tightness_gap**2)
-        )
-        worst_identity = max(worst_identity, abs(identity))
+        worst_identity = max(worst_identity, abs(identity_residual(setup, strategy, report)))
         if optimal:
             worst_jsve = max(worst_jsve, report.jsve_lhs)
         if report.duality_rhs < 1.0 - 1e-4:
             strict_found = True
     passed = (
-        worst_gap <= 1e-10 and worst_identity <= 1e-12 and worst_jsve <= 1.0 + 1e-10 and strict_found
+        worst_gap <= BOUND_TOL
+        and worst_identity <= IDENTITY_TOL
+        and worst_jsve <= 1.0 + BOUND_TOL
+        and strict_found
     )
     return CriterionResult(
         4,
@@ -193,7 +220,7 @@ def criterion_optimum_is_max(
     for index in range(n_setups):
         rng = _rng(seed, 5, index)
         dim = 2 + index % 2
-        setup = _random_setup(rng, dim)
+        setup = mzi.random_setup(dim, rng)
         _, w_plus, w_minus = mzi.predictability(setup.rho)
         d_max = mzi.max_distinguishability(setup)
         vals, vecs = hermitian_eig(mzi.guess_operator(setup))
@@ -294,7 +321,7 @@ def criterion_sampler(seed: int, n_scenarios: int = 10, shots: int = 10**6) -> C
     worst_z = 0.0
     for index in range(n_scenarios):
         rng = _rng(seed, 8, index)
-        setup = _random_setup(rng, dim=2 + index % 3)
+        setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         probs = mzi.outcome_probabilities(setup, strategy)
         counts = mzi.sample_outcomes(setup, strategy, shots, _rng(seed, 80, index))
@@ -343,7 +370,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
             n_vec=np.array([0.0, 0.0, 0.5 * (s + t)]),
         )
         witness = jointmeas.construct_joint(inst)
-        low = jointmeas.min_effect_eigenvalue(witness)
+        low = jointmeas.min_effect_eigenvalue(witness.effects)
         worst_zero = max(worst_zero, abs(low))
         worst_neg = min(worst_neg, low)
     passed = saturation_gap <= 1e-12 and worst_zero <= 1e-8 and worst_neg >= -1e-10

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import joint_observable_residuals, run_all
+from .acceptance import run_all, setup_violations
 from .errors import InvalidArgument, MZDualityError, ScenarioError
 from .jointmeas import (
     JMInstance,
@@ -27,18 +27,9 @@ from .jointmeas import (
     jm_criterion,
     jm_margin,
 )
-from .mzi import (
-    MZISetup,
-    Strategy,
-    duality_report,
-    outcome_probabilities,
-    predictability,
-    sample_outcomes,
-    strategy_stats,
-    tightness_gap,
-)
+from .mzi import Strategy, duality_report, outcome_probabilities, sample_outcomes
 from .qubit_detector import gap_slope_empirical, gap_slope_prediction
-from .scenarios import OPTIMAL, Scenario, load_scenario, random_scenario
+from .scenarios import Scenario, load_scenario, random_scenario
 
 log = logging.getLogger("mzduality")
 
@@ -94,38 +85,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _scenario_violations(scenario: Scenario, strategy: Strategy, optimal: bool) -> list[str]:
-    """Identity and inequality checks applied to every swept scenario."""
-    problems = []
-    setup = scenario.setup
-    report = duality_report(setup, strategy)
-    min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
-    if min_eig < -1e-10:
-        problems.append(f"effect eigenvalue {min_eig:.3e} below -1e-10")
-    if completeness > 1e-10 or marginal > 1e-10:
-        problems.append(f"POVM residual {max(completeness, marginal):.3e} above 1e-10")
-    if report.duality_lhs > report.duality_rhs + 1e-10:
-        problems.append(
-            f"duality violated: lhs {report.duality_lhs!r} > rhs {report.duality_rhs!r}"
-        )
-    stats = strategy_stats(setup, strategy)
-    _, w_plus, w_minus = predictability(setup.rho)
-    cross = np.sqrt(stats.eta_s * stats.eta_s_u) + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
-    identity = (
-        report.distinguishability**2
-        + cross**2 * (1.0 - report.predictability**2)
-        - (1.0 - tightness_gap(stats, w_plus, w_minus) ** 2)
-    )
-    if abs(identity) > 1e-12:
-        problems.append(f"gap identity residual {identity:.3e} above 1e-12")
-    if optimal and report.jsve_lhs > 1.0 + 1e-10:
-        problems.append(f"classic duality bound violated: {report.jsve_lhs!r}")
-    margin = jm_margin(instance_from_setup(setup, strategy))
-    if margin < -1e-10:
-        problems.append(f"derived instance infeasible: margin {margin:.3e}")
-    return problems
 
 
 def cmd_report(args) -> int:
@@ -184,7 +143,7 @@ def cmd_sweep(args) -> int:
         strategy = scenario.resolve_strategy()
         _, row = _result_row(scenario, strategy)
         lines.append(row)
-        for problem in _scenario_violations(scenario, strategy, optimal):
+        for problem in setup_violations(scenario.setup, strategy, optimal):
             violations.append(f"scenario {scenario.name}: {problem}")
         if args.count >= 20 and (index + 1) % (args.count // 10) == 0:
             log.info("sweep progress: %d/%d", index + 1, args.count)

@@ -159,10 +159,10 @@ def jm_criterion(inst: JMInstance) -> JMVerdict:
     return JMVerdict(measurable=measurable, margin=margin, witness=witness)
 
 
-def min_effect_eigenvalue(cand: JointCandidate) -> float:
-    """Smallest eigenvalue over the four candidate effects."""
+def min_effect_eigenvalue(effects: np.ndarray) -> float:
+    """Smallest eigenvalue over four effects stacked as a (2, 2, 2, 2) array."""
     return min(
-        float(hermitian_eig(cand.effects[i, j]).eigenvalues[0]) for i in range(2) for j in range(2)
+        float(hermitian_eig(effects[i, j]).eigenvalues[0]) for i in range(2) for j in range(2)
     )
 
 

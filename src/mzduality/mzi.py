@@ -31,7 +31,10 @@ from .qubit import (
     BinaryQubitObservable,
     QubitState,
     as_generator,
+    random_detector_state,
+    random_qubit_state,
     random_unitary,
+    require_dim,
 )
 
 HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
@@ -53,16 +56,17 @@ class MZISetup:
     def __post_init__(self):
         rho_d = require_density(self.rho_d)
         u = require_unitary(self.u)
-        d = rho_d.shape[0]
-        if not (2 <= d <= 8):
-            raise DimensionMismatch(f"detector dimension must lie in [2, 8], got {d}")
+        require_dim(rho_d.shape[0])
         if u.shape != rho_d.shape:
             raise DimensionMismatch(
                 f"detector unitary is {u.shape} but state is {rho_d.shape}"
             )
+        phi = float(self.phi)
+        if not np.isfinite(phi):
+            raise InvalidArgument(f"phase phi must be finite, got {phi}")
         object.__setattr__(self, "rho_d", rho_d)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", phi)
 
     @property
     def detector_dim(self) -> int:
@@ -302,6 +306,19 @@ def tightness_gap(stats: StrategyStats, w_plus: float, w_minus: float) -> float:
     left = w_plus * np.sqrt(max(stats.eta_s * stats.eta_sbar, 0.0))
     right = w_minus * np.sqrt(max(stats.eta_s_u * stats.eta_sbar_u, 0.0))
     return 2.0 * abs(left - right)
+
+
+def random_setup(d: int, seed) -> MZISetup:
+    """Random setup drawn from one stream in a fixed order: a Bloch-ball
+    quanton, a Hilbert-Schmidt detector state, a Haar coupling unitary, and a
+    uniform phase in [0, 2 pi)."""
+    rng = as_generator(seed)
+    return MZISetup(
+        rho=random_qubit_state(rng),
+        rho_d=random_detector_state(d, rng),
+        u=random_unitary(d, rng),
+        phi=float(rng.uniform(0.0, 2.0 * np.pi)),
+    )
 
 
 def random_strategy(d: int, seed) -> Strategy:

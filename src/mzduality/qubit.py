@@ -47,10 +47,13 @@ def pauli_phi(phi: float) -> np.ndarray:
 
 
 def bloch_to_matrix(vector, bias: float) -> np.ndarray:
-    """Effect matrix ``bias * I + v . sigma``; raises InvalidEffect if out of bounds."""
+    """Effect matrix ``bias * I + v . sigma``; raises InvalidEffect unless bias
+    and v are finite and ``|v| <= min(bias, 1 - bias)``."""
     v = np.asarray(vector, dtype=float)
     if v.shape != (3,):
         raise InvalidEffect(f"Bloch vector must have shape (3,), got {v.shape}")
+    if not (np.isfinite(bias) and np.isfinite(v).all()):
+        raise InvalidEffect("bias and vector must be finite")
     norm = float(np.linalg.norm(v))
     if norm > min(bias, 1.0 - bias) + PSD_TOL:
         raise InvalidEffect(
@@ -93,8 +96,9 @@ class QubitState:
         v = np.asarray(vector, dtype=float)
         if v.shape != (3,):
             raise InvalidState(f"Bloch vector must have shape (3,), got {v.shape}")
-        if np.linalg.norm(v) > 1.0 + PSD_TOL:
-            raise InvalidState(f"Bloch norm {np.linalg.norm(v):.6g} exceeds 1")
+        norm = float(np.linalg.norm(v))
+        if not norm <= 1.0 + PSD_TOL:
+            raise InvalidState(f"Bloch norm {norm:.6g} must be finite and at most 1")
         return cls(bloch_to_matrix(v / 2.0, 0.5))
 
     def bloch(self) -> np.ndarray:
@@ -114,24 +118,14 @@ class BinaryQubitObservable:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if v.shape != (3,):
-            raise InvalidEffect(f"vector must have shape (3,), got {v.shape}")
-        if not (np.isfinite(self.bias) and np.isfinite(v).all()):
-            raise InvalidEffect("bias and vector must be finite")
-        norm = float(np.linalg.norm(v))
-        if norm > min(self.bias, 1.0 - self.bias) + PSD_TOL:
-            raise InvalidEffect(
-                f"|vector| = {norm:.6g} exceeds min(bias, 1-bias) = "
-                f"{min(self.bias, 1.0 - self.bias):.6g}"
-            )
-        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
+        bloch_to_matrix(self.vector, self.bias)
 
     def effect(self, outcome: int) -> np.ndarray:
         if outcome == 0:
-            return self.bias * IDENTITY_2 + sum(v * s for v, s in zip(self.vector, PAULI))
+            return bloch_to_matrix(self.vector, self.bias)
         if outcome == 1:
-            return (1.0 - self.bias) * IDENTITY_2 - sum(v * s for v, s in zip(self.vector, PAULI))
+            return bloch_to_matrix(-self.vector, 1.0 - self.bias)
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
 
     @property
@@ -139,9 +133,12 @@ class BinaryQubitObservable:
         return float(np.linalg.norm(self.vector))
 
 
-def _require_dim(d: int) -> int:
+def require_dim(d: int) -> int:
+    """The detector dimension as an int; raises BadDimension outside the supported range."""
     if not (MIN_DETECTOR_DIM <= int(d) <= MAX_DETECTOR_DIM):
-        raise BadDimension(f"detector dimension must lie in [2, 8], got {d}")
+        raise BadDimension(
+            f"detector dimension must lie in [{MIN_DETECTOR_DIM}, {MAX_DETECTOR_DIM}], got {d}"
+        )
     return int(d)
 
 
@@ -158,7 +155,7 @@ def random_qubit_state(seed) -> QubitState:
 
 def random_detector_state(d: int, seed) -> np.ndarray:
     """Hilbert-Schmidt-random d x d density matrix (normalized Ginibre square)."""
-    d = _require_dim(d)
+    d = require_dim(d)
     rng = as_generator(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
@@ -168,7 +165,7 @@ def random_detector_state(d: int, seed) -> np.ndarray:
 
 def random_pure_detector_state(d: int, seed) -> np.ndarray:
     """Haar-random pure d x d detector state."""
-    d = _require_dim(d)
+    d = require_dim(d)
     rng = as_generator(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -177,7 +174,7 @@ def random_pure_detector_state(d: int, seed) -> np.ndarray:
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-random d x d unitary: QR of a complex Gaussian with the R-diagonal phase fix."""
-    d = _require_dim(d)
+    d = require_dim(d)
     rng = as_generator(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

@@ -36,6 +36,8 @@ class QubitDetectorAnalysis:
         beta = np.asarray(self.beta, dtype=float)
         if alpha.shape != (3,) or beta.shape != (3,):
             raise InvalidInstance("alpha and beta must be 3-vectors")
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise InvalidInstance("alpha and beta must be finite")
         na, nb = np.linalg.norm(alpha), np.linalg.norm(beta)
         if abs(na - nb) > BLOCH_MATCH_TOL:
             raise InvalidInstance(f"|alpha| = {na:.6g} and |beta| = {nb:.6g} must match")

@@ -14,15 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MZDualityError, ScenarioError
-from .mzi import MZISetup, Strategy, optimal_strategy, random_strategy
-from .qubit import (
-    IDENTITY_2,
-    SIGMA_X,
-    QubitState,
-    random_detector_state,
-    random_qubit_state,
-    random_unitary,
-)
+from .mzi import MZISetup, Strategy, optimal_strategy, random_setup, random_strategy
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix
 
 OPTIMAL = "optimal"
 
@@ -81,8 +74,7 @@ def _parse_detector_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "bloch" in spec:
         if dim != 2:
             raise ScenarioError("a Bloch detector state requires dim = 2")
-        v = np.asarray(spec["bloch"], dtype=float)
-        return (IDENTITY_2 + v[0] * SIGMA_X + v[1] * np.array([[0, -1j], [1j, 0]]) + v[2] * np.diag([1.0, -1.0])) / 2.0
+        return bloch_to_matrix(np.asarray(spec["bloch"], dtype=float) / 2.0, 0.5)
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector state")
     raise ScenarioError("detector state must be a preset name, 'bloch', or 'matrix'")
@@ -122,18 +114,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     try:
         detector = data["detector"]
         dim = int(detector["dim"])
-        quanton = _parse_quanton(data["quanton"])
-        rho_d = _parse_detector_state(detector["state"], dim)
-        u = _parse_unitary(detector["unitary"], dim)
-        phi = float(data.get("phi", 0.0))
+        setup = MZISetup(
+            rho=_parse_quanton(data["quanton"]),
+            rho_d=_parse_detector_state(detector["state"], dim),
+            u=_parse_unitary(detector["unitary"], dim),
+            phi=float(data.get("phi", 0.0)),
+        )
         seed = int(data.get("seed", 0))
         name = str(data.get("name", "scenario"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from None
-    try:
-        setup = MZISetup(rho=quanton, rho_d=rho_d, u=u, phi=phi)
+    except ScenarioError:
+        raise
     except MZDualityError as exc:
         raise ScenarioError(f"invalid setup: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from None
     strategy_spec = _parse_strategy(data.get("strategy", OPTIMAL), dim)
     if isinstance(strategy_spec, Strategy) and strategy_spec.dim != dim:
         raise ScenarioError("strategy dimension does not match detector dimension")
@@ -178,11 +172,6 @@ def save_scenario(s: Scenario, path) -> None:
 def random_scenario(base_seed: int, index: int, dim: int, optimal: bool) -> Scenario:
     """Deterministic random scenario derived from (base_seed, index)."""
     rng = np.random.default_rng([base_seed, index])
-    setup = MZISetup(
-        rho=random_qubit_state(rng),
-        rho_d=random_detector_state(dim, rng),
-        u=random_unitary(dim, rng),
-        phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-    )
+    setup = random_setup(dim, rng)
     spec: Strategy | str = OPTIMAL if optimal else random_strategy(dim, rng)
     return Scenario(name=f"sweep-{base_seed}-{index}", setup=setup, strategy_spec=spec, seed=base_seed)

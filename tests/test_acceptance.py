@@ -6,6 +6,7 @@ runtime) and prints one pass/fail line per criterion.
 
 import pytest
 
+from mzduality import acceptance
 from mzduality.acceptance import (
     criteria_oracle_agreement,
     criterion_duality_inequality,
@@ -64,3 +65,16 @@ def test_criterion_8_sampler():
 
 def test_criterion_9_saturation():
     _report(criterion_saturation(SEED, n_boundary=100))
+
+
+def test_sweep_and_battery_share_the_identity_gate(monkeypatch, capsys):
+    # a negative gate fails every setup, on both paths that read it
+    from mzduality.cli import main
+
+    monkeypatch.setattr(acceptance, "IDENTITY_TOL", -1.0)
+    assert main(["sweep", "--count", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "scenario sweep-0-0: gap identity residual" in err
+    assert "scenario sweep-0-1: gap identity residual" in err
+    result = criterion_duality_inequality(SEED, count=50)
+    assert not result.passed, result.detail

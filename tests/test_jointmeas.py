@@ -138,7 +138,7 @@ class TestConstruction:
             s = np.sqrt(m0 * m0 - m * m)
             t = np.sqrt((1 - m0) ** 2 - m * m)
             inst = axis_instance(m0, m, 0.5 * (s + t))
-            low = min_effect_eigenvalue(construct_joint(inst))
+            low = min_effect_eigenvalue(construct_joint(inst).effects)
             assert abs(low) <= 1e-8
             assert low >= -1e-10
 
@@ -150,7 +150,7 @@ class TestConstruction:
                 continue
             candidate = construct_joint(inst)
             assert positivity_check(candidate, inst)
-            assert min_effect_eigenvalue(candidate) >= -1e-10
+            assert min_effect_eigenvalue(candidate.effects) >= -1e-10
 
     def test_not_measurable_raises(self):
         with pytest.raises(NotMeasurable):
@@ -174,7 +174,7 @@ class TestPositivityCheck:
                 y_vec=rng.standard_normal(3) * rng.uniform(0.0, 0.7),
             )
             ball = positivity_check(candidate, inst, tol=0.0)
-            eig = min_effect_eigenvalue(candidate) >= 0.0
+            eig = min_effect_eigenvalue(candidate.effects) >= 0.0
             agreements += ball == eig
         assert agreements == 10_000
 

@@ -2,8 +2,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzduality.errors import DimensionMismatch
+from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument
 from mzduality.linalg import hermitian_eig
 from mzduality import mzi
 from mzduality.qubit import (
@@ -15,6 +17,7 @@ from mzduality.qubit import (
     random_qubit_state,
     random_unitary,
 )
+from mzduality.scenarios import random_scenario
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 
@@ -26,6 +29,36 @@ def random_setup(rng, dim, phi=None):
         u=random_unitary(dim, rng),
         phi=float(rng.uniform(0, 2 * np.pi)) if phi is None else phi,
     )
+
+
+class TestSetupConstruction:
+    @pytest.mark.parametrize("dim", [1, 9])
+    def test_one_dimension_range(self, dim):
+        messages = set()
+        for build in (
+            lambda: mzi.MZISetup(rho=QubitState(GROUND), rho_d=np.eye(dim) / dim, u=np.eye(dim)),
+            lambda: random_detector_state(dim, 0),
+            lambda: random_unitary(dim, 0),
+        ):
+            with pytest.raises(BadDimension) as caught:
+                build()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(InvalidArgument):
+            mzi.MZISetup(rho=QubitState(GROUND), rho_d=GROUND, u=np.eye(2), phi=phi)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31), st.integers(0, 10**4), st.integers(2, 8), st.booleans())
+    def test_random_setup_is_the_sweep_setup(self, seed, index, dim, optimal):
+        setup = mzi.random_setup(dim, np.random.default_rng([seed, index]))
+        swept = random_scenario(seed, index, dim, optimal).setup
+        np.testing.assert_array_equal(setup.rho.matrix, swept.rho.matrix)
+        np.testing.assert_array_equal(setup.rho_d, swept.rho_d)
+        np.testing.assert_array_equal(setup.u, swept.u)
+        assert setup.phi == swept.phi
 
 
 class TestVisibilityAndPredictability:

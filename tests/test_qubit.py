@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mzduality.errors import BadDimension, InvalidEffect, InvalidState
 from mzduality.linalg import hermitian_eig
@@ -19,6 +21,17 @@ from mzduality.qubit import (
     random_qubit_state,
     random_unitary,
 )
+
+
+@st.composite
+def valid_effects(draw):
+    """(bias, v) with |v| <= min(bias, 1 - bias): bias in [0, 1], v a nonzero
+    direction scaled to a fraction of its cap."""
+    bias = draw(st.floats(0.0, 1.0))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    assume(np.linalg.norm(direction) > 1e-3)
+    fraction = draw(st.floats(0.0, 1.0))
+    return bias, direction / np.linalg.norm(direction) * fraction * min(bias, 1.0 - bias)
 
 
 class TestBlochConversions:
@@ -44,6 +57,21 @@ class TestBlochConversions:
     def test_invalid_effect_rejected(self):
         with pytest.raises(InvalidEffect):
             bloch_to_matrix(np.array([0.6, 0.0, 0.0]), 0.5)
+        with pytest.raises(InvalidEffect):
+            bloch_to_matrix([np.nan, 0.0, 0.0], 0.5)
+        with pytest.raises(InvalidEffect):
+            bloch_to_matrix(np.zeros(3), np.inf)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(valid_effects())
+    def test_observable_uses_the_bloch_map(self, effect):
+        bias, vector = effect
+        obs = BinaryQubitObservable(bias=bias, vector=vector)
+        np.testing.assert_array_equal(obs.effect(0), bloch_to_matrix(vector, bias))
+        np.testing.assert_allclose(obs.effect(0) + obs.effect(1), IDENTITY_2, atol=1e-15)
+        back_bias, back_vector = matrix_to_bloch(bloch_to_matrix(vector, bias))
+        assert back_bias == pytest.approx(bias, abs=1e-15)
+        np.testing.assert_allclose(back_vector, vector, atol=1e-15)
 
     def test_validity_matches_eigenvalue_bounds(self):
         # |vector| <= min(bias, 1-bias) iff the matrix spectrum sits in [0, 1]
@@ -89,6 +117,10 @@ class TestQubitState:
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(InvalidState):
             QubitState.from_bloch([1.0, 0.5, 0.0])
+
+    def test_rejects_non_finite_bloch_vector(self):
+        with pytest.raises(InvalidState):
+            QubitState.from_bloch([np.nan, 0.0, 0.0])
 
 
 class TestBinaryQubitObservable:

@@ -36,6 +36,10 @@ def random_analysis(rng, max_radius=1.0):
 
 
 class TestAnalysis:
+    def test_rejects_non_finite_bloch_data(self):
+        with pytest.raises(InvalidInstance):
+            QubitDetectorAnalysis(alpha=[np.nan, 0.0, 0.0], beta=[0.0, 0.0, 0.0], p=0.1)
+
     def test_rejects_mismatched_radii(self):
         with pytest.raises(InvalidInstance):
             QubitDetectorAnalysis(alpha=np.array([0.5, 0, 0]), beta=np.array([0.4, 0, 0]), p=0.1)

@@ -62,6 +62,16 @@ class TestScenarioFiles:
             scenario_from_dict(bad)
         with pytest.raises(ScenarioError):
             scenario_from_dict({"name": "empty"})
+        # Bloch vectors outside the ball fail in the state and effect
+        # constructors; the parser still reports them as scenario errors
+        long_detector = {
+            **bad,
+            "detector": {"dim": 2, "state": {"bloch": [0, 0, 1.5]}, "unitary": "identity"},
+        }
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(long_detector)
+        with pytest.raises(ScenarioError):
+            scenario_from_dict({**long_detector, "quanton": {"bloch": [0, 0, 1.5]}})
 
 
 class TestCli:
@@ -107,9 +117,13 @@ class TestCli:
             ["check-jm", "--m0", "0.5", "--m", "0.1", "--n", "inf"],
             ["sweep", "--count", "-3"],
             ["verify", "--count", "-3"],
+            ["report", "--scenario", "NAN_PHI"],
         ],
     )
-    def test_bad_input_exits_2(self, argv, capsys):
+    def test_bad_input_exits_2(self, argv, capsys, tmp_path):
+        nan_phi = tmp_path / "nan_phi.json"
+        nan_phi.write_text(json.dumps({**json.loads(SATURATING.read_text()), "phi": float("nan")}))
+        argv = [str(nan_phi) if arg == "NAN_PHI" else arg for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
