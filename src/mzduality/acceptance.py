@@ -15,8 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from . import jointmeas, mzi, qubit_detector
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, kron, partial_trace_detector
 from .qubit import (
+    IDENTITY_2,
     QubitState,
     random_detector_state,
     random_pure_detector_state,
@@ -86,6 +87,25 @@ def criteria_oracle_agreement(
     )
 
 
+def reference_joint_observable(setup: mzi.MZISetup, strategy: mzi.Strategy) -> np.ndarray:
+    """The realized joint observable the long way, as the independent check
+    of ``mzi.joint_observable``: for each output port i and guess set j,
+    ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]`` with T the full
+    interferometer unitary and P_j the detector projector onto the set."""
+    total = mzi.interferometer_unitary(setup)
+    weighted = kron(IDENTITY_2, setup.rho_d) @ total.conj().T
+    effects = np.zeros((2, 2, 2, 2), dtype=complex)
+    for j, guess_set in enumerate((strategy.subset, strategy.complement())):
+        columns = strategy.basis[:, sorted(guess_set)]
+        for i in range(2):
+            port = np.zeros((2, 2))
+            port[i, i] = 1.0
+            projector = kron(port, columns @ columns.conj().T)
+            effect = partial_trace_detector(weighted @ projector @ total)
+            effects[i, j] = (effect + effect.conj().T) / 2.0
+    return effects
+
+
 def joint_observable_residuals(
     setup: mzi.MZISetup, strategy: mzi.Strategy
 ) -> tuple[float, float, float]:
@@ -150,7 +170,8 @@ def setup_violations(setup: mzi.MZISetup, strategy: mzi.Strategy, optimal: bool)
 
 def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionResult:
     """Criterion 3: realized joint observables are POVMs with the right
-    marginals, and the derived instance is never infeasible."""
+    marginals and agree with the full-interferometer reference, and the
+    derived instance is never infeasible."""
     worst_eig = 0.0
     worst_residual = 0.0
     worst_margin = np.inf
@@ -159,8 +180,10 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
         setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
+        closed = mzi.joint_observable(setup, strategy)
+        deviation = float(np.max(np.abs(closed - reference_joint_observable(setup, strategy))))
         worst_eig = min(worst_eig, min_eig)
-        worst_residual = max(worst_residual, completeness, marginal)
+        worst_residual = max(worst_residual, completeness, marginal, deviation)
         worst_margin = min(worst_margin, jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy)))
     passed = worst_eig >= -BOUND_TOL and worst_residual <= BOUND_TOL and worst_margin >= -BOUND_TOL
     return CriterionResult(

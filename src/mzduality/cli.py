@@ -57,27 +57,12 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _result_row(scenario: Scenario, strategy: Strategy) -> tuple[dict, str]:
+def _result_row(scenario: Scenario, strategy: Strategy) -> str:
     report = duality_report(scenario.setup, strategy)
     margin = jm_margin(instance_from_setup(scenario.setup, strategy))
-    values = {
-        "scenario": scenario.name,
-        "seed": str(scenario.seed),
-        "a_priori_visibility": _fmt(report.a_priori_visibility),
-        "predictability": _fmt(report.predictability),
-        "visibility": _fmt(report.visibility),
-        "phi0": _fmt(report.phi0),
-        "delta": _fmt(report.delta),
-        "contrast": _fmt(report.contrast),
-        "distinguishability": _fmt(report.distinguishability),
-        "max_distinguishability": _fmt(report.max_distinguishability),
-        "tightness_gap": _fmt(report.tightness_gap),
-        "duality_lhs": _fmt(report.duality_lhs),
-        "duality_rhs": _fmt(report.duality_rhs),
-        "jsve_lhs": _fmt(report.jsve_lhs),
-        "jm_margin": _fmt(margin),
-    }
-    return values, ",".join(values[c] for c in CSV_COLUMNS)
+    # the columns between the seed and the margin are DualityReport fields
+    numbers = [getattr(report, column) for column in CSV_COLUMNS[2:-1]] + [margin]
+    return ",".join([scenario.name, str(scenario.seed), *map(_fmt, numbers)])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,7 +75,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     strategy = scenario.resolve_strategy()
-    _, row = _result_row(scenario, strategy)
+    row = _result_row(scenario, strategy)
     _emit(f"{CSV_SCHEMA_LINE}\n{','.join(CSV_COLUMNS)}\n{row}\n", args.out)
     return 0
 
@@ -141,8 +126,7 @@ def cmd_sweep(args) -> int:
         optimal = index % 2 == 0
         scenario = random_scenario(args.seed, index, args.dim, optimal)
         strategy = scenario.resolve_strategy()
-        _, row = _result_row(scenario, strategy)
-        lines.append(row)
+        lines.append(_result_row(scenario, strategy))
         for problem in setup_violations(scenario.setup, strategy, optimal):
             violations.append(f"scenario {scenario.name}: {problem}")
         if args.count >= 20 and (index + 1) % (args.count // 10) == 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import hermitian_eig
-from .mzi import MZISetup, Strategy, a_priori_visibility, strategy_stats, visibility_with_detector
+from .mzi import MZISetup, Strategy, interference_povm, which_path_povm
 from .qubit import IDENTITY_2, PAULI, as_generator
 
 ORTHOGONALITY_TOL = 1e-10
@@ -236,19 +236,11 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
 
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
-    """Observable pair realized by a setup and strategy.
-
-    The interference vector has length ``contrast / 2`` (the visibility-free
-    form) and points along ``(0, -sin(phi0), cos(phi0))``; the which-path pair
-    is read off the strategy statistics.
-    """
-    stats = strategy_stats(setup, strategy)
-    _, phi0 = a_priori_visibility(setup.rho)
-    _, _, contrast = visibility_with_detector(setup)
-    m0 = 0.5 * (stats.eta_s + stats.eta_s_u)
-    m_vec = np.array([0.5 * (stats.eta_s - stats.eta_s_u), 0.0, 0.0])
-    n_vec = 0.5 * contrast * np.array([0.0, -np.sin(phi0), np.cos(phi0)])
-    return JMInstance(m0=m0, m_vec=m_vec, n_vec=n_vec)
+    """Observable pair realized by a setup and strategy: ``n`` is the vector
+    of ``interference_povm``, and ``m0`` and ``m`` are the bias and vector of
+    ``which_path_povm``."""
+    guess = which_path_povm(setup, strategy)
+    return JMInstance(m0=guess.bias, m_vec=guess.vector, n_vec=interference_povm(setup).vector)
 
 
 def random_instance(seed) -> JMInstance:

@@ -15,15 +15,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, MZDualityError
 from .linalg import (
+    as_complex_matrix,
     hermitian_eig,
     kron,
-    partial_trace_detector,
     require_density,
     require_unitary,
     trace_norm,
 )
 from .qubit import (
-    IDENTITY_2,
     KET_MINUS,
     KET_PLUS,
     SIGMA_X,
@@ -81,9 +80,7 @@ class Strategy:
     subset: frozenset
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-            raise DimensionMismatch(f"basis must be square, got shape {basis.shape}")
+        basis = as_complex_matrix(self.basis)
         d = basis.shape[0]
         dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d))))
         if dev > ORTHONORMALITY_TOL:
@@ -262,24 +259,28 @@ def joint_observable(setup: MZISetup, strategy: Strategy) -> np.ndarray:
 
     Returns a (2, 2, 2, 2) array where ``[i, j]`` is the 2x2 effect for port
     ``i`` and guess ``j``.  Its marginals reproduce ``interference_povm`` and
-    ``which_path_povm``.
+    ``which_path_povm``.  In closed form ``E_ij = A^dag M_ij A`` with
+    ``A = phase_shifter(phi) @ HADAMARD`` and
+
+        M_ij = 1/2 [[eta_j, s_i xi_j], [s_i conj(xi_j), eta_j^U]],
+
+    where ``s_i = +1, -1`` for ports 0, 1, the eta's are the strategy
+    statistics of guess set j (S, then S-bar) and ``xi_j`` sums
+    ``<b_k|U rho_D|b_k>`` over that set.
     """
-    if strategy.dim != setup.detector_dim:
-        raise DimensionMismatch(
-            f"strategy dimension {strategy.dim} != detector dimension {setup.detector_dim}"
-        )
-    total = interferometer_unitary(setup)
-    weighted = kron(IDENTITY_2, setup.rho_d) @ total.conj().T
-    effects = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        port = np.zeros((2, 2), dtype=complex)
-        port[i, i] = 1.0
-        for k in range(strategy.dim):
-            w = strategy.basis[:, k]
-            projector = kron(port, np.outer(w, w.conj()))
-            effect = partial_trace_detector(weighted @ projector @ total)
-            j = 0 if k in strategy.subset else 1
-            effects[i, j] += (effect + effect.conj().T) / 2.0
+    stats = strategy_stats(setup, strategy)
+    basis = strategy.basis
+    coherence = setup.u @ setup.rho_d
+    overlaps = np.einsum("ij,jk,ki->i", basis.conj().T, coherence, basis)
+    xi_s = complex(overlaps[sorted(strategy.subset)].sum())
+    xi = (xi_s, complex(np.trace(coherence)) - xi_s)
+    eta = ((stats.eta_s, stats.eta_s_u), (stats.eta_sbar, stats.eta_sbar_u))
+    entry = phase_shifter(setup.phi) @ HADAMARD
+    effects = np.empty((2, 2, 2, 2), dtype=complex)
+    for i, sign in enumerate((1.0, -1.0)):
+        for j in range(2):
+            middle = [[eta[j][0], sign * xi[j]], [sign * np.conj(xi[j]), eta[j][1]]]
+            effects[i, j] = 0.5 * entry.conj().T @ np.array(middle) @ entry
     return effects
 
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, InvalidEffect, InvalidState, NotHermitian
-from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    hermitian_eig,
-    require_density,
-    require_hermitian,
-)
+from .linalg import PSD_TOL, require_density, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -70,15 +64,6 @@ def matrix_to_bloch(effect) -> tuple[float, np.ndarray]:
     bias = float(np.real(np.trace(m))) / 2.0
     vector = np.array([float(np.real(np.trace(m @ s))) / 2.0 for s in PAULI])
     return bias, vector
-
-
-def effect_bounds_ok(matrix, tol: float = PSD_TOL) -> bool:
-    """True iff the matrix is Hermitian with spectrum inside [-tol, 1+tol]."""
-    m = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        return False
-    vals = hermitian_eig(m).eigenvalues
-    return bool(vals[0] >= -tol and vals[-1] <= 1.0 + tol)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from mzduality.jointmeas import (
     random_instance,
 )
 from mzduality.qubit import QubitState, random_detector_state, random_qubit_state, random_unitary
+from mzduality.scenarios import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def axis_instance(m0, m, n):
@@ -267,6 +272,19 @@ class TestInstanceFromSetup:
             assert jm_margin(instance_from_setup(setup, strategy)) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_witness_marginals_are_the_realized_pair(self, path):
+        # the witness is a joint observable of the pair the setup realizes,
+        # so its marginals are the interferometer's own two POVMs
+        scenario = load_scenario(path)
+        setup, strategy = scenario.setup, scenario.resolve_strategy()
+        effects = construct_joint(instance_from_setup(setup, strategy)).effects
+        port_povm = mzi.interference_povm(setup)
+        guess_povm = mzi.which_path_povm(setup, strategy)
+        for k in range(2):
+            np.testing.assert_allclose(effects[k].sum(axis=0), port_povm.effect(k), atol=1e-12)
+            np.testing.assert_allclose(effects[:, k].sum(axis=0), guess_povm.effect(k), atol=1e-12)
 
     def test_saturating_scenario_margin_zero(self):
         setup = mzi.MZISetup(

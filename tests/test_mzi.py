@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument
 from mzduality.linalg import hermitian_eig
-from mzduality import mzi
+from mzduality import acceptance, mzi
 from mzduality.qubit import (
     SIGMA_X,
     QubitState,
@@ -341,6 +341,24 @@ class TestJointObservable:
         setup = random_setup(rng, 3)
         with pytest.raises(DimensionMismatch):
             mzi.joint_observable(setup, mzi.random_strategy(2, rng))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        kind=st.sampled_from(["random", "empty", "full"]),
+    )
+    def test_closed_form_matches_full_interferometer(self, dim, seed, phi, kind):
+        rng = np.random.default_rng(seed)
+        setup = random_setup(rng, dim, phi=phi)
+        strategy = mzi.random_strategy(dim, rng)
+        if kind != "random":
+            subset = frozenset(range(dim)) if kind == "full" else frozenset()
+            strategy = mzi.Strategy(basis=strategy.basis, subset=subset)
+        effects = mzi.joint_observable(setup, strategy)
+        reference = acceptance.reference_joint_observable(setup, strategy)
+        assert np.max(np.abs(effects - reference)) <= 1e-12
 
 
 class TestSampling:

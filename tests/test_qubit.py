@@ -13,7 +13,6 @@ from mzduality.qubit import (
     BinaryQubitObservable,
     QubitState,
     bloch_to_matrix,
-    effect_bounds_ok,
     matrix_to_bloch,
     pauli_phi,
     random_detector_state,
@@ -74,7 +73,7 @@ class TestBlochConversions:
         np.testing.assert_allclose(back_vector, vector, atol=1e-15)
 
     def test_validity_matches_eigenvalue_bounds(self):
-        # |vector| <= min(bias, 1-bias) iff the matrix spectrum sits in [0, 1]
+        # bloch_to_matrix accepts (bias, v) iff the matrix spectrum sits in [0, 1]
         rng = np.random.default_rng(22)
         checked = 0
         while checked < 10_000:
@@ -86,7 +85,13 @@ class TestBlochConversions:
             if abs(slack) < 1e-9:
                 continue
             matrix = bias * IDENTITY_2 + sum(v * s for v, s in zip(vector, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
-            assert effect_bounds_ok(matrix, tol=0.0) == (slack > 0.0)
+            vals = hermitian_eig(matrix).eigenvalues
+            try:
+                bloch_to_matrix(vector, bias)
+                accepted = True
+            except InvalidEffect:
+                accepted = False
+            assert accepted == (vals[0] >= 0.0 and vals[-1] <= 1.0)
             checked += 1
 
 

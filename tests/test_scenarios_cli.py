@@ -118,16 +118,25 @@ class TestCli:
             ["sweep", "--count", "-3"],
             ["verify", "--count", "-3"],
             ["report", "--scenario", "NAN_PHI"],
+            ["report", "--scenario", "NAN_BASIS"],
+            ["sample", "--scenario", "NAN_BASIS"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
-        nan_phi = tmp_path / "nan_phi.json"
-        nan_phi.write_text(json.dumps({**json.loads(SATURATING.read_text()), "phi": float("nan")}))
-        argv = [str(nan_phi) if arg == "NAN_PHI" else arg for arg in argv]
-        assert main(argv) == 2
+        saturating = json.loads(SATURATING.read_text())
+        nan_basis_strategy = {"basis": [[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]], "subset": [0]}
+        files = {
+            "NAN_PHI": {**saturating, "phi": float("nan")},
+            "NAN_BASIS": {**saturating, "strategy": nan_basis_strategy},
+        }
+        for placeholder, data in files.items():
+            (tmp_path / placeholder).write_text(json.dumps(data))
+        assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        if "NAN_BASIS" in argv:
+            assert "strategy" in captured.err
 
     def test_sweep_deterministic_and_clean(self, tmp_path):
         first = tmp_path / "a.csv"
