@@ -8,6 +8,7 @@ the offending instance.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,6 +25,8 @@ from .qubit import (
     random_qubit_state,
     random_unitary,
 )
+
+log = logging.getLogger(__name__)
 
 ORACLE_RESOLUTION = 0.01
 # per-setup gates of criteria 3-4, shared with the sweep's check
@@ -69,8 +72,11 @@ def criteria_oracle_agreement(
             reduced_bad += 1
         infeasible += margin < 0.0
         checked += 1
-    elapsed = time.perf_counter() - start
-    shared = f"{checked} instances ({infeasible} infeasible), {elapsed:.0f}s"
+    log.info("criteria 1-2: %d instances in %.1fs", checked, time.perf_counter() - start)
+    shared = (
+        f"{checked} instances ({infeasible} infeasible), "
+        f"{index - checked} in the boundary band skipped of {index} drawn"
+    )
     return (
         CriterionResult(
             1,

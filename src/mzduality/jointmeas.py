@@ -29,6 +29,8 @@ BALL_CHECK_TOL = 1e-10
 # pure floating-point guard inside the grid oracle; must stay far below the
 # margin band excluded from differential tests
 GRID_GUARD = 1e-9
+# side of the square blocks of y grid points the FULL oracle keeps or skips whole
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,53 @@ def _axis_grid(inst: JMInstance, resolution: float) -> np.ndarray:
     return np.unique(vals)
 
 
+def _x_window(inst: JMInstance, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo <= x <= hi`` that the four ball constraints leave for x at
+    the y point with components y1 along m and y2 along n."""
+    m0, m, n = inst.m0, inst.m, inst.n
+    a1 = np.sqrt((m + y1) ** 2 + (n + y2) ** 2)
+    a2 = np.sqrt((m + y1) ** 2 + (n - y2) ** 2)
+    a3 = np.sqrt((m - y1) ** 2 + (n + y2) ** 2)
+    a4 = np.sqrt((m - y1) ** 2 + (n - y2) ** 2)
+    return np.maximum(a1 - m0, a4 - (1.0 - m0)), np.minimum(m0 - a3, (1.0 - m0) - a2)
+
+
+def _grid_feasible(inst: JMInstance, resolution: float, y1: np.ndarray, y2: np.ndarray) -> bool:
+    """Whether some point of the FULL grid, with y components broadcast from
+    y1 and y2, passes the four ball constraints (NaN entries never pass)."""
+    reach = inst.m + inst.n + 1.0
+    k_x = int(np.floor(min(inst.m0, 1.0 - inst.m0) / resolution + 1e-9))
+    in_reach = y1 * y1 + y2**2 <= reach * reach + 1e-12
+    lo, hi = _x_window(inst, y1, y2)
+    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
+    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
+    return bool(np.any((k_lo <= k_hi) & in_reach))
+
+
+def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted grid values as NaN-padded blocks of ``BLOCK`` points, with the
+    centre and half-width of each block's span."""
+    padded = np.full(-(-vals.size // BLOCK) * BLOCK, np.nan)
+    padded[: vals.size] = vals
+    blocks = padded.reshape(-1, BLOCK)
+    first, last = blocks[:, 0], np.nanmax(blocks, axis=1)
+    return blocks, 0.5 * (first + last), 0.5 * (last - first)
+
+
+def _block_scan(
+    inst: JMInstance, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray
+) -> bool:
+    """``_grid_feasible`` on the grid ``y1_vals x y2_vals``, visiting only the
+    blocks that the bound in ``feasibility_oracle`` cannot rule out."""
+    y1_blocks, y1_mid, y1_half = _blocks(y1_vals)
+    y2_blocks, y2_mid, y2_half = _blocks(y2_vals)
+    lo, hi = _x_window(inst, y1_mid[:, None], y2_mid[None, :])
+    slack = 2.0 * np.hypot(y1_half[:, None], y2_half[None, :]) + 2.0 * GRID_GUARD + 1e-9
+    rows, cols = np.nonzero(lo - hi <= slack)
+    y1_live, y2_live = y1_blocks[rows][:, :, None], y2_blocks[cols][:, None, :]
+    return _grid_feasible(inst, resolution, y1_live, y2_live)
+
+
 def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "full") -> bool:
     """Brute-force grid decision of joint measurability, independent of the
     closed-form criterion.
@@ -190,49 +239,45 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
     the m-n plane with ``|y| <= m + n + 1``.  REDUCED mode scans only x = 0
     with y parallel to n, the slice the feasibility problem provably reduces
     to.  Returns True iff some grid point satisfies all four ball constraints
-    (up to a 1e-9 floating-point guard).
+    (up to a 1e-9 floating-point guard).  ``resolution`` must lie in
+    [1e-3, 0.05]; finer grids need arrays of many gigabytes.
+
+    FULL mode's pass over y1 >= 0 visits the y grid in blocks of 8 x 8
+    points and skips a block when ``lo - hi`` at its centre exceeds
+    ``2 h + 2 GRID_GUARD + 1e-9``, with h the half-diagonal of the block and
+    ``lo <= x <= hi`` the window the four constraints leave for x.  The skip
+    never changes the verdict: each constraint bounds x by the distance from
+    y to a fixed point, so ``lo`` (a max of such distances minus constants)
+    and ``hi`` (a min of constants minus such distances) are 1-Lipschitz in
+    y and ``lo - hi`` changes by at most 2 h inside the block, while a grid
+    point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9 resolution``.
+    The bound uses only the four ball constraints, never the closed-form
+    criterion.
     """
-    if not (0.0 < resolution <= 0.05):
-        raise InvalidArgument(f"resolution must lie in (0, 0.05], got {resolution}")
+    if not (1e-3 <= resolution <= 0.05):
+        raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
 
     m0, m, n = inst.m0, inst.m, inst.n
     axis_vals = _axis_grid(inst, resolution)
-    sq_plus = (n + axis_vals) ** 2
-    sq_minus = (n - axis_vals) ** 2
 
     if mode == "reduced":
         # with x = 0 and y parallel to n the four constraints coincide pairwise
-        a1 = np.sqrt(m * m + sq_plus)
-        a2 = np.sqrt(m * m + sq_minus)
+        a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
+        a2 = np.sqrt(m * m + (n - axis_vals) ** 2)
         ok = (a1 <= m0 + GRID_GUARD) & (a2 <= 1.0 - m0 + GRID_GUARD)
         return bool(np.any(ok))
 
-    reach = m + n + 1.0
-    x_max = min(m0, 1.0 - m0)
-    k_x = int(np.floor(x_max / resolution + 1e-9))
-    k1 = int(np.floor(reach / resolution + 1e-9))
+    k1 = int(np.floor((m + n + 1.0) / resolution + 1e-9))
     # a point at (-y1, y2, -x) satisfies the system iff (y1, y2, x) does and
     # both grids are symmetric, so the y1 >= 0 half decides the search
     along_m = resolution * np.arange(0, k1 + 1)
-
-    def scan(y1: np.ndarray) -> bool:
-        y1 = y1[:, None]
-        in_reach = y1 * y1 + axis_vals**2 <= reach * reach + 1e-12
-        a1 = np.sqrt((m + y1) ** 2 + sq_plus)
-        a2 = np.sqrt((m + y1) ** 2 + sq_minus)
-        a3 = np.sqrt((m - y1) ** 2 + sq_plus)
-        a4 = np.sqrt((m - y1) ** 2 + sq_minus)
-        lo = np.maximum(a1 - m0, a4 - (1.0 - m0)) - GRID_GUARD
-        hi = np.minimum(m0 - a3, (1.0 - m0) - a2) + GRID_GUARD
-        k_lo = np.maximum(np.ceil(lo / resolution - 1e-9), -k_x)
-        k_hi = np.minimum(np.floor(hi / resolution + 1e-9), k_x)
-        return bool(np.any((k_lo <= k_hi) & in_reach))
-
     # the slice through y1 = 0 always contains a witness when one exists away
     # from tangency, so feasible instances resolve on the first pass
-    return scan(np.zeros(1)) or scan(along_m)
+    if _grid_feasible(inst, resolution, np.zeros((1, 1)), axis_vals[None, :]):
+        return True
+    return _block_scan(inst, resolution, along_m, axis_vals)
 
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:

@@ -2,11 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mzduality.errors import InvalidInstance, NotMeasurable
 from mzduality import jointmeas, mzi
 from mzduality.jointmeas import (
+    GRID_GUARD,
     JMInstance,
+    _axis_grid,
     build_candidate,
     construct_joint,
     feasibility_oracle,
@@ -23,8 +27,54 @@ from mzduality.scenarios import load_scenario
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
+# near-tangent geometries whose feasible sets are thinner than the grid step
+TANGENT_CASES = ((0.3, 0.29996, 0.2950001), (0.6, 0.399992, 0.015))
+
+
 def axis_instance(m0, m, n):
     return JMInstance(m0=m0, m_vec=np.array([m, 0.0, 0.0]), n_vec=np.array([0.0, 0.0, n]))
+
+
+def reference_scan(inst, resolution, y1):
+    """The FULL oracle's per-point test on the whole grid ``y1 x axis grid``,
+    as the oracle ran it before it skipped blocks."""
+    m0, m, n = inst.m0, inst.m, inst.n
+    axis_vals = _axis_grid(inst, resolution)
+    sq_plus = (n + axis_vals) ** 2
+    sq_minus = (n - axis_vals) ** 2
+    reach = m + n + 1.0
+    k_x = int(np.floor(min(m0, 1.0 - m0) / resolution + 1e-9))
+    y1 = y1[:, None]
+    in_reach = y1 * y1 + axis_vals**2 <= reach * reach + 1e-12
+    a1 = np.sqrt((m + y1) ** 2 + sq_plus)
+    a2 = np.sqrt((m + y1) ** 2 + sq_minus)
+    a3 = np.sqrt((m - y1) ** 2 + sq_plus)
+    a4 = np.sqrt((m - y1) ** 2 + sq_minus)
+    lo = np.maximum(a1 - m0, a4 - (1.0 - m0)) - GRID_GUARD
+    hi = np.minimum(m0 - a3, (1.0 - m0) - a2) + GRID_GUARD
+    k_lo = np.maximum(np.ceil(lo / resolution - 1e-9), -k_x)
+    k_hi = np.minimum(np.floor(hi / resolution + 1e-9), k_x)
+    return bool(np.any((k_lo <= k_hi) & in_reach))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(instance, resolution): random instances, instances within three grid
+    steps of the criterion boundary, and the near-tangent cases."""
+    resolution = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
+    kind = draw(st.sampled_from(("random", "band", "tangent")))
+    if kind == "random":
+        return random_instance(draw(st.integers(0, 2**32 - 1))), resolution
+    if kind == "tangent":
+        return axis_instance(*draw(st.sampled_from(TANGENT_CASES))), resolution
+    m0 = draw(st.floats(0.0, 1.0))
+    m = draw(st.floats(0.0, 1.0)) * min(m0, 1.0 - m0)
+    s = np.sqrt(m0 * m0 - m * m)
+    t = np.sqrt((1.0 - m0) ** 2 - m * m)
+    margin = draw(st.floats(-3.0 * resolution, 3.0 * resolution))
+    inst = axis_instance(m0, m, float(np.clip(0.5 * (s + t - margin), 0.0, 0.5)))
+    assume(abs(jm_margin(inst)) < 3.0 * resolution)
+    return inst, resolution
 
 
 class TestInstanceValidation:
@@ -216,13 +266,34 @@ class TestFeasibilityOracle:
 
     def test_tangency_thin_feasible_sets_are_caught(self):
         # feasible sets thinner than the grid step, centred off-grid
-        assert feasibility_oracle(axis_instance(0.3, 0.29996, 0.2950001), mode="full")
-        assert feasibility_oracle(axis_instance(0.6, 0.399992, 0.015), mode="reduced")
+        assert feasibility_oracle(axis_instance(*TANGENT_CASES[0]), mode="full")
+        assert feasibility_oracle(axis_instance(*TANGENT_CASES[1]), mode="reduced")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(oracle_cases())
+    def test_skipped_blocks_never_hold_a_grid_witness(self, case):
+        # the feasible set is convex and symmetric under (y1, x) -> (-y1, -x),
+        # so a grid witness at (y1, y2, x) implies one at (0, y2, 0): the
+        # y1 = 0 pass settles every feasible instance, and the verdict alone
+        # cannot see a wrongly skipped block.  The skipping pass is pinned on
+        # its own as well.
+        inst, resolution = case
+        along_m = resolution * np.arange(0, int((inst.m + inst.n + 1.0) / resolution + 1e-9) + 1)
+        whole = reference_scan(inst, resolution, along_m)
+        axis_vals = _axis_grid(inst, resolution)
+        assert jointmeas._block_scan(inst, resolution, along_m, axis_vals) == whole
+        expected = reference_scan(inst, resolution, np.zeros(1)) or whole
+        assert feasibility_oracle(inst, resolution, mode="full") == expected
 
     def test_resolution_validation(self):
         inst = axis_instance(0.5, 0.1, 0.1)
         with pytest.raises(ValueError):
             feasibility_oracle(inst, resolution=0.2)
+        # finer grids than 1e-3 would need arrays of many gigabytes
+        for fine in (9e-4, 1e-5, 0.0):
+            with pytest.raises(ValueError):
+                feasibility_oracle(inst, resolution=fine)
+        assert feasibility_oracle(inst, resolution=1e-3, mode="reduced")
         with pytest.raises(ValueError):
             feasibility_oracle(inst, mode="sideways")
 

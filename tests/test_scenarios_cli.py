@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,8 @@ class TestCli:
             ["gamma-slope", "--scenario", str(QUARTER_TURN), "--p-step", "1"],
             ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--oracle", "full",
              "--resolution", "0.5"],
+            ["check-jm", "--m0", "0.5", "--m", "0.45", "--n", "0.45", "--oracle", "full",
+             "--resolution", "1e-5"],
             ["check-jm", "--m0", "0.5", "--m", "nan", "--n", "0.1"],
             ["check-jm", "--m0", "0.5", "--m", "0.1", "--n", "inf"],
             ["sweep", "--count", "-3"],
@@ -172,3 +175,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 9
         assert "9/9 criteria passed" in out
+
+    def test_verify_stdout_is_byte_identical(self, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="mzduality")
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", "--count", "50"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # the criterion 1-2 lines carry counts; their time goes to the log
+        assert "skipped of" in outputs[0]
+        assert any("criteria 1-2: 50 instances in" in r.getMessage() for r in caplog.records)
