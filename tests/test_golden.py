@@ -1,5 +1,6 @@
-"""Golden CSV rows: the ``report`` rows of the bundled scenarios and the rows of
-``sweep --dim 8 --count 4 --seed 1``.
+"""Golden output: the ``report`` rows of the bundled scenarios, the rows of
+``sweep --dim 8 --count 4 --seed 1``, and the stdout of
+``verify --count 200 --seed 20260810``.
 
 The rows were recorded with the earlier cyclic-Jacobi eigensolver.  Text
 columns must match exactly; numeric columns may drift by at most
@@ -7,6 +8,7 @@ columns must match exactly; numeric columns may drift by at most
 build) is allowed to move any printed number.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,24 @@ GOLDEN_SWEEP_D8 = (
     "sweep-1-2,1,0.48039737937115357,0.59587659359371392,0.10682201817970625,-1.8647961097612611,2.5493287332137342,0.22236178373732526,0.70483988653447449,0.70483988653447383,0.081659435288209431,0.5286877302234555,0.99333173662841079,0.52868773022345461,0.65507769802530436",
     "sweep-1-3,1,0.2395165751526287,0.030155823433615558,0.050805623737996596,1.9415312715407049,-1.681353594960175,0.21211736058609471,0.032599714823573267,0.53926221585570955,0.026359822414204759,0.046015599913835012,0.99930515976229162,0.33575659595686658,0.78745805928106183",
 )
+
+
+# recorded with the per-setup battery, before criteria 1-6 ran as array passes
+GOLDEN_VERIFY = (
+    "[PASS] criterion 1: criterion matches FULL grid oracle - 200 instances (49 infeasible), 25 in the boundary band skipped of 225 drawn, 0 disagreements",
+    "[PASS] criterion 2: REDUCED slice matches FULL oracle - 200 instances (49 infeasible), 25 in the boundary band skipped of 225 drawn, 0 mode disagreements",
+    "[PASS] criterion 3: realized joint observables are valid POVMs - 50 setups, min eig -2.11e-16, worst residual 1.11e-15, min margin 7.90e-02",
+    "[PASS] criterion 4: duality inequality, identity, and strictness - 50 configurations, max lhs-rhs -8.82e-02, max identity residual 3.55e-15, max classic lhs 0.911799, strict case found: True",
+    "[PASS] criterion 5: trace-norm optimum is the true maximum - 6 setups x 100 random strategies, exhaustive gap 1.33e-15, max random excess 8.88e-16",
+    "[PASS] criterion 6: pure-detector gap vanishes; product identity holds - 50 pure states max gap 2.12e-15; 200 analyses max residual 6.94e-17",
+    "[PASS] criterion 7: tightness-gap slope matches finite differences - 10 detectors, worst relative error 6.42e-08; reference case 0.801783725 vs 0.801783726",
+    "[PASS] criterion 8: sampler matches exact probabilities - 3 scenarios x 1000000 shots, worst z-score 2.01",
+    "[PASS] criterion 9: saturation and boundary zero modes - saturation gap 2.22e-16; 10 boundary witnesses, largest |min eig| 2.60e-17",
+    "9/9 criteria passed",
+)
+# verify prints rounding-level residuals (~1e-16) that may move; larger numbers may not
+VERIFY_ROUNDING_LEVEL = 1e-12
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def csv_rows(argv, capsys) -> list[str]:
@@ -59,3 +79,15 @@ def test_sweep_d8_rows_match_golden(capsys):
     assert len(rows) == len(GOLDEN_SWEEP_D8)
     for got, want in zip(rows, GOLDEN_SWEEP_D8):
         assert_row_matches(got, want)
+
+
+def test_verify_stdout_matches_golden(capsys):
+    assert main(["verify", "--count", "200", "--seed", "20260810"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(GOLDEN_VERIFY)
+    for got, want in zip(lines, GOLDEN_VERIFY):
+        # text, verdicts and counts exactly; numbers exactly unless both are rounding noise
+        assert NUMBER.split(got) == NUMBER.split(want), (got, want)
+        for g, w in zip(NUMBER.findall(got), NUMBER.findall(want)):
+            noise = max(abs(float(g)), abs(float(w))) < VERIFY_ROUNDING_LEVEL
+            assert g == w or noise, (got, want)
