@@ -11,18 +11,17 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
 from . import jointmeas, mzi, qubit_detector
-from .linalg import hermitian_eig, kron, partial_trace_detector
+from .linalg import kron, partial_trace_detector
 from .qubit import (
     IDENTITY_2,
     QubitState,
     random_detector_state,
     random_pure_detector_state,
-    random_qubit_state,
     random_unitary,
 )
 
@@ -54,28 +53,35 @@ def criteria_oracle_agreement(
     seed: int, count: int = 10_000, resolution: float = ORACLE_RESOLUTION
 ) -> tuple[CriterionResult, CriterionResult]:
     """Criteria 1 and 2: the closed-form criterion versus the FULL grid oracle,
-    and the REDUCED slice versus FULL, on instances clear of the boundary band."""
+    and the REDUCED slice versus FULL, on instances clear of the boundary band.
+
+    Instances are drawn one by one, in rounds of as many as are still
+    missing, so the last one drawn is the last one kept; their margins and
+    both oracles then run as array passes."""
     start = time.perf_counter()
     band = 3.0 * resolution
-    full_bad = reduced_bad = infeasible = checked = index = 0
+    kept = [np.zeros((4, 0))]  # rows m0, m, n, margin
+    drawn = checked = 0
     while checked < count:
-        inst = jointmeas.random_instance(_rng(seed, 1, index))
-        index += 1
-        margin = jointmeas.jm_margin(inst)
-        if abs(margin) < band:
-            continue
-        full = jointmeas.feasibility_oracle(inst, resolution, mode="full")
-        reduced = jointmeas.feasibility_oracle(inst, resolution, mode="reduced")
-        if full != (margin >= 0.0):
-            full_bad += 1
-        if reduced != full:
-            reduced_bad += 1
-        infeasible += margin < 0.0
-        checked += 1
-    log.info("criteria 1-2: %d instances in %.1fs", checked, time.perf_counter() - start)
+        draws = [jointmeas.draw_instance(_rng(seed, 1, drawn + k)) for k in range(count - checked)]
+        drawn += len(draws)
+        m0, m_vec, n_vec = map(np.array, zip(*draws))
+        m, n = jointmeas.check_pairs(m0, m_vec, n_vec)
+        margin = jointmeas.margins(m0, m, n)
+        clear = np.abs(margin) >= band
+        kept.append(np.array([m0, m, n, margin])[:, clear])
+        checked += int(np.count_nonzero(clear))
+    m0, m, n, margin = np.concatenate(kept, axis=1)
+    lengths = jointmeas.Lengths(m0, m, n)
+    full = jointmeas.feasibility_batch(lengths, resolution, mode="full")
+    reduced = jointmeas.feasibility_batch(lengths, resolution, mode="reduced")
+    full_bad = int(np.count_nonzero(full != (margin >= 0.0)))
+    reduced_bad = int(np.count_nonzero(reduced != full))
+    infeasible = int(np.count_nonzero(margin < 0.0))
+    log.info("criteria 1-2: %d instances in %.1fs", count, time.perf_counter() - start)
     shared = (
-        f"{checked} instances ({infeasible} infeasible), "
-        f"{index - checked} in the boundary band skipped of {index} drawn"
+        f"{count} instances ({infeasible} infeasible), "
+        f"{drawn - count} in the boundary band skipped of {drawn} drawn"
     )
     return (
         CriterionResult(
@@ -93,16 +99,18 @@ def criteria_oracle_agreement(
     )
 
 
-def reference_joint_observable(setup: mzi.MZISetup, strategy: mzi.Strategy) -> np.ndarray:
+def reference_joint_observable(setup, strategy) -> np.ndarray:
     """The realized joint observable the long way, as the independent check
     of ``mzi.joint_observable``: for each output port i and guess set j,
     ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]`` with T the full
-    interferometer unitary and P_j the detector projector onto the set."""
+    interferometer unitary and P_j the detector projector onto the set.
+    ``setup`` and ``strategy`` may also be one row of ``mzi.Setups`` and
+    ``mzi.Strategies`` stacks."""
     total = mzi.interferometer_unitary(setup)
     weighted = kron(IDENTITY_2, setup.rho_d) @ total.conj().T
     effects = np.zeros((2, 2, 2, 2), dtype=complex)
-    for j, guess_set in enumerate((strategy.subset, strategy.complement())):
-        columns = strategy.basis[:, sorted(guess_set)]
+    for j, guess_set in enumerate((strategy.in_s, ~strategy.in_s)):
+        columns = strategy.basis[:, guess_set]
         for i in range(2):
             port = np.zeros((2, 2))
             port[i, i] = 1.0
@@ -116,32 +124,15 @@ def joint_observable_residuals(
     setup: mzi.MZISetup, strategy: mzi.Strategy
 ) -> tuple[float, float, float]:
     """(most negative effect eigenvalue, completeness residual, marginal residual)."""
-    effects = mzi.joint_observable(setup, strategy)
-    min_eig = jointmeas.min_effect_eigenvalue(effects)
-    completeness = float(np.max(np.abs(effects.sum(axis=(0, 1)) - np.eye(2))))
-    port_povm = mzi.interference_povm(setup)
-    guess_povm = mzi.which_path_povm(setup, strategy)
-    marginal = 0.0
-    for i in range(2):
-        marginal = max(
-            marginal, float(np.max(np.abs(effects[i, 0] + effects[i, 1] - port_povm.effect(i))))
-        )
-    for j in range(2):
-        marginal = max(
-            marginal, float(np.max(np.abs(effects[0, j] + effects[1, j] - guess_povm.effect(j))))
-        )
-    return min_eig, completeness, marginal
+    return tuple(float(residual[0]) for residual in mzi.evaluate_setup(setup, strategy).residuals)
 
 
-def identity_residual(
-    setup: mzi.MZISetup, strategy: mzi.Strategy, report: mzi.DualityReport
-) -> float:
+def identity_residual(stats: mzi.StrategyStats, report: mzi.DualityReport):
     """Signed residual of ``D_S^2 + cross^2 (1 - P^2) = 1 - gamma_S^2``, with
     ``cross = sqrt(eta_S eta_S^U) + sqrt(eta_Sbar eta_Sbar^U)``: the identity
-    behind the strategy-resolved duality bound."""
-    stats = mzi.strategy_stats(setup, strategy)
+    behind the strategy-resolved duality bound.  Elementwise over stacks."""
     cross = np.sqrt(stats.eta_s * stats.eta_s_u) + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
-    return float(
+    return (
         report.distinguishability**2
         + cross**2 * (1.0 - report.predictability**2)
         - (1.0 - report.tightness_gap**2)
@@ -163,7 +154,7 @@ def setup_violations(setup: mzi.MZISetup, strategy: mzi.Strategy, optimal: bool)
         problems.append(
             f"duality violated: lhs {report.duality_lhs!r} > rhs {report.duality_rhs!r}"
         )
-    identity = identity_residual(setup, strategy, report)
+    identity = identity_residual(mzi.strategy_stats(setup, strategy), report)
     if abs(identity) > IDENTITY_TOL:
         problems.append(f"gap identity residual {identity:.3e} above {IDENTITY_TOL:g}")
     if optimal and report.jsve_lhs > 1.0 + BOUND_TOL:
@@ -181,16 +172,21 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
     worst_eig = 0.0
     worst_residual = 0.0
     worst_margin = np.inf
-    for index in range(count):
-        rng = _rng(seed, 3, index)
-        setup = mzi.random_setup(2 + index % 3, rng)
-        strategy = mzi.random_strategy(setup.detector_dim, rng)
-        min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
-        closed = mzi.joint_observable(setup, strategy)
-        deviation = float(np.max(np.abs(closed - reference_joint_observable(setup, strategy))))
-        worst_eig = min(worst_eig, min_eig)
-        worst_residual = max(worst_residual, completeness, marginal, deviation)
-        worst_margin = min(worst_margin, jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy)))
+    for dim in (2, 3, 4)[:count]:
+        rngs = [_rng(seed, 3, index) for index in range(dim - 2, count, 3)]
+        setups = mzi.random_setups(dim, rngs)
+        strategies = mzi.random_strategies(dim, rngs)
+        result = mzi.Evaluation(setups, strategies)
+        for k, closed in enumerate(result.effects):
+            row = mzi.Strategies(strategies.basis[k], strategies.in_s[k])
+            reference = reference_joint_observable(setups.rows(k), row)
+            worst_residual = max(worst_residual, float(np.max(np.abs(closed - reference))))
+        min_eig, completeness, marginal = result.residuals
+        worst_eig = min(worst_eig, float(np.min(min_eig)))
+        worst_residual = max(worst_residual, float(np.max(completeness)), float(np.max(marginal)))
+        m0, m_vec, n_vec = result.pair
+        margin = jointmeas.margins(m0, *jointmeas.check_pairs(m0, m_vec, n_vec))
+        worst_margin = min(worst_margin, float(np.min(margin)))
     passed = worst_eig >= -BOUND_TOL and worst_residual <= BOUND_TOL and worst_margin >= -BOUND_TOL
     return CriterionResult(
         3,
@@ -203,27 +199,27 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
 
 def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResult:
     """Criterion 4: the strategy-resolved duality bound, its underlying
-    identity, the classic bound under the optimal strategy, and strictness."""
+    identity, the classic bound under the optimal strategy (even indices),
+    and strictness."""
     worst_gap = -np.inf
     worst_identity = 0.0
     worst_jsve = -np.inf
     strict_found = False
-    for index in range(count):
-        rng = _rng(seed, 4, index)
-        setup = mzi.random_setup(2 + index % 3, rng)
-        optimal = index % 2 == 0
-        strategy = (
-            mzi.optimal_strategy(setup)
-            if optimal
-            else mzi.random_strategy(setup.detector_dim, rng)
-        )
-        report = mzi.duality_report(setup, strategy)
-        worst_gap = max(worst_gap, report.duality_lhs - report.duality_rhs)
-        worst_identity = max(worst_identity, abs(identity_residual(setup, strategy, report)))
-        if optimal:
-            worst_jsve = max(worst_jsve, report.jsve_lhs)
-        if report.duality_rhs < 1.0 - 1e-4:
-            strict_found = True
+    # index % 6 fixes both the dimension, 2 + index % 3, and the parity
+    for residue in range(min(count, 6)):
+        dim = 2 + residue % 3
+        rngs = [_rng(seed, 4, index) for index in range(residue, count, 6)]
+        setups = mzi.random_setups(dim, rngs)
+        if residue % 2 == 0:
+            result = mzi.Evaluation(setups)
+            worst_jsve = max(worst_jsve, float(np.max(result.report.jsve_lhs)))
+        else:
+            result = mzi.Evaluation(setups, mzi.random_strategies(dim, rngs))
+        report = result.report
+        worst_gap = max(worst_gap, float(np.max(report.duality_lhs - report.duality_rhs)))
+        identity = identity_residual(result.stats, report)
+        worst_identity = max(worst_identity, float(np.max(np.abs(identity))))
+        strict_found = strict_found or bool(np.any(report.duality_rhs < 1.0 - 1e-4))
     passed = (
         worst_gap <= BOUND_TOL
         and worst_identity <= IDENTITY_TOL
@@ -243,29 +239,28 @@ def criterion_optimum_is_max(
     seed: int, n_setups: int = 24, n_random: int = 1000
 ) -> CriterionResult:
     """Criterion 5: the trace-norm optimum equals the exhaustive eigenbasis
-    maximum and dominates random strategies (detector dimensions 2 and 3)."""
+    maximum and dominates random strategies (detector dimensions 2 and 3).
+    Each setup's random strategies are drawn one by one and scored as one
+    stack."""
     worst_exhaustive = 0.0
     worst_random = -np.inf
     for index in range(n_setups):
         rng = _rng(seed, 5, index)
         dim = 2 + index % 2
-        setup = mzi.random_setup(dim, rng)
-        _, w_plus, w_minus = mzi.predictability(setup.rho)
-        d_max = mzi.max_distinguishability(setup)
-        vals, vecs = hermitian_eig(mzi.guess_operator(setup))
-        best = -np.inf
-        for size in range(dim + 1):
-            for subset in combinations(range(dim), size):
-                strategy = mzi.Strategy(basis=vecs, subset=frozenset(subset))
-                stats = mzi.strategy_stats(setup, strategy)
-                best = max(best, mzi.distinguishability(stats, w_plus, w_minus))
+        setup = mzi.random_setups(dim, [rng])
+        randoms = mzi.random_strategies(dim, [rng] * n_random)
+        optimum = mzi.Evaluation(setup)
+        d_max = float(optimum.report.max_distinguishability[0])
+        # every subset of the guess operator's eigenbasis
+        subsets = np.array(list(product((False, True), repeat=dim)))
+        eigenbasis = np.repeat(optimum.strategies.basis, len(subsets), axis=0)
+        exhaustive = mzi.Evaluation(
+            setup.rows([0] * len(subsets)), mzi.Strategies(eigenbasis, subsets)
+        )
+        best = float(np.max(exhaustive.report.distinguishability))
         worst_exhaustive = max(worst_exhaustive, abs(best - d_max))
-        for _ in range(n_random):
-            strategy = mzi.random_strategy(dim, rng)
-            stats = mzi.strategy_stats(setup, strategy)
-            worst_random = max(
-                worst_random, mzi.distinguishability(stats, w_plus, w_minus) - d_max
-            )
+        scored = mzi.Evaluation(setup.rows([0] * n_random), randoms)
+        worst_random = max(worst_random, float(np.max(scored.report.distinguishability)) - d_max)
     passed = worst_exhaustive <= 1e-10 and worst_random <= 1e-10
     return CriterionResult(
         5,
@@ -282,18 +277,10 @@ def criterion_pure_gap_and_identity(
     """Criterion 6: the tightness gap vanishes for pure detectors, and the
     closed-form product identity holds for mixed qubit analyses."""
     worst_gap = 0.0
-    for index in range(n_pure):
-        rng = _rng(seed, 6, index)
-        setup = mzi.MZISetup(
-            rho=random_qubit_state(rng),
-            rho_d=random_pure_detector_state(2, rng),
-            u=random_unitary(2, rng),
-            phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-        )
-        strategy = mzi.optimal_strategy(setup)
-        stats = mzi.strategy_stats(setup, strategy)
-        _, w_plus, w_minus = mzi.predictability(setup.rho)
-        worst_gap = max(worst_gap, mzi.tightness_gap(stats, w_plus, w_minus))
+    if n_pure:
+        rngs = [_rng(seed, 6, index) for index in range(n_pure)]
+        setups = mzi.random_setups(2, rngs, detector_state=random_pure_detector_state)
+        worst_gap = float(np.max(mzi.Evaluation(setups).report.tightness_gap))
     worst_residual = 0.0
     for index in range(n_identity):
         rng = _rng(seed, 60, index)

@@ -53,6 +53,16 @@ CSV_COLUMNS = (
 )
 
 
+def _in_range(option: str, value: int, low: int = 0, high: int | None = 2**63 - 1) -> int:
+    """Reject a seed or count outside ``[low, high]`` (no upper end when
+    ``high`` is None) as invalid input; the default ``high`` is the largest
+    count numpy's samplers accept."""
+    if value < low or (high is not None and value > high):
+        bound = "inf" if high is None else high
+        raise InvalidArgument(f"{option} must lie in [{low}, {bound}], got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -118,8 +128,8 @@ def cmd_check_jm(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.count < 0:
-        raise InvalidArgument(f"--count must be >= 0, got {args.count}")
+    _in_range("--count", args.count)
+    _in_range("--seed", args.seed, high=None)
     lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
     violations = []
     for index in range(args.count):
@@ -138,6 +148,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _in_range("--shots", args.shots, low=1)
+    _in_range("--seed", args.seed, high=None)
     scenario = load_scenario(args.scenario)
     strategy = scenario.resolve_strategy()
     probs = outcome_probabilities(scenario.setup, strategy)
@@ -178,8 +190,8 @@ def cmd_gamma_slope(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 0:
-        raise InvalidArgument(f"--count must be >= 0, got {args.count}")
+    _in_range("--count", args.count)
+    _in_range("--seed", args.seed, high=None)
     results = run_all(seed=args.seed, oracle_count=args.count)
     for result in results:
         print(result.line())

@@ -14,13 +14,13 @@ criterion and construction can be differentially tested against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
-from .linalg import hermitian_eig
-from .mzi import MZISetup, Strategy, interference_povm, which_path_povm
-from .qubit import IDENTITY_2, PAULI, as_generator
+from .mzi import MZISetup, Strategy, evaluate_setup
+from .qubit import IDENTITY_2, PAULI, as_generator, effect_min_eigenvalue
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -31,6 +31,44 @@ BALL_CHECK_TOL = 1e-10
 GRID_GUARD = 1e-9
 # side of the square blocks of y grid points the FULL oracle keeps or skips whole
 BLOCK = 8
+# instances per array pass of the batched oracle, which bounds its temporaries
+CHUNK = 32
+
+
+def _lengths(vectors) -> np.ndarray:
+    """Euclidean lengths over the last axis, bit-equal to ``np.linalg.norm``
+    of each vector (both reduce by a BLAS dot product)."""
+    v = np.asarray(vectors, dtype=float)[..., None, :]
+    return np.sqrt(np.matmul(v, np.swapaxes(v, -1, -2))[..., 0, 0])
+
+
+def check_pairs(m0, m_vec, n_vec) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths ``(m, n)`` of one observable pair, or of pairs stacked
+    along a leading axis; raises InvalidInstance unless every pair is finite
+    and orthogonal with ``0 <= m0 <= 1``, ``|n| <= 1/2`` and
+    ``|m| <= min(m0, 1 - m0)``."""
+    if not (np.isfinite(m0).all() and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
+        raise InvalidInstance("m0, m_vec and n_vec must be finite")
+    if (np.abs(m0 - 0.5) > 0.5 + NORM_SLACK).any():
+        raise InvalidInstance(f"m0 = {m0} outside [0, 1]")
+    dot = np.abs((m_vec * n_vec).sum(axis=-1))
+    if (dot > ORTHOGONALITY_TOL).any():
+        raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
+    m, n = _lengths(m_vec), _lengths(n_vec)
+    if (n > 0.5 + NORM_SLACK).any():
+        raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
+    if (m > np.minimum(m0, 1.0 - m0) + NORM_SLACK).any():
+        raise InvalidInstance(f"|m| = {m.max():.6g} exceeds min(m0, 1-m0)")
+    return m, n
+
+
+class Lengths(NamedTuple):
+    """The lengths ``(m0, m, n)`` that decide joint measurability, as floats
+    or stacked arrays; reads like a ``JMInstance`` in the oracle helpers."""
+
+    m0: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -46,27 +84,18 @@ class JMInstance:
         n_vec = np.asarray(self.n_vec, dtype=float)
         if m_vec.shape != (3,) or n_vec.shape != (3,):
             raise InvalidInstance("m_vec and n_vec must be 3-vectors")
-        if not (np.isfinite(self.m0) and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
-            raise InvalidInstance("m0, m_vec and n_vec must be finite")
-        if not (-NORM_SLACK <= self.m0 <= 1.0 + NORM_SLACK):
-            raise InvalidInstance(f"m0 = {self.m0} outside [0, 1]")
-        if abs(float(m_vec @ n_vec)) > ORTHOGONALITY_TOL:
-            raise InvalidInstance(f"m.n = {float(m_vec @ n_vec):.3e} is not 0")
-        if np.linalg.norm(n_vec) > 0.5 + NORM_SLACK:
-            raise InvalidInstance(f"|n| = {np.linalg.norm(n_vec):.6g} exceeds 1/2")
-        cap = min(self.m0, 1.0 - self.m0)
-        if np.linalg.norm(m_vec) > cap + NORM_SLACK:
-            raise InvalidInstance(f"|m| = {np.linalg.norm(m_vec):.6g} exceeds min(m0, 1-m0)")
+        m, n = check_pairs(self.m0, m_vec, n_vec)
         object.__setattr__(self, "m_vec", m_vec)
         object.__setattr__(self, "n_vec", n_vec)
+        object.__setattr__(self, "_m_n", (float(m), float(n)))
 
     @property
     def m(self) -> float:
-        return float(np.linalg.norm(self.m_vec))
+        return self._m_n[0]
 
     @property
     def n(self) -> float:
-        return float(np.linalg.norm(self.n_vec))
+        return self._m_n[1]
 
 
 @dataclass(frozen=True)
@@ -95,12 +124,17 @@ class JMVerdict:
     witness: JointCandidate | None
 
 
+def margins(m0, m, n):
+    """Criterion slack ``sqrt(m0^2 - m^2) + sqrt((1-m0)^2 - m^2) - 2n``,
+    elementwise over stacked lengths."""
+    s = np.sqrt(np.maximum(m0 * m0 - m * m, 0.0))
+    t = np.sqrt(np.maximum((1.0 - m0) ** 2 - m * m, 0.0))
+    return s + t - 2.0 * n
+
+
 def jm_margin(inst: JMInstance) -> float:
-    """Criterion slack ``sqrt(m0^2 - m^2) + sqrt((1-m0)^2 - m^2) - 2n``."""
-    m0, m, n = inst.m0, inst.m, inst.n
-    s = np.sqrt(max(m0 * m0 - m * m, 0.0))
-    t = np.sqrt(max((1.0 - m0) ** 2 - m * m, 0.0))
-    return float(s + t - 2.0 * n)
+    """Criterion slack of one instance (see ``margins``)."""
+    return float(margins(inst.m0, inst.m, inst.n))
 
 
 def build_candidate(inst: JMInstance, x: float, y_vec) -> JointCandidate:
@@ -163,24 +197,25 @@ def jm_criterion(inst: JMInstance) -> JMVerdict:
 
 def min_effect_eigenvalue(effects: np.ndarray) -> float:
     """Smallest eigenvalue over four effects stacked as a (2, 2, 2, 2) array."""
-    return min(
-        float(hermitian_eig(effects[i, j]).eigenvalues[0]) for i in range(2) for j in range(2)
-    )
+    return float(np.min(effect_min_eigenvalue(effects)))
 
 
-def _axis_grid(inst: JMInstance, resolution: float) -> np.ndarray:
-    """1-D grid along the n direction, anchored at +/- n.
+def _axis_grids(inst, resolution: float) -> np.ndarray:
+    """Grids along the n direction, anchored at +/- n, for instance lengths
+    stacked as (N, 1) columns: an (N, G) array, NaN past each instance's
+    reach, unsorted and with any duplicates kept.
 
     Anchoring matters: at near-tangent geometries the feasible set collapses
     onto a segment centred on one of those two points, thinner than any fixed
     grid step, and an unanchored grid would miss it.
     """
     reach = inst.m + inst.n + 1.0
-    k = int(np.floor(reach / resolution + 1e-9))
-    ticks = resolution * np.arange(-k, k + 1)
-    vals = np.concatenate([inst.n + ticks, -inst.n + ticks])
-    vals = vals[np.abs(vals) <= reach + 1e-12]
-    return np.unique(vals)
+    k = np.floor(reach / resolution + 1e-9)
+    steps = np.arange(-np.max(k), np.max(k) + 1)
+    ticks = resolution * steps
+    vals = np.concatenate([inst.n + ticks, -inst.n + ticks], axis=-1)
+    inside = np.tile(np.abs(steps) <= k, 2) & (np.abs(vals) <= reach + 1e-12)
+    return np.where(inside, vals, np.nan)
 
 
 def _x_window(inst: JMInstance, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +229,17 @@ def _x_window(inst: JMInstance, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndar
     return np.maximum(a1 - m0, a4 - (1.0 - m0)), np.minimum(m0 - a3, (1.0 - m0) - a2)
 
 
-def _grid_feasible(inst: JMInstance, resolution: float, y1: np.ndarray, y2: np.ndarray) -> bool:
-    """Whether some point of the FULL grid, with y components broadcast from
-    y1 and y2, passes the four ball constraints (NaN entries never pass)."""
+def _grid_hits(inst, resolution: float, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """For each y point of the FULL grid, with components broadcast from y1
+    and y2 against instance lengths that are floats or (N, 1) columns,
+    whether some grid x passes the four ball constraints (NaN never passes)."""
     reach = inst.m + inst.n + 1.0
-    k_x = int(np.floor(min(inst.m0, 1.0 - inst.m0) / resolution + 1e-9))
+    k_x = np.floor(np.minimum(inst.m0, 1.0 - inst.m0) / resolution + 1e-9)
     in_reach = y1 * y1 + y2**2 <= reach * reach + 1e-12
     lo, hi = _x_window(inst, y1, y2)
     k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
     k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
-    return bool(np.any((k_lo <= k_hi) & in_reach))
+    return (k_lo <= k_hi) & in_reach
 
 
 def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,18 +252,16 @@ def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return blocks, 0.5 * (first + last), 0.5 * (last - first)
 
 
-def _block_scan(
-    inst: JMInstance, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray
-) -> bool:
-    """``_grid_feasible`` on the grid ``y1_vals x y2_vals``, visiting only the
-    blocks that the bound in ``feasibility_oracle`` cannot rule out."""
+def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray) -> bool:
+    """Whether the grid ``y1_vals x y2_vals`` holds a witness, visiting only
+    the blocks that the bound in ``feasibility_oracle`` cannot rule out."""
     y1_blocks, y1_mid, y1_half = _blocks(y1_vals)
     y2_blocks, y2_mid, y2_half = _blocks(y2_vals)
     lo, hi = _x_window(inst, y1_mid[:, None], y2_mid[None, :])
     slack = 2.0 * np.hypot(y1_half[:, None], y2_half[None, :]) + 2.0 * GRID_GUARD + 1e-9
     rows, cols = np.nonzero(lo - hi <= slack)
     y1_live, y2_live = y1_blocks[rows][:, :, None], y2_blocks[cols][:, None, :]
-    return _grid_feasible(inst, resolution, y1_live, y2_live)
+    return bool(np.any(_grid_hits(inst, resolution, y1_live, y2_live)))
 
 
 def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "full") -> bool:
@@ -252,46 +286,68 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
     y and ``lo - hi`` changes by at most 2 h inside the block, while a grid
     point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9 resolution``.
     The bound uses only the four ball constraints, never the closed-form
-    criterion.
+    criterion.  This is the batch of one of ``feasibility_batch``.
+    """
+    lengths = Lengths(*([value] for value in (inst.m0, inst.m, inst.n)))
+    return bool(feasibility_batch(lengths, resolution, mode)[0])
+
+
+def feasibility_batch(lengths: Lengths, resolution: float = 0.01, mode: str = "full") -> np.ndarray:
+    """``feasibility_oracle`` on stacked instance lengths, one verdict each.
+
+    REDUCED mode and FULL mode's pass through y1 = 0 run as array passes over
+    NaN-padded axis grids, ``CHUNK`` instances at a time; FULL mode's pass
+    over y1 >= 0 then runs per instance, on the instances still open.
     """
     if not (1e-3 <= resolution <= 0.05):
         raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
-
-    m0, m, n = inst.m0, inst.m, inst.n
-    axis_vals = _axis_grid(inst, resolution)
-
-    if mode == "reduced":
-        # with x = 0 and y parallel to n the four constraints coincide pairwise
-        a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
-        a2 = np.sqrt(m * m + (n - axis_vals) ** 2)
-        ok = (a1 <= m0 + GRID_GUARD) & (a2 <= 1.0 - m0 + GRID_GUARD)
-        return bool(np.any(ok))
-
-    k1 = int(np.floor((m + n + 1.0) / resolution + 1e-9))
-    # a point at (-y1, y2, -x) satisfies the system iff (y1, y2, x) does and
-    # both grids are symmetric, so the y1 >= 0 half decides the search
-    along_m = resolution * np.arange(0, k1 + 1)
-    # the slice through y1 = 0 always contains a witness when one exists away
-    # from tangency, so feasible instances resolve on the first pass
-    if _grid_feasible(inst, resolution, np.zeros((1, 1)), axis_vals[None, :]):
-        return True
-    return _block_scan(inst, resolution, along_m, axis_vals)
+    verdicts = np.zeros(len(lengths.m0), dtype=bool)
+    for start in range(0, len(verdicts), CHUNK):
+        part = Lengths(*(np.asarray(v, dtype=float)[start : start + CHUNK, None] for v in lengths))
+        m0, m, n = part
+        axis_vals = _axis_grids(part, resolution)
+        if mode == "reduced":
+            # with x = 0 and y parallel to n the four constraints coincide pairwise
+            a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
+            a2 = np.sqrt(m * m + (n - axis_vals) ** 2)
+            found = np.any((a1 <= m0 + GRID_GUARD) & (a2 <= 1.0 - m0 + GRID_GUARD), axis=1)
+            verdicts[start : start + CHUNK] = found
+            continue
+        # Each of the four constraints bounds the length of y plus a fixed
+        # vector by an affine function of x, so the feasible set of
+        # (y1, y2, x) is convex; it is also symmetric under
+        # (y1, x) -> (-y1, -x), which swaps the constraints in pairs.  So a
+        # witness at (y1, y2, x) and its mirror image have a witness
+        # (0, y2, 0) midway: the slice through y1 = 0 settles every feasible
+        # instance, up to the rounding of the grid.  The pass over y1 >= 0 is
+        # kept all the same, as the brute-force search that does not lean on
+        # this argument; by the symmetry and the symmetric grids its half
+        # y1 >= 0 suffices.
+        found = np.any(_grid_hits(part, resolution, np.zeros((1, 1)), axis_vals), axis=1)
+        for k in np.flatnonzero(~found):
+            inst = Lengths(float(m0[k, 0]), float(m[k, 0]), float(n[k, 0]))
+            k1 = int(np.floor((inst.m + inst.n + 1.0) / resolution + 1e-9))
+            along_m = resolution * np.arange(0, k1 + 1)
+            axis_k = np.unique(axis_vals[k][~np.isnan(axis_vals[k])])
+            found[k] = _block_scan(inst, resolution, along_m, axis_k)
+        verdicts[start : start + CHUNK] = found
+    return verdicts
 
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
     """Observable pair realized by a setup and strategy: ``n`` is the vector
     of ``interference_povm``, and ``m0`` and ``m`` are the bias and vector of
     ``which_path_povm``."""
-    guess = which_path_povm(setup, strategy)
-    return JMInstance(m0=guess.bias, m_vec=guess.vector, n_vec=interference_povm(setup).vector)
+    m0, m_vec, n_vec = evaluate_setup(setup, strategy).pair
+    return JMInstance(m0=float(m0[0]), m_vec=m_vec[0], n_vec=n_vec[0])
 
 
-def random_instance(seed) -> JMInstance:
-    """Random valid instance: m0 uniform on [0, 1], directions a random
-    orthogonal pair.  Half the draws push the lengths toward their caps so
-    that infeasible pairs appear in force, not just in the tail."""
+def draw_instance(seed) -> tuple[float, np.ndarray, np.ndarray]:
+    """Random valid ``(m0, m_vec, n_vec)``: m0 uniform on [0, 1], directions a
+    random orthogonal pair.  Half the draws push the lengths toward their caps
+    so that infeasible pairs appear in force, not just in the tail."""
     rng = as_generator(seed)
     m0 = float(rng.random())
     sharp = rng.random() < 0.5
@@ -306,4 +362,9 @@ def random_instance(seed) -> JMInstance:
         raw = rng.standard_normal(3)
         e2 = raw - (raw @ e1) * e1
     e2 /= np.linalg.norm(e2)
-    return JMInstance(m0=m0, m_vec=m_len * e1, n_vec=n_len * e2)
+    return m0, m_len * e1, n_len * e2
+
+
+def random_instance(seed) -> JMInstance:
+    """A ``draw_instance`` draw as a validated instance."""
+    return JMInstance(*draw_instance(seed))

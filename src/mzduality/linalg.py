@@ -29,18 +29,24 @@ class EigDecomposition(NamedTuple):
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray with finite entries."""
+    """Coerce to a square complex ndarray, or a stack (..., d, d) of them,
+    with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise DimensionMismatch("matrix entries must be finite")
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = as_complex_matrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.abs(m - dagger(m)).max())
     if dev > tol:
         raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {tol:.1e}")
     return m
@@ -48,31 +54,34 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 def require_unitary(a, tol: float = UNITARITY_TOL) -> np.ndarray:
     m = as_complex_matrix(a)
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max())
     if dev > tol:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {tol:.1e}")
     return m
 
 
 def require_density(a, dim: int | None = None, tol: float = PSD_TOL) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, positive semidefinite."""
+    """Validate a density operator, or a stack (..., d, d) of them with one
+    eigendecomposition: Hermitian, unit trace, positive semidefinite."""
     try:
         m = require_hermitian(a, tol)
     except NotHermitian as exc:
         raise InvalidState(str(exc)) from None
-    if dim is not None and m.shape[0] != dim:
-        raise InvalidState(f"expected a {dim}x{dim} density matrix, got {m.shape[0]}x{m.shape[0]}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol:
-        raise InvalidState(f"trace {tr} differs from 1 beyond {tol:.1e}")
-    lo = float(hermitian_eig(m).eigenvalues[0])
+    d = m.shape[-1]
+    if dim is not None and d != dim:
+        raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")
+    trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+    if trace_dev > tol:
+        raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {tol:.1e}")
+    lo = float(hermitian_eig(m).eigenvalues[..., 0].min())
     if lo < -tol:
         raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{tol:.1e}")
     return m
 
 
 def hermitian_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack
+    (..., d, d), by LAPACK ``eigh``.
 
     Returns eigenvalues sorted ascending with orthonormal eigenvector columns.
     Each eigenvector is rephased so that its first component larger than
@@ -83,8 +92,11 @@ def hermitian_eig(a) -> EigDecomposition:
     """
     vals, vecs = np.linalg.eigh(require_hermitian(a))
     # every column has unit norm, so each has a component above the cut
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(vecs.shape[1])]
-    return EigDecomposition(vals, vecs * (lead.conj() / np.abs(lead)))
+    columns = vecs.reshape(-1, vecs.shape[-1], vecs.shape[-1])
+    first = np.argmax(np.abs(columns) > 1e-12, axis=1)
+    lead = columns[np.arange(len(columns))[:, None], first, np.arange(vecs.shape[-1])]
+    phases = (lead.conj() / np.abs(lead)).reshape(vals.shape)[..., None, :]
+    return EigDecomposition(vals, vecs * phases)
 
 
 def trace_norm(a) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, InvalidEffect, InvalidState, NotHermitian
+from .errors import BadDimension, DimensionMismatch, InvalidEffect, InvalidState, NotHermitian
 from .linalg import PSD_TOL, require_density, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -19,6 +19,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_STACK = np.array(PAULI)
 
 # eigenvectors of sigma_x: the two interferometer paths in the +/- basis
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -40,20 +41,36 @@ def pauli_phi(phi: float) -> np.ndarray:
     return np.cos(phi) * SIGMA_Z - np.sin(phi) * SIGMA_Y
 
 
-def bloch_to_matrix(vector, bias: float) -> np.ndarray:
-    """Effect matrix ``bias * I + v . sigma``; raises InvalidEffect unless bias
-    and v are finite and ``|v| <= min(bias, 1 - bias)``."""
+def require_effect(vector, bias) -> np.ndarray:
+    """The Bloch vector of the effect ``bias * I + v . sigma`` as floats, one
+    of shape (3,) or a stack (..., 3) with matching biases; raises
+    InvalidEffect unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``."""
     v = np.asarray(vector, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise InvalidEffect(f"Bloch vector must have shape (3,), got {v.shape}")
-    if not (np.isfinite(bias) and np.isfinite(v).all()):
+    if not (np.isfinite(bias).all() and np.isfinite(v).all()):
         raise InvalidEffect("bias and vector must be finite")
-    norm = float(np.linalg.norm(v))
-    if norm > min(bias, 1.0 - bias) + PSD_TOL:
-        raise InvalidEffect(
-            f"|vector| = {norm:.6g} exceeds min(bias, 1-bias) = {min(bias, 1.0 - bias):.6g}"
-        )
-    return bias * IDENTITY_2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
+    if (excess > PSD_TOL).any():
+        raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
+    return v
+
+
+def bloch_to_matrix(vector, bias) -> np.ndarray:
+    """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for
+    stacked input; validated by ``require_effect``."""
+    # each entry sums at most two nonzero terms, so any order gives the same bits
+    vector_part = np.einsum("...k,kij->...ij", require_effect(vector, bias), PAULI_STACK)
+    return np.asarray(bias, dtype=float)[..., None, None] * IDENTITY_2 + vector_part
+
+
+def effect_min_eigenvalue(effects) -> np.ndarray:
+    """Smallest eigenvalue of Hermitian 2x2 matrices stacked as (..., 2, 2):
+    ``b - |v|`` for ``E = b I + v . sigma``."""
+    e = np.asarray(effects)
+    half_sum = 0.5 * np.real(e[..., 0, 0] + e[..., 1, 1])
+    half_diff = 0.5 * np.real(e[..., 0, 0] - e[..., 1, 1])
+    return half_sum - np.hypot(np.abs(e[..., 0, 1]), half_diff)
 
 
 def matrix_to_bloch(effect) -> tuple[float, np.ndarray]:
@@ -74,6 +91,8 @@ class QubitState:
 
     def __post_init__(self):
         m = require_density(self.matrix, dim=2)
+        if m.ndim != 2:
+            raise DimensionMismatch(f"expected one density matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -103,8 +122,10 @@ class BinaryQubitObservable:
     vector: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
-        bloch_to_matrix(self.vector, self.bias)
+        vector = require_effect(self.vector, self.bias)
+        if vector.shape != (3,):
+            raise InvalidEffect(f"expected one Bloch vector, got shape {vector.shape}")
+        object.__setattr__(self, "vector", vector)
 
     def effect(self, outcome: int) -> np.ndarray:
         if outcome == 0:
@@ -112,10 +133,6 @@ class BinaryQubitObservable:
         if outcome == 1:
             return bloch_to_matrix(-self.vector, 1.0 - self.bias)
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-
-    @property
-    def sharpness(self) -> float:
-        return float(np.linalg.norm(self.vector))
 
 
 def require_dim(d: int) -> int:
@@ -127,22 +144,32 @@ def require_dim(d: int) -> int:
     return int(d)
 
 
-def random_qubit_state(seed) -> QubitState:
-    """Qubit state drawn uniformly from the Bloch ball."""
+def random_bloch(seed) -> np.ndarray:
+    """Bloch vector drawn uniformly from the unit ball."""
     rng = as_generator(seed)
     radius = rng.random() ** (1.0 / 3.0)
     direction = rng.standard_normal(3)
     while np.linalg.norm(direction) < 1e-12:
         direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
-    return QubitState.from_bloch(radius * direction)
+    return radius * direction
+
+
+def random_qubit_state(seed) -> QubitState:
+    """Qubit state drawn uniformly from the Bloch ball."""
+    return QubitState.from_bloch(random_bloch(seed))
+
+
+def complex_gaussian(d: int, seed) -> np.ndarray:
+    """d x d matrix of independent standard complex Gaussians (real part drawn first)."""
+    d = require_dim(d)
+    rng = as_generator(seed)
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def random_detector_state(d: int, seed) -> np.ndarray:
     """Hilbert-Schmidt-random d x d density matrix (normalized Ginibre square)."""
-    d = require_dim(d)
-    rng = as_generator(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = complex_gaussian(d, seed)
     rho = g @ g.conj().T
     rho /= np.trace(rho)
     return (rho + rho.conj().T) / 2.0
@@ -157,12 +184,15 @@ def random_pure_detector_state(d: int, seed) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random d x d unitary: QR of a complex Gaussian with the R-diagonal phase fix."""
-    d = require_dim(d)
-    rng = as_generator(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r).copy()
+def haar_unitary(gaussian) -> np.ndarray:
+    """Haar-random unitaries from complex Gaussian matrices, one (d, d) or
+    stacked (..., d, d): QR with the R-diagonal phase fix."""
+    q, r = np.linalg.qr(gaussian)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_unitary(d: int, seed) -> np.ndarray:
+    """Haar-random d x d unitary."""
+    return haar_unitary(complex_gaussian(d, seed))

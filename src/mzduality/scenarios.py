@@ -8,6 +8,7 @@ a parse / re-emit / parse round trip bit-exactly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from .mzi import MZISetup, Strategy, optimal_strategy, random_setup, random_stra
 from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix
 
 OPTIMAL = "optimal"
+# a name is the first CSV column, so it may hold no comma, quote or line break
+NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -110,18 +113,26 @@ def _parse_strategy(spec, dim: int) -> Strategy | str:
     raise ScenarioError("strategy must be 'optimal' or {'basis': ..., 'subset': [...]}")
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         detector = data["detector"]
-        dim = int(detector["dim"])
+        dim = _integer(detector["dim"], "detector dim")
         setup = MZISetup(
             rho=_parse_quanton(data["quanton"]),
             rho_d=_parse_detector_state(detector["state"], dim),
             u=_parse_unitary(detector["unitary"], dim),
             phi=float(data.get("phi", 0.0)),
         )
-        seed = int(data.get("seed", 0))
-        name = str(data.get("name", "scenario"))
+        seed = _integer(data.get("seed", 0), "seed")
+        name = data.get("name", "scenario")
+        if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
+            raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")
     except ScenarioError:
         raise
     except MZDualityError as exc:

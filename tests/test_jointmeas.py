@@ -1,4 +1,5 @@
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mzduality import jointmeas, mzi
 from mzduality.jointmeas import (
     GRID_GUARD,
     JMInstance,
-    _axis_grid,
     build_candidate,
     construct_joint,
     feasibility_oracle,
@@ -35,11 +35,21 @@ def axis_instance(m0, m, n):
     return JMInstance(m0=m0, m_vec=np.array([m, 0.0, 0.0]), n_vec=np.array([0.0, 0.0, n]))
 
 
+def reference_axis_grid(inst, resolution):
+    """The oracle's grid along n, as it was built one instance at a time."""
+    reach = inst.m + inst.n + 1.0
+    k = int(np.floor(reach / resolution + 1e-9))
+    ticks = resolution * np.arange(-k, k + 1)
+    vals = np.concatenate([inst.n + ticks, -inst.n + ticks])
+    vals = vals[np.abs(vals) <= reach + 1e-12]
+    return np.unique(vals)
+
+
 def reference_scan(inst, resolution, y1):
     """The FULL oracle's per-point test on the whole grid ``y1 x axis grid``,
     as the oracle ran it before it skipped blocks."""
     m0, m, n = inst.m0, inst.m, inst.n
-    axis_vals = _axis_grid(inst, resolution)
+    axis_vals = reference_axis_grid(inst, resolution)
     sq_plus = (n + axis_vals) ** 2
     sq_minus = (n - axis_vals) ** 2
     reach = m + n + 1.0
@@ -58,15 +68,14 @@ def reference_scan(inst, resolution, y1):
 
 
 @st.composite
-def oracle_cases(draw):
-    """(instance, resolution): random instances, instances within three grid
-    steps of the criterion boundary, and the near-tangent cases."""
-    resolution = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
+def oracle_instances(draw, resolution):
+    """Random instances, instances within three grid steps of the criterion
+    boundary, and the near-tangent cases."""
     kind = draw(st.sampled_from(("random", "band", "tangent")))
     if kind == "random":
-        return random_instance(draw(st.integers(0, 2**32 - 1))), resolution
+        return random_instance(draw(st.integers(0, 2**32 - 1)))
     if kind == "tangent":
-        return axis_instance(*draw(st.sampled_from(TANGENT_CASES))), resolution
+        return axis_instance(*draw(st.sampled_from(TANGENT_CASES)))
     m0 = draw(st.floats(0.0, 1.0))
     m = draw(st.floats(0.0, 1.0)) * min(m0, 1.0 - m0)
     s = np.sqrt(m0 * m0 - m * m)
@@ -74,7 +83,24 @@ def oracle_cases(draw):
     margin = draw(st.floats(-3.0 * resolution, 3.0 * resolution))
     inst = axis_instance(m0, m, float(np.clip(0.5 * (s + t - margin), 0.0, 0.5)))
     assume(abs(jm_margin(inst)) < 3.0 * resolution)
-    return inst, resolution
+    return inst
+
+
+RESOLUTIONS = (0.005, 0.01, 0.02, 0.05)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(instance, resolution)."""
+    resolution = draw(st.sampled_from(RESOLUTIONS))
+    return draw(oracle_instances(resolution)), resolution
+
+
+@st.composite
+def oracle_batches(draw):
+    """(instances, resolution): up to 40 instances of one resolution."""
+    resolution = draw(st.sampled_from(RESOLUTIONS))
+    return draw(st.lists(oracle_instances(resolution), min_size=1, max_size=40)), resolution
 
 
 class TestInstanceValidation:
@@ -280,10 +306,36 @@ class TestFeasibilityOracle:
         inst, resolution = case
         along_m = resolution * np.arange(0, int((inst.m + inst.n + 1.0) / resolution + 1e-9) + 1)
         whole = reference_scan(inst, resolution, along_m)
-        axis_vals = _axis_grid(inst, resolution)
+        axis_vals = reference_axis_grid(inst, resolution)
         assert jointmeas._block_scan(inst, resolution, along_m, axis_vals) == whole
         expected = reference_scan(inst, resolution, np.zeros(1)) or whole
         assert feasibility_oracle(inst, resolution, mode="full") == expected
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(oracle_batches())
+    def test_batch_verdicts_match_single_calls_and_whole_grid(self, case):
+        instances, resolution = case
+        lengths = jointmeas.Lengths(
+            *(np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n"))
+        )
+        # small array passes, so that most batches span several of them
+        with patch.object(jointmeas, "CHUNK", 7):
+            full = jointmeas.feasibility_batch(lengths, resolution, mode="full")
+            reduced = jointmeas.feasibility_batch(lengths, resolution, mode="reduced")
+        for k, inst in enumerate(instances):
+            assert full[k] == feasibility_oracle(inst, resolution, mode="full")
+            assert reduced[k] == feasibility_oracle(inst, resolution, mode="reduced")
+            k1 = int((inst.m + inst.n + 1.0) / resolution + 1e-9)
+            along_m = resolution * np.arange(0, k1 + 1)
+            whole = reference_scan(inst, resolution, np.zeros(1)) or reference_scan(
+                inst, resolution, along_m
+            )
+            assert full[k] == whole
+            axis_vals = reference_axis_grid(inst, resolution)
+            slice_ok = (np.sqrt(inst.m**2 + (inst.n + axis_vals) ** 2) <= inst.m0 + GRID_GUARD) & (
+                np.sqrt(inst.m**2 + (inst.n - axis_vals) ** 2) <= 1.0 - inst.m0 + GRID_GUARD
+            )
+            assert reduced[k] == bool(np.any(slice_ok))
 
     def test_resolution_validation(self):
         inst = axis_instance(0.5, 0.1, 0.1)

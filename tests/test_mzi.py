@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument
+from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect
 from mzduality.linalg import hermitian_eig
 from mzduality import acceptance, mzi
 from mzduality.qubit import (
     SIGMA_X,
+    BinaryQubitObservable,
     QubitState,
     pauli_phi,
     random_detector_state,
@@ -44,6 +45,18 @@ class TestSetupConstruction:
                 build()
             messages.add(str(caught.value))
         assert len(messages) == 1
+
+    def test_single_objects_reject_stacks(self):
+        # the validators accept stacks; the single-setup types must not
+        pair = np.array([GROUND, GROUND])
+        with pytest.raises(DimensionMismatch):
+            QubitState(pair)
+        with pytest.raises(DimensionMismatch):
+            mzi.MZISetup(rho=QubitState(GROUND), rho_d=pair, u=np.array([np.eye(2)] * 2))
+        with pytest.raises(DimensionMismatch):
+            mzi.Strategy(basis=np.array([np.eye(2)] * 2), subset=frozenset())
+        with pytest.raises(InvalidEffect):
+            BinaryQubitObservable(bias=np.array([0.5, 0.5]), vector=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_non_finite_phase_rejected(self, phi):
@@ -470,3 +483,154 @@ class TestTightnessGapAndReport:
             for _ in range(5)
         }
         assert len(reports) == 1
+
+
+# The per-setup evaluation the batched kernel replaced, copied from the
+# scalar strategy_stats, optimal_strategy, joint_observable and duality_report
+# it had before, as the reference the kernel is pinned to.
+def reference_stats(setup, basis, subset):
+    diag_plain = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, setup.rho_d, basis))
+    rotated = setup.u @ setup.rho_d @ setup.u.conj().T
+    diag_rot = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rotated, basis))
+    in_s = np.array([k in subset for k in range(len(basis))])
+    return (
+        float(diag_plain[in_s].sum()),
+        float(diag_plain[~in_s].sum()),
+        float(diag_rot[in_s].sum()),
+        float(diag_rot[~in_s].sum()),
+    )
+
+
+def reference_guess(setup):
+    ket_plus, ket_minus = mzi.HADAMARD[:, 0], mzi.HADAMARD[:, 1]
+    w_plus = float(np.real(ket_plus.conj() @ setup.rho.matrix @ ket_plus))
+    w_minus = float(np.real(ket_minus.conj() @ setup.rho.matrix @ ket_minus))
+    guess = w_plus * setup.rho_d - w_minus * (setup.u @ setup.rho_d @ setup.u.conj().T)
+    vals, vecs = hermitian_eig(guess)
+    return w_plus, w_minus, vals, vecs, frozenset(np.flatnonzero(vals > 1e-12).tolist())
+
+
+def reference_report(setup, basis, subset):
+    ket_plus, ket_minus = mzi.HADAMARD[:, 0], mzi.HADAMARD[:, 1]
+    overlap = complex(ket_minus.conj() @ setup.rho.matrix @ ket_plus)
+    v0 = 2.0 * abs(overlap)
+    phi0 = float(np.angle(overlap)) if v0 >= 1e-12 else 0.0
+    w_plus, w_minus, vals, _, _ = reference_guess(setup)
+    pred = abs(w_plus - w_minus)
+    trace = complex(np.trace(setup.u @ setup.rho_d))
+    contrast = abs(trace)
+    delta = float(np.angle(np.conj(trace))) if contrast >= 1e-12 else 0.0
+    eta_s, eta_sbar, eta_s_u, eta_sbar_u = reference_stats(setup, basis, subset)
+    d_s = 2.0 * w_plus * eta_s + 2.0 * w_minus * eta_sbar_u - 1.0
+    d_max = float(np.sum(np.abs(vals)))
+    left = w_plus * np.sqrt(max(eta_s * eta_sbar, 0.0))
+    right = w_minus * np.sqrt(max(eta_s_u * eta_sbar_u, 0.0))
+    gap = 2.0 * abs(left - right)
+    wave = (1.0 - pred**2) * contrast**2
+    return (v0, pred, v0 * contrast, phi0 + 0.0, delta + 0.0, contrast, d_s, d_max, gap,
+            d_s**2 + wave, 1.0 - gap**2, d_max**2 + wave)
+
+
+def reference_joint(setup, basis, subset):
+    eta_s, eta_sbar, eta_s_u, eta_sbar_u = reference_stats(setup, basis, subset)
+    coherence = setup.u @ setup.rho_d
+    overlaps = np.einsum("ij,jk,ki->i", basis.conj().T, coherence, basis)
+    xi_s = complex(overlaps[sorted(subset)].sum())
+    xi = (xi_s, complex(np.trace(coherence)) - xi_s)
+    eta = ((eta_s, eta_s_u), (eta_sbar, eta_sbar_u))
+    entry = mzi.phase_shifter(setup.phi) @ mzi.HADAMARD
+    effects = np.empty((2, 2, 2, 2), dtype=complex)
+    for i, sign in enumerate((1.0, -1.0)):
+        for j in range(2):
+            middle = [[eta[j][0], sign * xi[j]], [sign * np.conj(xi[j]), eta[j][1]]]
+            effects[i, j] = 0.5 * entry.conj().T @ np.array(middle) @ entry
+    return effects
+
+
+@st.composite
+def kernel_stacks(draw):
+    """(setups, strategies or None): a stack of up to 12 setups of one
+    dimension, with Hilbert-Schmidt, pure or degenerate detectors, measured by
+    the optimal or by random, empty or full strategies.  Degenerate setups
+    put the quanton on the sigma_x axis (V0 = 0, up to rounding) and a pure
+    detector state either turned to an orthogonal one (contrast 0, up to
+    rounding) or left alone (the guess operator then has d - 1 zero
+    eigenvalues, which go to S-bar, and eta products round near 0)."""
+    dim = draw(st.integers(2, 8))
+    detector = draw(st.sampled_from(["mixed", "pure", "degenerate"]))
+    kind = draw(st.sampled_from(["optimal", "random", "empty", "full"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rngs = [np.random.default_rng([seed, k]) for k in range(draw(st.integers(1, 12)))]
+    if detector == "degenerate":
+        rotate = draw(st.booleans())
+        states, unitaries = [], []
+        for rng in rngs:
+            psi, other = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in "ab")
+            psi /= np.linalg.norm(psi)
+            other -= (psi.conj() @ other) * psi
+            other /= np.linalg.norm(other)
+            states.append(np.outer(psi, psi.conj()))
+            # a quarter turn taking psi to an orthogonal state, or no coupling
+            turn = np.outer(other, psi.conj()) - np.outer(psi, other.conj())
+            plane = np.outer(psi, psi.conj()) + np.outer(other, other.conj())
+            unitaries.append(np.eye(dim) - plane + turn if rotate else np.eye(dim))
+        x = [rng.uniform(-1.0, 1.0) for rng in rngs]
+        rho = np.array([QubitState.from_bloch([v, 0.0, 0.0]).matrix for v in x])
+        phases = np.array([rng.uniform(0.0, 2.0 * np.pi) for rng in rngs])
+        setups = mzi.Setups.validated(rho, np.array(states), np.array(unitaries), phases)
+    else:
+        state = random_pure_detector_state if detector == "pure" else random_detector_state
+        setups = mzi.random_setups(dim, rngs, detector_state=state)
+    if kind == "optimal":
+        return setups, None
+    basis, in_s = mzi.random_strategies(dim, rngs)
+    if kind != "random":
+        in_s = np.full_like(in_s, kind == "full")
+    return setups, mzi.Strategies(basis, in_s)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kernel_stacks())
+    def test_kernel_matches_per_setup_reference(self, case):
+        setups, strategies = case
+        result = mzi.Evaluation(setups, strategies)
+        report = np.array(list(vars(result.report).values()))
+        stats = np.array(list(vars(result.stats).values()))
+        for k in range(len(setups.phi)):
+            rho, rho_d, u, phi = setups.rows(k)
+            setup = mzi.MZISetup(rho=QubitState(rho), rho_d=rho_d, u=u, phi=phi)
+            if strategies is None:
+                _, _, _, basis, subset = reference_guess(setup)
+                # the optimal guess set, as the projector onto its eigenvectors
+                chosen = result.strategies.basis[k][:, result.strategies.in_s[k]]
+                wanted = basis[:, sorted(subset)]
+                np.testing.assert_allclose(
+                    chosen @ chosen.conj().T, wanted @ wanted.conj().T, atol=1e-12
+                )
+            else:
+                basis = strategies.basis[k]
+                subset = frozenset(np.flatnonzero(strategies.in_s[k]).tolist())
+            got, want = report[:, k].copy(), np.array(reference_report(setup, basis, subset))
+            # gamma_S takes square roots of eta products that round to ~1e-17
+            # for pure detectors, which turns rounding into ~1e-9; its square,
+            # the quantity both sides of the bound read, is well-conditioned
+            got[8], want[8] = got[8] ** 2, want[8] ** 2
+            np.testing.assert_allclose(got, want, atol=1e-12)
+            eta = reference_stats(setup, basis, subset)
+            np.testing.assert_allclose(stats[:, k], eta, atol=1e-12)
+            joint = reference_joint(setup, basis, subset)
+            np.testing.assert_allclose(result.effects[k], joint, atol=1e-12)
+            m0, m_vec, n_vec = (part[k] for part in result.pair)
+            eta_s, _, eta_s_u, _ = eta
+            assert m0 == pytest.approx(0.5 * (eta_s + eta_s_u), abs=1e-12)
+            np.testing.assert_allclose(m_vec, [0.5 * (eta_s - eta_s_u), 0.0, 0.0], atol=1e-12)
+            _, _, _, _, delta, contrast = reference_report(setup, basis, subset)[:6]
+            if contrast >= 1e-12:
+                angle = delta + setup.phi
+                want = 0.5 * contrast * np.array([0.0, -np.sin(angle), np.cos(angle)])
+            else:
+                want = np.zeros(3)
+            np.testing.assert_allclose(n_vec, want, atol=1e-12)
+            min_eig = min(hermitian_eig(e).eigenvalues[0] for e in joint.reshape(4, 2, 2))
+            assert result.residuals[0][k] == pytest.approx(min_eig, abs=1e-12)

@@ -75,6 +75,27 @@ class TestScenarioFiles:
             scenario_from_dict({**long_detector, "quanton": {"bloch": [0, 0, 1.5]}})
 
 
+    def test_integer_fields_and_safe_names(self, tmp_path):
+        from mzduality.errors import ScenarioError
+
+        base = json.loads(SATURATING.read_text())
+        bad = [
+            {**base, "detector": {**base["detector"], "dim": 2.5}},
+            {**base, "detector": {**base["detector"], "dim": 2.0}},
+            {**base, "detector": {**base["detector"], "dim": True}},
+            {**base, "seed": 1.5},
+            {**base, "seed": "1"},
+        ] + [{**base, "name": name} for name in ("a,b", "a\nb", "a b", 'a"b', "", 7)]
+        for data in bad:
+            with pytest.raises(ScenarioError):
+                scenario_from_dict(data)
+        # bundled names and the names the sweep generates still load
+        assert scenario_from_dict({**base, "name": "biased-mixed-detector_v1.2"}).seed == 1
+        generated = random_scenario(12, 34, dim=3, optimal=True)
+        save_scenario(generated, tmp_path / "g.json")
+        assert load_scenario(tmp_path / "g.json").name == "sweep-12-34"
+
+
 class TestCli:
     def test_check_jm_sharp_pair(self, capsys):
         assert main(["check-jm", "--m0", "0.5", "--m", "0.5", "--n", "0.5"]) == 0
@@ -120,9 +141,16 @@ class TestCli:
             ["check-jm", "--m0", "0.5", "--m", "0.1", "--n", "inf"],
             ["sweep", "--count", "-3"],
             ["verify", "--count", "-3"],
+            ["sweep", "--count", "1", "--seed", "-1"],
+            ["verify", "--count", "1", "--seed", "-1"],
+            ["sample", "--scenario", str(SATURATING), "--seed", "-1"],
+            ["sample", "--scenario", str(SATURATING), "--shots", "10000000000000000000000"],
             ["report", "--scenario", "NAN_PHI"],
             ["report", "--scenario", "NAN_BASIS"],
             ["sample", "--scenario", "NAN_BASIS"],
+            ["report", "--scenario", "FRACTIONAL_DIM"],
+            ["report", "--scenario", "COMMA_NAME"],
+            ["report", "--scenario", "NEWLINE_NAME"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
@@ -131,6 +159,9 @@ class TestCli:
         files = {
             "NAN_PHI": {**saturating, "phi": float("nan")},
             "NAN_BASIS": {**saturating, "strategy": nan_basis_strategy},
+            "FRACTIONAL_DIM": {**saturating, "detector": {**saturating["detector"], "dim": 2.5}},
+            "COMMA_NAME": {**saturating, "name": "split,row"},
+            "NEWLINE_NAME": {**saturating, "name": "split\nrow"},
         }
         for placeholder, data in files.items():
             (tmp_path / placeholder).write_text(json.dumps(data))
