@@ -190,7 +190,7 @@ def cmd_gamma_slope(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _in_range("--count", args.count)
+    _in_range("--count", args.count, low=1)
     _in_range("--seed", args.seed, high=None)
     results = run_all(seed=args.seed, oracle_count=args.count)
     for result in results:

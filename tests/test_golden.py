@@ -1,6 +1,6 @@
-"""Golden output: the ``report`` rows of the bundled scenarios, the rows of
-``sweep --dim 8 --count 4 --seed 1``, and the stdout of
-``verify --count 200 --seed 20260810``.
+"""Golden output: the ``report`` rows and ``gamma-slope`` JSON of the bundled
+scenarios, the rows of ``sweep --dim 8 --count 4 --seed 1``, and the stdout
+of ``verify --count 200 --seed 20260810``.
 
 The rows were recorded with the earlier cyclic-Jacobi eigensolver.  Text
 columns must match exactly; numeric columns may drift by at most
@@ -8,6 +8,7 @@ columns must match exactly; numeric columns may drift by at most
 build) is allowed to move any printed number.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -32,6 +33,30 @@ GOLDEN_SWEEP_D8 = (
     "sweep-1-3,1,0.2395165751526287,0.030155823433615558,0.050805623737996596,1.9415312715407049,-1.681353594960175,0.21211736058609471,0.032599714823573267,0.53926221585570955,0.026359822414204759,0.046015599913835012,0.99930515976229162,0.33575659595686658,0.78745805928106183",
 )
 
+# recorded with the per-detector finite differences, before they ran as one stack
+GOLDEN_GAMMA_SLOPE = {
+    "biased_mixed_detector.json": {
+        "scenario": "biased-mixed-detector",
+        "p_step": 0.0001,
+        "predicted": 0.8981753852603671,
+        "empirical": 0.8981753850145768,
+        "relative_error": 2.736551023930235e-10,
+    },
+    "quarter_turn_detector.json": {
+        "scenario": "quarter-turn-detector",
+        "p_step": 0.0001,
+        "predicted": 0.8017837257372732,
+        "empirical": 0.8017837251261817,
+        "relative_error": 7.621650217023443e-10,
+    },
+    "saturating_pure_detector.json": {
+        "scenario": "saturating-pure-detector",
+        "p_step": 0.0001,
+        "predicted": 0.0,
+        "empirical": 0.0,
+        "relative_error": None,
+    },
+}
 
 # recorded with the per-setup battery, before criteria 1-6 ran as array passes
 GOLDEN_VERIFY = (
@@ -79,6 +104,18 @@ def test_sweep_d8_rows_match_golden(capsys):
     assert len(rows) == len(GOLDEN_SWEEP_D8)
     for got, want in zip(rows, GOLDEN_SWEEP_D8):
         assert_row_matches(got, want)
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_GAMMA_SLOPE))
+def test_gamma_slope_matches_golden(filename, capsys):
+    assert main(["gamma-slope", "--scenario", str(SCENARIO_DIR / filename)]) == 0
+    got, want = json.loads(capsys.readouterr().out), GOLDEN_GAMMA_SLOPE[filename]
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= DRIFT_BOUND, (key, got[key], value)
+        else:
+            assert got[key] == value, key
 
 
 def test_verify_stdout_matches_golden(capsys):

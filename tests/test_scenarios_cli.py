@@ -141,6 +141,7 @@ class TestCli:
             ["check-jm", "--m0", "0.5", "--m", "0.1", "--n", "inf"],
             ["sweep", "--count", "-3"],
             ["verify", "--count", "-3"],
+            ["verify", "--count", "0"],
             ["sweep", "--count", "1", "--seed", "-1"],
             ["verify", "--count", "1", "--seed", "-1"],
             ["sample", "--scenario", str(SATURATING), "--seed", "-1"],
