@@ -27,7 +27,6 @@ from .qubit import (
     QubitState,
     bloch_to_matrix,
     matrix_to_bloch,
-    pauli_phi,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,

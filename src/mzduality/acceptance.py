@@ -16,13 +16,14 @@ from itertools import product
 import numpy as np
 
 from . import jointmeas, mzi, qubit_detector
-from .linalg import kron, partial_trace_detector
+from .linalg import dagger, kron, partial_trace_detector
 from .qubit import (
     IDENTITY_2,
     QubitState,
+    complex_gaussian,
+    haar_unitary,
     random_detector_state,
     random_pure_detector_state,
-    random_unitary,
 )
 
 log = logging.getLogger(__name__)
@@ -99,24 +100,33 @@ def criteria_oracle_agreement(
     )
 
 
-def reference_joint_observable(setup, strategy) -> np.ndarray:
-    """The realized joint observable the long way, as the independent check
-    of ``mzi.joint_observable``: for each output port i and guess set j,
-    ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]`` with T the full
-    interferometer unitary and P_j the detector projector onto the set.
-    ``setup`` and ``strategy`` may also be one row of ``mzi.Setups`` and
-    ``mzi.Strategies`` stacks."""
-    total = mzi.interferometer_unitary(setup)
-    weighted = kron(IDENTITY_2, setup.rho_d) @ total.conj().T
-    effects = np.zeros((2, 2, 2, 2), dtype=complex)
-    for j, guess_set in enumerate((strategy.in_s, ~strategy.in_s)):
-        columns = strategy.basis[:, guess_set]
+def interferometer_unitary(setups: mzi.Setups) -> np.ndarray:
+    """Total unitaries (N, 2d, 2d) on quanton x detector, from entry to the
+    output ports: ``(H x I)(|0><0| x I + |1><1| x U)(A x I)`` with
+    ``A = phase_shifter(phi) @ H``."""
+    eye_d = np.eye(setups.u.shape[-1], dtype=complex)
+    coupling = kron(np.diag([1.0, 0.0]), eye_d) + kron(np.diag([0.0, 1.0]), setups.u)
+    entry = mzi.phase_shifter(setups.phi) @ mzi.HADAMARD
+    return kron(mzi.HADAMARD, eye_d) @ coupling @ kron(entry, eye_d)
+
+
+def reference_joint_observable(setups: mzi.Setups, strategies: mzi.Strategies) -> np.ndarray:
+    """The realized joint observables (N, 2, 2, 2, 2) the long way, as the
+    independent check of ``mzi.Evaluation.effects``: for each output port i
+    and guess set j, ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]``
+    with T the full interferometer unitary and P_j the detector projector
+    onto the set."""
+    total = interferometer_unitary(setups)
+    weighted = kron(IDENTITY_2, setups.rho_d) @ dagger(total)
+    effects = np.zeros((len(total), 2, 2, 2, 2), dtype=complex)
+    for j, guess_set in enumerate((strategies.in_s, ~strategies.in_s)):
+        columns = strategies.basis * guess_set[:, None, :]
         for i in range(2):
             port = np.zeros((2, 2))
             port[i, i] = 1.0
-            projector = kron(port, columns @ columns.conj().T)
+            projector = kron(port, columns @ dagger(columns))
             effect = partial_trace_detector(weighted @ projector @ total)
-            effects[i, j] = (effect + effect.conj().T) / 2.0
+            effects[:, i, j] = (effect + dagger(effect)) / 2.0
     return effects
 
 
@@ -177,10 +187,8 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
         setups = mzi.random_setups(dim, rngs)
         strategies = mzi.random_strategies(dim, rngs)
         result = mzi.Evaluation(setups, strategies)
-        for k, closed in enumerate(result.effects):
-            row = mzi.Strategies(strategies.basis[k], strategies.in_s[k])
-            reference = reference_joint_observable(setups.rows(k), row)
-            worst_residual = max(worst_residual, float(np.max(np.abs(closed - reference))))
+        reference = reference_joint_observable(setups, strategies)
+        worst_residual = max(worst_residual, float(np.max(np.abs(result.effects - reference))))
         min_eig, completeness, marginal = result.residuals
         worst_eig = min(worst_eig, float(np.min(min_eig)))
         worst_residual = max(worst_residual, float(np.max(completeness)), float(np.max(marginal)))
@@ -282,17 +290,19 @@ def criterion_pure_gap_and_identity(
         setups = mzi.random_setups(2, rngs, detector_state=random_pure_detector_state)
         worst_gap = float(np.max(mzi.Evaluation(setups).report.tightness_gap))
     worst_residual = 0.0
-    for index in range(n_identity):
-        rng = _rng(seed, 60, index)
-        radius = float(rng.random())
-        a_dir = rng.standard_normal(3)
-        a_dir /= np.linalg.norm(a_dir)
-        b_dir = rng.standard_normal(3)
-        b_dir /= np.linalg.norm(b_dir)
+    if n_identity:
+        rngs = [_rng(seed, 60, index) for index in range(n_identity)]
+        # per stream: a radius, two directions, a bias
+        draws = [
+            (rng.random(), *rng.standard_normal((2, 3)), rng.uniform(-0.99, 0.99)) for rng in rngs
+        ]
+        radius, a_dir, b_dir, p = map(np.array, zip(*draws))
+        a_dir /= np.linalg.norm(a_dir, axis=1, keepdims=True)
+        b_dir /= np.linalg.norm(b_dir, axis=1, keepdims=True)
         analysis = qubit_detector.QubitDetectorAnalysis(
-            alpha=radius * a_dir, beta=radius * b_dir, p=float(rng.uniform(-0.99, 0.99))
+            alpha=radius[:, None] * a_dir, beta=radius[:, None] * b_dir, p=p
         )
-        worst_residual = max(worst_residual, qubit_detector.purity_identity_residual(analysis))
+        worst_residual = float(np.max(qubit_detector.purity_identity_residual(analysis)))
     passed = worst_gap <= 1e-10 and worst_residual <= 1e-12
     return CriterionResult(
         6,
@@ -306,20 +316,21 @@ def criterion_pure_gap_and_identity(
 def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> CriterionResult:
     """Criterion 7: the predicted small-bias slope of the tightness gap matches
     finite differences, including the closed-form reference case."""
-    worst_rel = 0.0
-    for index in range(count):
-        rng = _rng(seed, 7, index)
-        rho_d = random_detector_state(2, rng)
-        u = random_unitary(2, rng)
-        predicted = qubit_detector.gap_slope_prediction(rho_d, u)
-        empirical = qubit_detector.gap_slope_empirical(rho_d, u, p_step)
-        worst_rel = max(worst_rel, abs(empirical - predicted) / abs(predicted))
+    rngs = [_rng(seed, 7, index) for index in range(count)]
+    draws = [(random_detector_state(2, rng), complex_gaussian(2, rng)) for rng in rngs]
     # Bloch radius 1/2 along z, quarter-turn about x: slope = 0.75 / sqrt(0.875)
     rho_ref = np.diag([0.75, 0.25]).astype(complex)
     u_ref = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
     expected = 0.75 / np.sqrt(0.875)
-    pred_ref = qubit_detector.gap_slope_prediction(rho_ref, u_ref)
-    emp_ref = qubit_detector.gap_slope_empirical(rho_ref, u_ref, p_step)
+    # the reference case rides along as the last detector of the stack
+    rho_d = np.array([rho for rho, _ in draws] + [rho_ref])
+    gaussians = np.array([gaussian for _, gaussian in draws]).reshape(-1, 2, 2)
+    u = np.concatenate([haar_unitary(gaussians), [u_ref]])
+    predicted = qubit_detector.gap_slope_prediction(rho_d, u)
+    empirical = qubit_detector.gap_slope_empirical(rho_d, u, p_step)
+    relative = np.abs(empirical - predicted)[:-1] / np.abs(predicted[:-1])
+    worst_rel = float(np.max(relative, initial=0.0))
+    pred_ref, emp_ref = predicted[-1], empirical[-1]
     ref_ok = abs(pred_ref - expected) <= 1e-12 and abs(emp_ref - expected) / expected <= 1e-3
     passed = worst_rel <= 1e-3 and ref_ok
     return CriterionResult(

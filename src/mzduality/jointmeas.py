@@ -243,25 +243,33 @@ def _grid_hits(inst, resolution: float, y1: np.ndarray, y2: np.ndarray) -> np.nd
 
 
 def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted grid values as NaN-padded blocks of ``BLOCK`` points, with the
-    centre and half-width of each block's span."""
-    padded = np.full(-(-vals.size // BLOCK) * BLOCK, np.nan)
-    padded[: vals.size] = vals
-    blocks = padded.reshape(-1, BLOCK)
-    first, last = blocks[:, 0], np.nanmax(blocks, axis=1)
+    """Rows of sorted grid values, NaN past each row's end, as NaN-padded
+    blocks of ``BLOCK`` points (N, blocks, BLOCK), with the centre and
+    half-width of each block's span (NaN for a block of padding alone)."""
+    padded = np.full((len(vals), -(-vals.shape[1] // BLOCK) * BLOCK), np.nan)
+    padded[:, : vals.shape[1]] = vals
+    blocks = padded.reshape(len(vals), -1, BLOCK)
+    first, last = blocks[..., 0], np.fmax.reduce(blocks, axis=-1)
     return blocks, 0.5 * (first + last), 0.5 * (last - first)
 
 
-def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray) -> bool:
-    """Whether the grid ``y1_vals x y2_vals`` holds a witness, visiting only
-    the blocks that the bound in ``feasibility_oracle`` cannot rule out."""
+def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray) -> np.ndarray:
+    """For instance lengths stacked as (N, 1) columns, whether each row's grid
+    ``y1_vals[k] x y2_vals[k]`` (sorted rows, NaN past their ends) holds a
+    witness, visiting only the blocks that the bound in
+    ``feasibility_oracle`` cannot rule out."""
     y1_blocks, y1_mid, y1_half = _blocks(y1_vals)
     y2_blocks, y2_mid, y2_half = _blocks(y2_vals)
-    lo, hi = _x_window(inst, y1_mid[:, None], y2_mid[None, :])
-    slack = 2.0 * np.hypot(y1_half[:, None], y2_half[None, :]) + 2.0 * GRID_GUARD + 1e-9
-    rows, cols = np.nonzero(lo - hi <= slack)
-    y1_live, y2_live = y1_blocks[rows][:, :, None], y2_blocks[cols][:, None, :]
-    return bool(np.any(_grid_hits(inst, resolution, y1_live, y2_live)))
+    columns = Lengths(*(np.reshape(v, (-1, 1, 1)) for v in inst))
+    lo, hi = _x_window(columns, y1_mid[:, :, None], y2_mid[:, None, :])
+    slack = 2.0 * np.hypot(y1_half[:, :, None], y2_half[:, None, :]) + 2.0 * GRID_GUARD + 1e-9
+    owner, rows, cols = np.nonzero(lo - hi <= slack)
+    live = Lengths(*(v[owner] for v in columns))
+    y1_live, y2_live = y1_blocks[owner, rows][:, :, None], y2_blocks[owner, cols][:, None, :]
+    hits = np.any(_grid_hits(live, resolution, y1_live, y2_live), axis=(1, 2))
+    found = np.zeros(len(y1_vals), dtype=bool)
+    found[owner[hits]] = True
+    return found
 
 
 def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "full") -> bool:
@@ -295,9 +303,10 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
 def feasibility_batch(lengths: Lengths, resolution: float = 0.01, mode: str = "full") -> np.ndarray:
     """``feasibility_oracle`` on stacked instance lengths, one verdict each.
 
-    REDUCED mode and FULL mode's pass through y1 = 0 run as array passes over
-    NaN-padded axis grids, ``CHUNK`` instances at a time; FULL mode's pass
-    over y1 >= 0 then runs per instance, on the instances still open.
+    Both modes run as array passes over NaN-padded grids, ``CHUNK`` instances
+    at a time: REDUCED mode and FULL mode's pass through y1 = 0 over the axis
+    grids, then FULL mode's pass over y1 >= 0 over the instances of the
+    chunk still open.
     """
     if not (1e-3 <= resolution <= 0.05):
         raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
@@ -326,12 +335,17 @@ def feasibility_batch(lengths: Lengths, resolution: float = 0.01, mode: str = "f
         # this argument; by the symmetry and the symmetric grids its half
         # y1 >= 0 suffices.
         found = np.any(_grid_hits(part, resolution, np.zeros((1, 1)), axis_vals), axis=1)
-        for k in np.flatnonzero(~found):
-            inst = Lengths(float(m0[k, 0]), float(m[k, 0]), float(n[k, 0]))
-            k1 = int(np.floor((inst.m + inst.n + 1.0) / resolution + 1e-9))
-            along_m = resolution * np.arange(0, k1 + 1)
-            axis_k = np.unique(axis_vals[k][~np.isnan(axis_vals[k])])
-            found[k] = _block_scan(inst, resolution, along_m, axis_k)
+        open_ = np.flatnonzero(~found)
+        if open_.size:
+            rest = Lengths(*(v[open_] for v in part))
+            k1 = np.floor((rest.m + rest.n + 1.0) / resolution + 1e-9)
+            steps = np.arange(0, np.max(k1) + 1)
+            along_m = np.where(steps <= k1, resolution * steps, np.nan)
+            # each row's axis grid sorted, repeats after the first dropped, NaN last
+            axis_rows = np.sort(axis_vals[open_], axis=1)
+            repeats = axis_rows[:, 1:]
+            repeats[repeats == axis_rows[:, :-1]] = np.nan
+            found[open_] = _block_scan(rest, resolution, along_m, np.sort(axis_rows, axis=1))
         verdicts[start : start + CHUNK] = found
     return verdicts
 

@@ -106,26 +106,31 @@ def trace_norm(a) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product with the quanton as the first factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product with the quanton as the first factor, of two matrices
+    or pairwise over stacks (..., m, m) and (..., n, n)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], -1))
 
 
 def partial_trace_detector(m) -> np.ndarray:
-    """Trace out the detector from an operator on quanton (dim 2) x detector.
+    """Trace out the detector from an operator on quanton (dim 2) x detector,
+    or from each in a stack (..., 2d, 2d).
 
     The input dimension must be 2*d for some detector dimension d >= 1.
     """
     full = as_complex_matrix(m)
-    dim = full.shape[0]
+    dim = full.shape[-1]
     if dim % 2 != 0 or dim == 0:
         raise DimensionMismatch(f"dimension {dim} is not 2 x detector dimension")
     d = dim // 2
-    blocks = full.reshape(2, d, 2, d)
-    return np.einsum("ijkj->ik", blocks)
+    blocks = full.reshape(full.shape[:-2] + (2, d, 2, d))
+    return np.einsum("...ijkj->...ik", blocks)
 
 
-def fidelity_unitary_pair(rho_d, u) -> float:
-    """Fidelity between a qubit state and its conjugation by a unitary.
+def fidelity_unitary_pair(rho_d, u):
+    """Fidelity between a qubit state and its conjugation by a unitary, of
+    one pair or of each pair in stacks (..., 2, 2).
 
     For 2x2 density matrices this has the closed form
     ``sqrt(tr(rho U rho U^dag) + 2 det(rho))``, which is what is computed
@@ -133,10 +138,10 @@ def fidelity_unitary_pair(rho_d, u) -> float:
     """
     rho = require_density(rho_d, dim=2)
     uu = require_unitary(u)
-    if uu.shape[0] != 2:
+    if uu.shape[-1] != 2:
         raise NotUnitary("expected a 2x2 unitary")
-    rotated = uu @ rho @ uu.conj().T
-    overlap = float(np.real(np.trace(rho @ rotated)))
-    det = float(np.real(np.linalg.det(rho)))
-    value = np.sqrt(max(overlap + 2.0 * det, 0.0))
-    return float(min(value, 1.0))
+    rotated = uu @ rho @ dagger(uu)
+    overlap = np.real(np.trace(rho @ rotated, axis1=-2, axis2=-1))
+    det = np.real(np.linalg.det(rho))
+    value = np.sqrt(np.maximum(overlap + 2.0 * det, 0.0))
+    return np.minimum(value, 1.0)[()]

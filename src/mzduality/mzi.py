@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, MZDualityError
-from .linalg import dagger, hermitian_eig, kron, require_density, require_unitary
+from .linalg import dagger, hermitian_eig, require_density, require_unitary
 from .qubit import (
     IDENTITY_2,
     SIGMA_X,
@@ -223,13 +223,6 @@ def phase_shifter(phi) -> np.ndarray:
     shifter[..., 0, 0] = np.exp(0.5j * phi)
     shifter[..., 1, 1] = np.exp(-0.5j * phi)
     return shifter
-
-
-def interferometer_unitary(setup: MZISetup) -> np.ndarray:
-    """Total unitary on quanton x detector from entry to the output ports."""
-    eye_d = np.eye(setup.u.shape[-1], dtype=complex)
-    coupling = kron(np.diag([1.0, 0.0]), eye_d) + kron(np.diag([0.0, 1.0]), setup.u)
-    return kron(HADAMARD, eye_d) @ coupling @ kron(phase_shifter(setup.phi) @ HADAMARD, eye_d)
 
 
 def distinguishability(stats: StrategyStats, w_plus, w_minus):

@@ -36,11 +36,6 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def pauli_phi(phi: float) -> np.ndarray:
-    """The sharp interference observable at phase ``phi``: sigma_z cos(phi) - sigma_y sin(phi)."""
-    return np.cos(phi) * SIGMA_Z - np.sin(phi) * SIGMA_Y
-
-
 def require_effect(vector, bias) -> np.ndarray:
     """The Bloch vector of the effect ``bias * I + v . sigma`` as floats, one
     of shape (3,) or a stack (..., 3) with matching biases; raises

@@ -1,12 +1,16 @@
 """Acceptance suite: every criterion at its stated count and tolerance.
 
 Runs the full battery once (the oracle differential test dominates the
-runtime) and prints one pass/fail line per criterion.
+runtime) and prints one pass/fail line per criterion.  Criterion 3's stacked
+full-interferometer reference is pinned to its per-setup form below.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzduality import acceptance
+from mzduality import acceptance, mzi
 from mzduality.acceptance import (
     criteria_oracle_agreement,
     criterion_duality_inequality,
@@ -17,6 +21,7 @@ from mzduality.acceptance import (
     criterion_sampler,
     criterion_saturation,
 )
+from mzduality.qubit import random_detector_state, random_pure_detector_state
 
 SEED = 20260810
 
@@ -78,3 +83,46 @@ def test_sweep_and_battery_share_the_identity_gate(monkeypatch, capsys):
     assert "scenario sweep-0-1: gap identity residual" in err
     result = criterion_duality_inequality(SEED, count=50)
     assert not result.passed, result.detail
+
+
+# The full-interferometer reference as it ran setup by setup, copied from
+# before it took stacks, as the reference the stacked route is pinned to.
+def per_setup_reference(rho_d, u, phi, basis, in_s):
+    eye_d = np.eye(len(u), dtype=complex)
+    coupling = np.kron(np.diag([1.0, 0.0]), eye_d) + np.kron(np.diag([0.0, 1.0]), u)
+    entry = mzi.phase_shifter(phi) @ mzi.HADAMARD
+    total = np.kron(mzi.HADAMARD, eye_d) @ coupling @ np.kron(entry, eye_d)
+    weighted = np.kron(np.eye(2), rho_d) @ total.conj().T
+    effects = np.zeros((2, 2, 2, 2), dtype=complex)
+    for j, guess_set in enumerate((in_s, ~in_s)):
+        columns = basis[:, guess_set]
+        for i in range(2):
+            port = np.zeros((2, 2))
+            port[i, i] = 1.0
+            full = weighted @ np.kron(port, columns @ columns.conj().T) @ total
+            d = len(u)
+            effect = np.einsum("ijkj->ik", full.reshape(2, d, 2, d))
+            effects[i, j] = (effect + effect.conj().T) / 2.0
+    return effects
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    kind=st.sampled_from(["random", "empty", "full"]),
+    pure=st.booleans(),
+)
+def test_stacked_reference_matches_per_setup_reference(dim, seed, size, kind, pure):
+    rngs = [np.random.default_rng([seed, k]) for k in range(size)]
+    state = random_pure_detector_state if pure else random_detector_state
+    setups = mzi.random_setups(dim, rngs, detector_state=state)
+    basis, in_s = mzi.random_strategies(dim, rngs)
+    if kind != "random":
+        in_s = np.full_like(in_s, kind == "full")
+    stacked = acceptance.reference_joint_observable(setups, mzi.Strategies(basis, in_s))
+    for k in range(size):
+        _, rho_d, u, phi = setups.rows(k)
+        want = per_setup_reference(rho_d, u, phi, basis[k], in_s[k])
+        assert np.max(np.abs(stacked[k] - want)) <= 1e-12

@@ -67,6 +67,47 @@ def reference_scan(inst, resolution, y1):
     return bool(np.any((k_lo <= k_hi) & in_reach))
 
 
+def parent_block_scan(inst, resolution, y1_vals, y2_vals):
+    """The FULL oracle's pass over y1 >= 0 as it ran one instance at a time,
+    with its block skip rule, copied from before it ran on stacks."""
+
+    def window(y1, y2):
+        m0, m, n = inst.m0, inst.m, inst.n
+        a1 = np.sqrt((m + y1) ** 2 + (n + y2) ** 2)
+        a2 = np.sqrt((m + y1) ** 2 + (n - y2) ** 2)
+        a3 = np.sqrt((m - y1) ** 2 + (n + y2) ** 2)
+        a4 = np.sqrt((m - y1) ** 2 + (n - y2) ** 2)
+        return np.maximum(a1 - m0, a4 - (1.0 - m0)), np.minimum(m0 - a3, (1.0 - m0) - a2)
+
+    def blocks(vals):
+        padded = np.full(-(-vals.size // 8) * 8, np.nan)
+        padded[: vals.size] = vals
+        rows = padded.reshape(-1, 8)
+        first, last = rows[:, 0], np.nanmax(rows, axis=1)
+        return rows, 0.5 * (first + last), 0.5 * (last - first)
+
+    y1_blocks, y1_mid, y1_half = blocks(y1_vals)
+    y2_blocks, y2_mid, y2_half = blocks(y2_vals)
+    lo, hi = window(y1_mid[:, None], y2_mid[None, :])
+    slack = 2.0 * np.hypot(y1_half[:, None], y2_half[None, :]) + 2.0 * GRID_GUARD + 1e-9
+    rows, cols = np.nonzero(lo - hi <= slack)
+    y1, y2 = y1_blocks[rows][:, :, None], y2_blocks[cols][:, None, :]
+    reach = inst.m + inst.n + 1.0
+    k_x = np.floor(min(inst.m0, 1.0 - inst.m0) / resolution + 1e-9)
+    lo, hi = window(y1, y2)
+    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
+    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
+    return bool(np.any((k_lo <= k_hi) & (y1 * y1 + y2**2 <= reach * reach + 1e-12)))
+
+
+def padded_rows(rows):
+    """Rows of different lengths as one array, NaN past each row's end."""
+    out = np.full((len(rows), max(len(row) for row in rows)), np.nan)
+    for k, row in enumerate(rows):
+        out[k, : len(row)] = row
+    return out
+
+
 @st.composite
 def oracle_instances(draw, resolution):
     """Random instances, instances within three grid steps of the criterion
@@ -307,7 +348,8 @@ class TestFeasibilityOracle:
         along_m = resolution * np.arange(0, int((inst.m + inst.n + 1.0) / resolution + 1e-9) + 1)
         whole = reference_scan(inst, resolution, along_m)
         axis_vals = reference_axis_grid(inst, resolution)
-        assert jointmeas._block_scan(inst, resolution, along_m, axis_vals) == whole
+        lengths = jointmeas.Lengths(inst.m0, inst.m, inst.n)
+        assert jointmeas._block_scan(lengths, resolution, along_m[None], axis_vals[None]) == [whole]
         expected = reference_scan(inst, resolution, np.zeros(1)) or whole
         assert feasibility_oracle(inst, resolution, mode="full") == expected
 
@@ -336,6 +378,52 @@ class TestFeasibilityOracle:
                 np.sqrt(inst.m**2 + (inst.n - axis_vals) ** 2) <= 1.0 - inst.m0 + GRID_GUARD
             )
             assert reduced[k] == bool(np.any(slice_ok))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(oracle_batches())
+    def test_stacked_second_pass_matches_per_instance_scans(self, case):
+        # mixed feasible and infeasible rows, each scanned with y1 = 0 in its
+        # grid, so a row read from the wrong instance shows in the verdicts
+        instances, resolution = case
+        lengths = jointmeas.Lengths(
+            *(np.array([[getattr(inst, name)] for inst in instances]) for name in ("m0", "m", "n"))
+        )
+        along_m = [resolution * np.arange(0, int((i.m + i.n + 1.0) / resolution + 1e-9) + 1)
+                   for i in instances]
+        axis_vals = [reference_axis_grid(inst, resolution) for inst in instances]
+        stacked = jointmeas._block_scan(
+            lengths, resolution, padded_rows(along_m), padded_rows(axis_vals)
+        )
+        for k, inst in enumerate(instances):
+            parent = parent_block_scan(inst, resolution, along_m[k], axis_vals[k])
+            assert stacked[k] == parent == reference_scan(inst, resolution, along_m[k])
+        # the batch hands each open instance of a chunk its own grids; the
+        # verdicts alone cannot show a mix-up, since by the symmetry argument
+        # no instance the first pass leaves open has a witness
+        scanned = []
+
+        def spy(rows, resolution, y1_vals, y2_vals):
+            for k in range(len(y1_vals)):
+                key = tuple(float(v[k, 0]) for v in rows)
+                grids = (y1_vals[k][~np.isnan(y1_vals[k])], y2_vals[k][~np.isnan(y2_vals[k])])
+                scanned.append((key, grids))
+            return block_scan(rows, resolution, y1_vals, y2_vals)
+
+        block_scan = jointmeas._block_scan
+        with patch.object(jointmeas, "CHUNK", 7), patch.object(jointmeas, "_block_scan", spy):
+            full = jointmeas.feasibility_batch(
+                jointmeas.Lengths(*(v[:, 0] for v in lengths)), resolution, mode="full"
+            )
+        first = [reference_scan(inst, resolution, np.zeros(1)) for inst in instances]
+        assert len(scanned) == first.count(False)
+        for key, (y1, y2) in scanned:
+            k = [(i.m0, i.m, i.n) for i in instances].index(key)
+            assert not first[k]
+            np.testing.assert_array_equal(y1, along_m[k])
+            np.testing.assert_array_equal(y2, axis_vals[k])
+        for k, inst in enumerate(instances):
+            parent = parent_block_scan(inst, resolution, along_m[k], axis_vals[k])
+            assert full[k] == (first[k] or parent)
 
     def test_resolution_validation(self):
         inst = axis_instance(0.5, 0.1, 0.1)

@@ -10,9 +10,10 @@ from mzduality.linalg import hermitian_eig
 from mzduality import acceptance, mzi
 from mzduality.qubit import (
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BinaryQubitObservable,
     QubitState,
-    pauli_phi,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,
@@ -91,9 +92,12 @@ class TestVisibilityAndPredictability:
         for _ in range(10):
             rho = random_qubit_state(rng)
             v0, phi0 = mzi.a_priori_visibility(rho)
-            values = [np.trace(rho.matrix @ pauli_phi(p)).real for p in phases]
+            # tr(rho sigma_phi), with sigma_phi = cos(phi) sigma_z - sin(phi) sigma_y
+            values = [np.trace(rho.matrix @ (np.cos(p) * SIGMA_Z - np.sin(p) * SIGMA_Y)).real
+                      for p in phases]
             assert v0 == pytest.approx(max(values), abs=1e-6)
-            assert np.trace(rho.matrix @ pauli_phi(phi0)).real == pytest.approx(v0, abs=1e-12)
+            sharp = np.cos(phi0) * SIGMA_Z - np.sin(phi0) * SIGMA_Y
+            assert np.trace(rho.matrix @ sharp).real == pytest.approx(v0, abs=1e-12)
 
     def test_single_path(self):
         plus = QubitState.from_bloch([1.0, 0.0, 0.0])
@@ -370,7 +374,11 @@ class TestJointObservable:
             subset = frozenset(range(dim)) if kind == "full" else frozenset()
             strategy = mzi.Strategy(basis=strategy.basis, subset=subset)
         effects = mzi.joint_observable(setup, strategy)
-        reference = acceptance.reference_joint_observable(setup, strategy)
+        setups = mzi.Setups(
+            setup.rho.matrix[None], setup.rho_d[None], setup.u[None], np.array([setup.phi])
+        )
+        strategies = mzi.Strategies(strategy.basis[None], strategy.in_s[None])
+        reference = acceptance.reference_joint_observable(setups, strategies)[0]
         assert np.max(np.abs(effects - reference)) <= 1e-12
 
 
@@ -474,6 +482,37 @@ class TestTightnessGapAndReport:
             report = mzi.duality_report(setup, strategy)
             assert report.duality_lhs <= report.duality_rhs + 1e-10
             assert -1.0 - 1e-12 <= report.distinguishability <= 1.0 + 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        pure=st.booleans(),
+        kind=st.sampled_from(["random", "empty", "full"]),
+    )
+    def test_strategy_resolved_bound_property(self, dim, seed, pure, kind):
+        # D_S^2 + (1 - P^2) C^2 <= 1 - gamma_S^2 for every strategy
+        rng = np.random.default_rng(seed)
+        setup = random_setup(rng, dim)
+        if pure:
+            setup = mzi.MZISetup(rho=setup.rho, rho_d=random_pure_detector_state(dim, rng),
+                                 u=setup.u, phi=setup.phi)
+        strategy = mzi.random_strategy(dim, rng)
+        if kind != "random":
+            subset = frozenset(range(dim)) if kind == "full" else frozenset()
+            strategy = mzi.Strategy(basis=strategy.basis, subset=subset)
+        r = mzi.duality_report(setup, strategy)
+        lhs = r.distinguishability**2 + (1.0 - r.predictability**2) * r.contrast**2
+        assert lhs <= 1.0 - r.tightness_gap**2 + 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_classic_bound_at_the_optimum_property(self, dim, seed, pure):
+        rng = np.random.default_rng(seed)
+        state = random_pure_detector_state if pure else random_detector_state
+        setup = mzi.MZISetup(rho=random_qubit_state(rng), rho_d=state(dim, rng),
+                             u=random_unitary(dim, rng), phi=float(rng.uniform(0, 2 * np.pi)))
+        assert mzi.duality_report(setup, mzi.optimal_strategy(setup)).jsve_lhs <= 1.0 + 1e-10
 
     def test_visibility_does_not_depend_on_strategy(self):
         rng = np.random.default_rng(55)

