@@ -328,7 +328,7 @@ def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> Cr
     u = np.concatenate([haar_unitary(gaussians), [u_ref]])
     predicted = qubit_detector.gap_slope_prediction(rho_d, u)
     empirical = qubit_detector.gap_slope_empirical(rho_d, u, p_step)
-    relative = np.abs(empirical - predicted)[:-1] / np.abs(predicted[:-1])
+    relative = (np.abs(empirical - predicted) / np.abs(predicted))[:-1]
     worst_rel = float(np.max(relative, initial=0.0))
     pred_ref, emp_ref = predicted[-1], empirical[-1]
     ref_ok = abs(pred_ref - expected) <= 1e-12 and abs(emp_ref - expected) / expected <= 1e-3
