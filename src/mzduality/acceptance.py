@@ -1,9 +1,9 @@
 """Acceptance suite: every release-gating property check in one place.
 
 Each criterion function returns a CriterionResult; ``run_all`` executes the
-whole battery.  All randomness is derived from an explicit base seed as
-``default_rng([seed, criterion_tag, index])``, so a failure report pinpoints
-the offending instance.
+whole battery.  All randomness is derived from an explicit base seed as the
+stream ``qubit.stream(seed, criterion_tag, index)``, so a failure report
+pinpoints the offending instance.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .linalg import dagger, kron, partial_trace_detector
 from .qubit import (
     IDENTITY_2,
     QubitState,
-    complex_gaussian,
     haar_unitary,
-    random_detector_state,
+    hilbert_schmidt_states,
     random_pure_detector_state,
+    stream,
 )
 
 log = logging.getLogger(__name__)
@@ -46,27 +46,23 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name} - {self.detail}"
 
 
-def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, tag, index])
-
-
 def criteria_oracle_agreement(
     seed: int, count: int = 10_000, resolution: float = ORACLE_RESOLUTION
 ) -> tuple[CriterionResult, CriterionResult]:
     """Criteria 1 and 2: the closed-form criterion versus the FULL grid oracle,
     and the REDUCED slice versus FULL, on instances clear of the boundary band.
 
-    Instances are drawn one by one, in rounds of as many as are still
-    missing, so the last one drawn is the last one kept; their margins and
-    both oracles then run as array passes."""
+    Instances are drawn in rounds of as many as are still missing, each from
+    its own stream, so the last one drawn is the last one kept; their margins
+    and both oracles then run as array passes."""
     start = time.perf_counter()
     band = 3.0 * resolution
     kept = [np.zeros((4, 0))]  # rows m0, m, n, margin
     drawn = checked = 0
     while checked < count:
-        draws = [jointmeas.draw_instance(_rng(seed, 1, drawn + k)) for k in range(count - checked)]
-        drawn += len(draws)
-        m0, m_vec, n_vec = map(np.array, zip(*draws))
+        rngs = [stream(seed, 1, drawn + k) for k in range(count - checked)]
+        drawn += len(rngs)
+        m0, m_vec, n_vec = jointmeas.draw_instances(rngs)
         m, n = jointmeas.check_pairs(m0, m_vec, n_vec)
         margin = jointmeas.margins(m0, m, n)
         clear = np.abs(margin) >= band
@@ -74,8 +70,7 @@ def criteria_oracle_agreement(
         checked += int(np.count_nonzero(clear))
     m0, m, n, margin = np.concatenate(kept, axis=1)
     lengths = jointmeas.Lengths(m0, m, n)
-    full = jointmeas.feasibility_batch(lengths, resolution, mode="full")
-    reduced = jointmeas.feasibility_batch(lengths, resolution, mode="reduced")
+    full, reduced = jointmeas.feasibility_batch(lengths, resolution)
     full_bad = int(np.count_nonzero(full != (margin >= 0.0)))
     reduced_bad = int(np.count_nonzero(reduced != full))
     infeasible = int(np.count_nonzero(margin < 0.0))
@@ -183,7 +178,7 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
     worst_residual = 0.0
     worst_margin = np.inf
     for dim in (2, 3, 4)[:count]:
-        rngs = [_rng(seed, 3, index) for index in range(dim - 2, count, 3)]
+        rngs = [stream(seed, 3, index) for index in range(dim - 2, count, 3)]
         setups = mzi.random_setups(dim, rngs)
         strategies = mzi.random_strategies(dim, rngs)
         result = mzi.Evaluation(setups, strategies)
@@ -216,7 +211,7 @@ def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResul
     # index % 6 fixes both the dimension, 2 + index % 3, and the parity
     for residue in range(min(count, 6)):
         dim = 2 + residue % 3
-        rngs = [_rng(seed, 4, index) for index in range(residue, count, 6)]
+        rngs = [stream(seed, 4, index) for index in range(residue, count, 6)]
         setups = mzi.random_setups(dim, rngs)
         if residue % 2 == 0:
             result = mzi.Evaluation(setups)
@@ -248,27 +243,33 @@ def criterion_optimum_is_max(
 ) -> CriterionResult:
     """Criterion 5: the trace-norm optimum equals the exhaustive eigenbasis
     maximum and dominates random strategies (detector dimensions 2 and 3).
-    Each setup's random strategies are drawn one by one and scored as one
-    stack."""
+    Each setup's stream draws the setup, then its random strategies in turn;
+    each dimension's setups, eigenbasis subsets and random strategies are
+    scored as one stack each."""
     worst_exhaustive = 0.0
     worst_random = -np.inf
-    for index in range(n_setups):
-        rng = _rng(seed, 5, index)
-        dim = 2 + index % 2
-        setup = mzi.random_setups(dim, [rng])
-        randoms = mzi.random_strategies(dim, [rng] * n_random)
-        optimum = mzi.Evaluation(setup)
-        d_max = float(optimum.report.max_distinguishability[0])
-        # every subset of the guess operator's eigenbasis
+    # index % 2 fixes the dimension, 2 + index % 2
+    for dim in (2, 3)[:n_setups]:
+        rngs = [stream(seed, 5, index) for index in range(dim - 2, n_setups, 2)]
+        setups = mzi.random_setups(dim, rngs)
+        randoms = mzi.random_strategies(dim, [rng for rng in rngs for _ in range(n_random)])
+        optimum = mzi.Evaluation(setups)
+        d_max = optimum.report.max_distinguishability
+        # every subset of each guess operator's eigenbasis
         subsets = np.array(list(product((False, True), repeat=dim)))
-        eigenbasis = np.repeat(optimum.strategies.basis, len(subsets), axis=0)
+        each = np.arange(len(rngs))
         exhaustive = mzi.Evaluation(
-            setup.rows([0] * len(subsets)), mzi.Strategies(eigenbasis, subsets)
+            setups.rows(np.repeat(each, len(subsets))),
+            mzi.Strategies(
+                np.repeat(optimum.strategies.basis, len(subsets), axis=0),
+                np.tile(subsets, (len(rngs), 1)),
+            ),
         )
-        best = float(np.max(exhaustive.report.distinguishability))
-        worst_exhaustive = max(worst_exhaustive, abs(best - d_max))
-        scored = mzi.Evaluation(setup.rows([0] * n_random), randoms)
-        worst_random = max(worst_random, float(np.max(scored.report.distinguishability)) - d_max)
+        best = exhaustive.report.distinguishability.reshape(len(rngs), -1).max(axis=1)
+        worst_exhaustive = max(worst_exhaustive, float(np.max(np.abs(best - d_max))))
+        scored = mzi.Evaluation(setups.rows(np.repeat(each, n_random)), randoms)
+        best = scored.report.distinguishability.reshape(len(rngs), -1).max(axis=1)
+        worst_random = max(worst_random, float(np.max(best - d_max)))
     passed = worst_exhaustive <= 1e-10 and worst_random <= 1e-10
     return CriterionResult(
         5,
@@ -286,12 +287,12 @@ def criterion_pure_gap_and_identity(
     closed-form product identity holds for mixed qubit analyses."""
     worst_gap = 0.0
     if n_pure:
-        rngs = [_rng(seed, 6, index) for index in range(n_pure)]
-        setups = mzi.random_setups(2, rngs, detector_state=random_pure_detector_state)
+        rngs = [stream(seed, 6, index) for index in range(n_pure)]
+        setups = mzi.random_setups(2, rngs, pure=True)
         worst_gap = float(np.max(mzi.Evaluation(setups).report.tightness_gap))
     worst_residual = 0.0
     if n_identity:
-        rngs = [_rng(seed, 60, index) for index in range(n_identity)]
+        rngs = [stream(seed, 60, index) for index in range(n_identity)]
         # per stream: a radius, two directions, a bias
         draws = [
             (rng.random(), *rng.standard_normal((2, 3)), rng.uniform(-0.99, 0.99)) for rng in rngs
@@ -316,16 +317,17 @@ def criterion_pure_gap_and_identity(
 def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> CriterionResult:
     """Criterion 7: the predicted small-bias slope of the tightness gap matches
     finite differences, including the closed-form reference case."""
-    rngs = [_rng(seed, 7, index) for index in range(count)]
-    draws = [(random_detector_state(2, rng), complex_gaussian(2, rng)) for rng in rngs]
+    # per stream the Gaussians of a Hilbert-Schmidt detector state, then of a coupling
+    normals = np.array([stream(seed, 7, index).standard_normal(16) for index in range(count)])
+    parts = normals.reshape(-1, 2, 2, 2, 2)
+    gaussians = parts[:, :, 0] + 1j * parts[:, :, 1]
     # Bloch radius 1/2 along z, quarter-turn about x: slope = 0.75 / sqrt(0.875)
     rho_ref = np.diag([0.75, 0.25]).astype(complex)
     u_ref = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
     expected = 0.75 / np.sqrt(0.875)
     # the reference case rides along as the last detector of the stack
-    rho_d = np.array([rho for rho, _ in draws] + [rho_ref])
-    gaussians = np.array([gaussian for _, gaussian in draws]).reshape(-1, 2, 2)
-    u = np.concatenate([haar_unitary(gaussians), [u_ref]])
+    rho_d = np.concatenate([hilbert_schmidt_states(gaussians[:, 0]), [rho_ref]])
+    u = np.concatenate([haar_unitary(gaussians[:, 1]), [u_ref]])
     predicted = qubit_detector.gap_slope_prediction(rho_d, u)
     empirical = qubit_detector.gap_slope_empirical(rho_d, u, p_step)
     relative = (np.abs(empirical - predicted) / np.abs(predicted))[:-1]
@@ -347,11 +349,11 @@ def criterion_sampler(seed: int, n_scenarios: int = 10, shots: int = 10**6) -> C
     standard deviations of the exact probabilities."""
     worst_z = 0.0
     for index in range(n_scenarios):
-        rng = _rng(seed, 8, index)
+        rng = stream(seed, 8, index)
         setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         probs = mzi.outcome_probabilities(setup, strategy)
-        counts = mzi.sample_outcomes(setup, strategy, shots, _rng(seed, 80, index))
+        counts = mzi.sample_outcomes(setup, strategy, shots, stream(seed, 80, index))
         freqs = counts / shots
         for i in range(2):
             for j in range(2):
@@ -373,7 +375,7 @@ def criterion_sampler(seed: int, n_scenarios: int = 10, shots: int = 10**6) -> C
 def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     """Criterion 9: a pure detector with identity coupling saturates the
     duality bound, and boundary instances yield witnesses with a zero mode."""
-    rng = _rng(seed, 9, 0)
+    rng = stream(seed, 9, 0)
     setup = mzi.MZISetup(
         rho=QubitState.from_bloch([0.3, 0.0, 0.4]),
         rho_d=random_pure_detector_state(3, rng),
@@ -386,7 +388,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     worst_zero = 0.0
     worst_neg = 0.0
     for index in range(n_boundary):
-        rng = _rng(seed, 90, index)
+        rng = stream(seed, 90, index)
         m0 = float(rng.uniform(0.1, 0.9))
         m_len = float(rng.random()) * 0.95 * min(m0, 1.0 - m0)
         s = np.sqrt(m0 * m0 - m_len * m_len)

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
+from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
 from .qubit import IDENTITY_2, PAULI, as_generator, effect_min_eigenvalue
 
@@ -35,13 +36,6 @@ BLOCK = 8
 CHUNK = 32
 
 
-def _lengths(vectors) -> np.ndarray:
-    """Euclidean lengths over the last axis, bit-equal to ``np.linalg.norm``
-    of each vector (both reduce by a BLAS dot product)."""
-    v = np.asarray(vectors, dtype=float)[..., None, :]
-    return np.sqrt(np.matmul(v, np.swapaxes(v, -1, -2))[..., 0, 0])
-
-
 def check_pairs(m0, m_vec, n_vec) -> tuple[np.ndarray, np.ndarray]:
     """The lengths ``(m, n)`` of one observable pair, or of pairs stacked
     along a leading axis; raises InvalidInstance unless every pair is finite
@@ -54,7 +48,7 @@ def check_pairs(m0, m_vec, n_vec) -> tuple[np.ndarray, np.ndarray]:
     dot = np.abs((m_vec * n_vec).sum(axis=-1))
     if (dot > ORTHOGONALITY_TOL).any():
         raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
-    m, n = _lengths(m_vec), _lengths(n_vec)
+    m, n = row_norms(m_vec), row_norms(n_vec)
     if (n > 0.5 + NORM_SLACK).any():
         raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
     if (m > np.minimum(m0, 1.0 - m0) + NORM_SLACK).any():
@@ -294,36 +288,38 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
     y and ``lo - hi`` changes by at most 2 h inside the block, while a grid
     point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9 resolution``.
     The bound uses only the four ball constraints, never the closed-form
-    criterion.  This is the batch of one of ``feasibility_batch``.
+    criterion.  This picks one verdict of ``feasibility_batch``.
     """
+    if mode not in ("full", "reduced"):
+        raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
     lengths = Lengths(*([value] for value in (inst.m0, inst.m, inst.n)))
-    return bool(feasibility_batch(lengths, resolution, mode)[0])
+    full, reduced = feasibility_batch(lengths, resolution)
+    return bool((full if mode == "full" else reduced)[0])
 
 
-def feasibility_batch(lengths: Lengths, resolution: float = 0.01, mode: str = "full") -> np.ndarray:
-    """``feasibility_oracle`` on stacked instance lengths, one verdict each.
+def feasibility_batch(lengths: Lengths, resolution: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """The FULL and REDUCED verdicts of ``feasibility_oracle`` on stacked
+    instance lengths, one each per instance.
 
     Both modes run as array passes over NaN-padded grids, ``CHUNK`` instances
-    at a time: REDUCED mode and FULL mode's pass through y1 = 0 over the axis
-    grids, then FULL mode's pass over y1 >= 0 over the instances of the
-    chunk still open.
+    at a time, on one build of the chunk's axis grids: REDUCED mode and FULL
+    mode's pass through y1 = 0 over the axis grids, then FULL mode's pass
+    over y1 >= 0 over the instances of the chunk still open.
     """
     if not (1e-3 <= resolution <= 0.05):
         raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
-    if mode not in ("full", "reduced"):
-        raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
-    verdicts = np.zeros(len(lengths.m0), dtype=bool)
-    for start in range(0, len(verdicts), CHUNK):
+    full = np.zeros(len(lengths.m0), dtype=bool)
+    reduced = np.zeros_like(full)
+    for start in range(0, len(full), CHUNK):
         part = Lengths(*(np.asarray(v, dtype=float)[start : start + CHUNK, None] for v in lengths))
         m0, m, n = part
         axis_vals = _axis_grids(part, resolution)
-        if mode == "reduced":
-            # with x = 0 and y parallel to n the four constraints coincide pairwise
-            a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
-            a2 = np.sqrt(m * m + (n - axis_vals) ** 2)
-            found = np.any((a1 <= m0 + GRID_GUARD) & (a2 <= 1.0 - m0 + GRID_GUARD), axis=1)
-            verdicts[start : start + CHUNK] = found
-            continue
+        # with x = 0 and y parallel to n the four constraints coincide pairwise
+        a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
+        a2 = np.sqrt(m * m + (n - axis_vals) ** 2)
+        reduced[start : start + CHUNK] = np.any(
+            (a1 <= m0 + GRID_GUARD) & (a2 <= 1.0 - m0 + GRID_GUARD), axis=1
+        )
         # Each of the four constraints bounds the length of y plus a fixed
         # vector by an affine function of x, so the feasible set of
         # (y1, y2, x) is convex; it is also symmetric under
@@ -346,8 +342,8 @@ def feasibility_batch(lengths: Lengths, resolution: float = 0.01, mode: str = "f
             repeats = axis_rows[:, 1:]
             repeats[repeats == axis_rows[:, :-1]] = np.nan
             found[open_] = _block_scan(rest, resolution, along_m, np.sort(axis_rows, axis=1))
-        verdicts[start : start + CHUNK] = found
-    return verdicts
+        full[start : start + CHUNK] = found
+    return full, reduced
 
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
@@ -358,25 +354,39 @@ def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
     return JMInstance(m0=float(m0[0]), m_vec=m_vec[0], n_vec=n_vec[0])
 
 
+def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random valid ``(m0, m_vec, n_vec)``, one from each generator, stacked:
+    m0 uniform on [0, 1], directions a random orthogonal pair.  Half the
+    draws push the lengths toward their caps so that infeasible pairs appear
+    in force, not just in the tail.  Each stream draws its four uniforms,
+    then the Gaussians of both directions in one call, then, once all have,
+    a new second direction for as long as the pair is too close to parallel;
+    so each generator must be a stream of its own."""
+    shaped, normals = np.empty((len(rngs), 3)), np.empty((len(rngs), 6))
+    for row, rng in enumerate(rngs):
+        m0, sharp, m_draw, n_draw = rng.random(4).tolist()
+        # Python-float powers: numpy's vectorised power can differ in the last bit
+        power = 0.25 if sharp < 0.5 else 1.0
+        shaped[row] = m0, m_draw**power, n_draw**power
+        rng.standard_normal(out=normals[row])
+    e1 = normals[:, :3] / row_norms(normals[:, :3])[:, None]
+    raw = normals[:, 3:]
+    e2 = raw - row_dots(raw, e1)[:, None] * e1
+    lengths = row_norms(e2)
+    for row in (lengths < 1e-9).nonzero()[0]:
+        while lengths[row] < 1e-9:
+            raw = rngs[row].standard_normal(3)
+            e2[row] = raw - row_dots(raw, e1[row]) * e1[row]
+            lengths[row] = row_norms(e2[row])
+    m0 = shaped[:, 0]
+    m_len = shaped[:, 1] * np.minimum(m0, 1.0 - m0)
+    return m0, m_len[:, None] * e1, 0.5 * shaped[:, 2, None] * (e2 / lengths[:, None])
+
+
 def draw_instance(seed) -> tuple[float, np.ndarray, np.ndarray]:
-    """Random valid ``(m0, m_vec, n_vec)``: m0 uniform on [0, 1], directions a
-    random orthogonal pair.  Half the draws push the lengths toward their caps
-    so that infeasible pairs appear in force, not just in the tail."""
-    rng = as_generator(seed)
-    m0 = float(rng.random())
-    sharp = rng.random() < 0.5
-    power = 0.25 if sharp else 1.0
-    m_len = float(rng.random() ** power) * min(m0, 1.0 - m0)
-    n_len = 0.5 * float(rng.random() ** power)
-    e1 = rng.standard_normal(3)
-    e1 /= np.linalg.norm(e1)
-    raw = rng.standard_normal(3)
-    e2 = raw - (raw @ e1) * e1
-    while np.linalg.norm(e2) < 1e-9:
-        raw = rng.standard_normal(3)
-        e2 = raw - (raw @ e1) * e1
-    e2 /= np.linalg.norm(e2)
-    return m0, m_len * e1, n_len * e2
+    """One ``draw_instances`` draw from one stream."""
+    m0, m_vec, n_vec = draw_instances([as_generator(seed)])
+    return float(m0[0]), m_vec[0], n_vec[0]
 
 
 def random_instance(seed) -> JMInstance:

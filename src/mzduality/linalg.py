@@ -99,6 +99,19 @@ def hermitian_eig(a) -> EigDecomposition:
     return EigDecomposition(vals, vecs * phases)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of real vectors, one BLAS dot product
+    each, as ``a @ b`` takes it for two vectors."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis of real vectors, bit-equal to
+    ``np.linalg.norm`` of each vector, which also sums the squares by a BLAS
+    dot product."""
+    return np.sqrt(row_dots(vectors, vectors))
+
+
 def trace_norm(a) -> float:
     """Sum of the absolute eigenvalues of a Hermitian matrix."""
     vals = hermitian_eig(a).eigenvalues

@@ -29,11 +29,11 @@ from .qubit import (
     QubitState,
     as_generator,
     bloch_to_matrix,
-    complex_gaussian,
+    bloch_vectors,
     effect_min_eigenvalue,
     haar_unitary,
-    random_bloch,
-    random_detector_state,
+    hilbert_schmidt_states,
+    pure_states,
     require_dim,
 )
 
@@ -472,36 +472,49 @@ def sample_outcomes(setup: MZISetup, strategy: Strategy, n_shots: int, seed) -> 
     return rng.multinomial(int(n_shots), probs.ravel()).reshape(2, 2)
 
 
-def draw_setup(d: int, rng: np.random.Generator, detector_state=random_detector_state) -> tuple:
-    """The draws of ``random_setup`` in its order, before any check: a
-    Bloch-ball quanton vector, a detector state (Hilbert-Schmidt by
-    default), the complex Gaussian of a Haar coupling unitary, and a uniform
-    phase in [0, 2 pi)."""
-    bloch, rho_d = random_bloch(rng), detector_state(d, rng)
-    return bloch, rho_d, complex_gaussian(d, rng), float(rng.uniform(0.0, 2.0 * np.pi))
+def _draw_setups(d: int, rngs, pure: bool) -> tuple:
+    """The draws of ``random_setups`` before any check, stacked: quanton
+    matrices of Bloch-ball vectors, detector states (Hilbert-Schmidt, or Haar
+    pure), Haar coupling unitaries and uniform phases in [0, 2 pi).  Each
+    stream draws its Bloch vector, then the Gaussians of its detector state
+    and coupling in one call, then its phase."""
+    d = require_dim(d)
+    rho = bloch_to_matrix(bloch_vectors(rngs) / 2.0, 0.5)
+    size = 2 * d if pure else 2 * d * d
+    normals, phi = np.empty((len(rngs), size + 2 * d * d)), np.empty(len(rngs))
+    for row, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[row])
+        phi[row] = rng.uniform(0.0, 2.0 * np.pi)
+    parts = normals[:, :size].reshape((-1, 2, d) if pure else (-1, 2, d, d))
+    rho_d = (pure_states if pure else hilbert_schmidt_states)(parts[:, 0] + 1j * parts[:, 1])
+    coupling = normals[:, size:].reshape(-1, 2, d, d)
+    return rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi
+
+
+def random_setups(d: int, rngs, pure: bool = False) -> Setups:
+    """One setup drawn from each generator, validated as one stack; the
+    detector state is Hilbert-Schmidt-random, or Haar-random pure when
+    ``pure`` is set.  Every Bloch vector is drawn before the rest, so each
+    generator must be a stream of its own."""
+    return Setups.validated(*_draw_setups(d, rngs, pure))
 
 
 def random_setup(d: int, seed) -> MZISetup:
-    """Random setup drawn from one stream in the order of ``draw_setup``."""
-    bloch, rho_d, gaussian, phi = draw_setup(d, as_generator(seed))
-    rho = QubitState.from_bloch(bloch)
-    return MZISetup(rho=rho, rho_d=rho_d, u=haar_unitary(gaussian), phi=phi)
-
-
-def random_setups(d: int, rngs, detector_state=random_detector_state) -> Setups:
-    """One setup drawn from each generator as ``random_setup`` draws it,
-    validated as one stack."""
-    draws = [draw_setup(d, rng, detector_state) for rng in rngs]
-    bloch, rho_d, gaussian, phi = map(np.array, zip(*draws))
-    return Setups.validated(bloch_to_matrix(bloch / 2.0, 0.5), rho_d, haar_unitary(gaussian), phi)
+    """Random setup drawn from one stream, as ``random_setups`` draws it."""
+    rho, rho_d, u, phi = _draw_setups(d, [as_generator(seed)], pure=False)
+    return MZISetup(rho=QubitState(rho[0]), rho_d=rho_d[0], u=u[0], phi=phi[0])
 
 
 def random_strategies(d: int, rngs) -> Strategies:
-    """One strategy drawn from each generator, in turn, as ``random_strategy``
-    draws it: a Haar basis, then one fair coin per outcome for the subset."""
-    draws = [(complex_gaussian(d, rng), rng.random(d) < 0.5) for rng in rngs]
-    gaussian, in_s = map(np.array, zip(*draws))
-    return Strategies(require_unitary(haar_unitary(gaussian), ORTHONORMALITY_TOL), in_s)
+    """One strategy drawn from each generator, in turn: the Gaussians of a
+    Haar basis in one call, then one fair coin per outcome for the subset."""
+    d = require_dim(d)
+    gaussian, coins = np.empty((len(rngs), 2, d, d)), np.empty((len(rngs), d))
+    for row, rng in enumerate(rngs):
+        rng.standard_normal(out=gaussian[row])
+        rng.random(out=coins[row])
+    basis = haar_unitary(gaussian[:, 0] + 1j * gaussian[:, 1])
+    return Strategies(require_unitary(basis, ORTHONORMALITY_TOL), coins < 0.5)
 
 
 def random_strategy(d: int, seed) -> Strategy:

@@ -1,18 +1,23 @@
 """Bloch-vector algebra, qubit states, and binary unsharp observables.
 
-Randomized generators use numpy's PCG64 via ``default_rng``; every generator
-takes an explicit seed (or Generator), so parallel sweeps can derive
-independent streams as ``default_rng([base_seed, index])``.
+Randomized generators use numpy's PCG64 via ``default_rng``; every draw takes
+an explicit seed (or Generator), and ``stream(seed, index, ...)`` derives the
+independent stream ``default_rng([seed, index, ...])`` of one item.  The bulk
+draws (``bloch_vectors`` here, ``mzi.random_setups``,
+``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
+generator per item, make the fewest generator calls that give each stream's
+values, and shape the whole stack at once; a single draw is a batch of one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, InvalidEffect, InvalidState, NotHermitian
-from .linalg import PSD_TOL, require_density, require_hermitian
+from .linalg import PSD_TOL, dagger, require_density, require_hermitian, row_dots, row_norms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -34,6 +39,21 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def stream(*key: int) -> np.random.Generator:
+    """The generator ``default_rng(list(key))`` of a key of non-negative
+    integers, seeded with the key's little-endian uint32 words: the entropy
+    numpy builds from the list, without its per-int conversion."""
+    key = tuple(map(operator.index, key))
+    try:
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
+    except OverflowError:  # a part of 2**32 or more, or a negative one
+        if min(key) < 0:
+            raise ValueError(f"stream key parts must be non-negative, got {key}") from None
+    spans = [range(0, max(part.bit_length(), 1), 32) for part in key]
+    words = [(part >> shift) & 0xFFFFFFFF for part, span in zip(key, spans) for shift in span]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def require_effect(vector, bias) -> np.ndarray:
@@ -139,44 +159,61 @@ def require_dim(d: int) -> int:
     return int(d)
 
 
-def random_bloch(seed) -> np.ndarray:
-    """Bloch vector drawn uniformly from the unit ball."""
-    rng = as_generator(seed)
-    radius = rng.random() ** (1.0 / 3.0)
-    direction = rng.standard_normal(3)
-    while np.linalg.norm(direction) < 1e-12:
-        direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
-    return radius * direction
+def bloch_vectors(rngs) -> np.ndarray:
+    """One Bloch vector drawn uniformly from the unit ball per generator,
+    stacked as (N, 3): a radius, then a Gaussian direction, redrawn from the
+    same stream while its length is below 1e-12."""
+    radius, direction = np.empty((len(rngs), 1)), np.empty((len(rngs), 3))
+    for row, rng in enumerate(rngs):
+        # a Python-float power: numpy's vectorised power can differ in the last bit
+        radius[row] = rng.random() ** (1.0 / 3.0)
+        rng.standard_normal(out=direction[row])
+    lengths = row_norms(direction)
+    for row in (lengths < 1e-12).nonzero()[0]:
+        while lengths[row] < 1e-12:
+            lengths[row] = row_norms(rngs[row].standard_normal(out=direction[row]))
+    return radius * (direction / lengths[:, None])
 
 
 def random_qubit_state(seed) -> QubitState:
     """Qubit state drawn uniformly from the Bloch ball."""
-    return QubitState.from_bloch(random_bloch(seed))
+    return QubitState.from_bloch(bloch_vectors([as_generator(seed)])[0])
 
 
 def complex_gaussian(d: int, seed) -> np.ndarray:
     """d x d matrix of independent standard complex Gaussians (real part drawn first)."""
     d = require_dim(d)
-    rng = as_generator(seed)
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    parts = as_generator(seed).standard_normal((2, d, d))
+    return parts[0] + 1j * parts[1]
+
+
+def hilbert_schmidt_states(gaussians) -> np.ndarray:
+    """Hilbert-Schmidt-random density matrices from complex Gaussian
+    matrices, one (d, d) or stacked (..., d, d): the normalized Ginibre
+    square."""
+    rho = gaussians @ dagger(gaussians)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    return (rho + dagger(rho)) / 2.0
+
+
+def pure_states(vectors) -> np.ndarray:
+    """Projectors onto complex Gaussian vectors, one (d,) or stacked (..., d):
+    Haar-random pure states."""
+    # the norm as np.linalg.norm takes it, real and imaginary parts apart
+    lengths = np.sqrt(row_dots(vectors.real, vectors.real) + row_dots(vectors.imag, vectors.imag))
+    v = vectors / lengths[..., None]
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def random_detector_state(d: int, seed) -> np.ndarray:
-    """Hilbert-Schmidt-random d x d density matrix (normalized Ginibre square)."""
-    g = complex_gaussian(d, seed)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho)
-    return (rho + rho.conj().T) / 2.0
+    """Hilbert-Schmidt-random d x d density matrix."""
+    return hilbert_schmidt_states(complex_gaussian(d, seed))
 
 
 def random_pure_detector_state(d: int, seed) -> np.ndarray:
     """Haar-random pure d x d detector state."""
-    d = require_dim(d)
-    rng = as_generator(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    parts = as_generator(seed).standard_normal((2, require_dim(d)))
+    return pure_states(parts[0] + 1j * parts[1])
 
 
 def haar_unitary(gaussian) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MZDualityError, ScenarioError
 from .mzi import MZISetup, Strategy, optimal_strategy, random_setup, random_strategy
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix, stream
 
 OPTIMAL = "optimal"
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -182,7 +182,7 @@ def save_scenario(s: Scenario, path) -> None:
 
 def random_scenario(base_seed: int, index: int, dim: int, optimal: bool) -> Scenario:
     """Deterministic random scenario derived from (base_seed, index)."""
-    rng = np.random.default_rng([base_seed, index])
+    rng = stream(base_seed, index)
     setup = random_setup(dim, rng)
     spec: Strategy | str = OPTIMAL if optimal else random_strategy(dim, rng)
     return Scenario(name=f"sweep-{base_seed}-{index}", setup=setup, strategy_spec=spec, seed=base_seed)

@@ -1,0 +1,217 @@
+"""The bulk random draws against the per-stream draws they replace.
+
+Each reference below is copied from the draw as it ran one stream at a time,
+one generator call per array; the bulk draws must give the same values bit
+for bit and leave every stream at the same point.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mzduality import jointmeas, mzi
+from mzduality.qubit import bloch_to_matrix, haar_unitary, stream
+
+
+def ref_complex_gaussian(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def ref_random_bloch(rng):
+    radius = rng.random() ** (1.0 / 3.0)
+    direction = rng.standard_normal(3)
+    while np.linalg.norm(direction) < 1e-12:
+        direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    return radius * direction
+
+
+def ref_detector_state(d, rng):
+    g = ref_complex_gaussian(d, rng)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho)
+    return (rho + rho.conj().T) / 2.0
+
+
+def ref_pure_detector_state(d, rng):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def ref_draw_setup(d, rng, detector_state):
+    bloch, rho_d = ref_random_bloch(rng), detector_state(d, rng)
+    return bloch, rho_d, ref_complex_gaussian(d, rng), float(rng.uniform(0.0, 2.0 * np.pi))
+
+
+def ref_draw_strategy(d, rng):
+    return ref_complex_gaussian(d, rng), rng.random(d) < 0.5
+
+
+def ref_draw_instance(rng):
+    m0 = float(rng.random())
+    sharp = rng.random() < 0.5
+    power = 0.25 if sharp else 1.0
+    m_len = float(rng.random() ** power) * min(m0, 1.0 - m0)
+    n_len = 0.5 * float(rng.random() ** power)
+    e1 = rng.standard_normal(3)
+    e1 /= np.linalg.norm(e1)
+    raw = rng.standard_normal(3)
+    e2 = raw - (raw @ e1) * e1
+    while np.linalg.norm(e2) < 1e-9:
+        raw = rng.standard_normal(3)
+        e2 = raw - (raw @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    return m0, m_len * e1, n_len * e2
+
+
+class ScriptedGenerator:
+    """A generator whose first standard normals are scripted values, and
+    whose every other draw comes from the stream ``default_rng(seed)``."""
+
+    def __init__(self, seed, normals=()):
+        self.rng = np.random.default_rng(seed)
+        self.script = list(normals)
+        self.normal_calls = 0
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+    def standard_normal(self, size=None, out=None):
+        self.normal_calls += 1
+        if out is None:
+            out = np.empty(() if size is None else size)
+        flat = out.reshape(-1)
+        taken, self.script = self.script[: flat.size], self.script[flat.size :]
+        flat[: len(taken)] = taken
+        flat[len(taken) :] = self.rng.standard_normal(flat.size - len(taken))
+        return out if out.ndim else float(out)
+
+
+# a zero Bloch direction, drawn again; a second direction parallel to the first
+BLOCH_REDRAW = [0.0, 0.0, 0.0]
+PARALLEL_PAIR = [0.3, -1.2, 0.5, 0.6, -2.4, 1.0]
+
+
+def generator_pairs(seed, scripted, script):
+    """Two generators per stream, one for the bulk draw and one for the
+    reference, each scripted when its flag in ``scripted`` is set."""
+    return [
+        [ScriptedGenerator([seed, k], script if flag else ()) for _ in "ab"]
+        for k, flag in enumerate(scripted)
+    ]
+
+
+def assert_same_streams(pairs):
+    for bulk, reference in pairs:
+        assert bulk.random() == reference.random()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 8),
+    pure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scripted=st.lists(st.booleans(), min_size=1, max_size=8),
+)
+def test_setups_match_per_stream_draws(dim, pure, seed, scripted):
+    pairs = generator_pairs(seed, scripted, BLOCH_REDRAW)
+    setups = mzi.random_setups(dim, [bulk for bulk, _ in pairs], pure=pure)
+    state = ref_pure_detector_state if pure else ref_detector_state
+    draws = [ref_draw_setup(dim, reference, state) for _, reference in pairs]
+    bloch, rho_d, gaussian, phi = map(np.array, zip(*draws))
+    assert np.array_equal(setups.rho, bloch_to_matrix(bloch / 2.0, 0.5))
+    assert np.array_equal(setups.rho_d, rho_d)
+    assert np.array_equal(setups.u, haar_unitary(gaussian))
+    assert np.array_equal(setups.phi, phi)
+    assert_same_streams(pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    repeats=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+)
+def test_strategies_match_per_stream_draws(dim, seed, repeats):
+    # a generator may repeat: its strategies are drawn in turn
+    pairs = generator_pairs(seed, [False] * len(repeats), ())
+    order = [k for k, times in enumerate(repeats) for _ in range(times)]
+    basis, in_s = mzi.random_strategies(dim, [pairs[k][0] for k in order])
+    gaussian, want = map(np.array, zip(*(ref_draw_strategy(dim, pairs[k][1]) for k in order)))
+    assert np.array_equal(basis, haar_unitary(gaussian))
+    assert np.array_equal(in_s, want)
+    assert_same_streams(pairs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scripted=st.lists(st.booleans(), min_size=1, max_size=12),
+)
+def test_instances_match_per_stream_draws(seed, scripted):
+    pairs = generator_pairs(seed, scripted, PARALLEL_PAIR)
+    m0, m_vec, n_vec = jointmeas.draw_instances([bulk for bulk, _ in pairs])
+    want = [ref_draw_instance(reference) for _, reference in pairs]
+    assert np.array_equal(m0, [m for m, _, _ in want])
+    assert np.array_equal(m_vec, [m for _, m, _ in want])
+    assert np.array_equal(n_vec, [n for _, _, n in want])
+    assert_same_streams(pairs)
+
+
+def test_scripts_force_the_redraws():
+    # each script costs its stream one more standard-normal call, the redraw
+    for script, draw in (
+        (BLOCH_REDRAW, lambda rngs: mzi.random_setups(3, rngs)),
+        (PARALLEL_PAIR, jointmeas.draw_instances),
+    ):
+        plain, scripted = ScriptedGenerator(7), ScriptedGenerator(7, script)
+        draw([plain, scripted])
+        assert scripted.normal_calls == plain.normal_calls + 1
+
+
+def test_single_draws_are_batches_of_one():
+    for dim in (2, 5, 8):
+        setup = mzi.random_setup(dim, stream(11, dim))
+        setups = mzi.random_setups(dim, [stream(11, dim)])
+        assert np.array_equal(setup.rho.matrix, setups.rho[0])
+        assert np.array_equal(setup.rho_d, setups.rho_d[0])
+        assert np.array_equal(setup.u, setups.u[0])
+        assert setup.phi == setups.phi[0]
+        strategy = mzi.random_strategy(dim, stream(12, dim))
+        basis, in_s = mzi.random_strategies(dim, [stream(12, dim)])
+        assert np.array_equal(strategy.basis, basis[0])
+        assert np.array_equal(strategy.in_s, in_s[0])
+    m0, m_vec, n_vec = jointmeas.draw_instance(stream(13))
+    want_m0, want_m, want_n = ref_draw_instance(np.random.default_rng([13]))
+    assert m0 == want_m0 and np.array_equal(m_vec, want_m) and np.array_equal(n_vec, want_n)
+
+
+EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 20260810)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(part,) for part in EDGE_PARTS]
+    + list(itertools.product(EDGE_PARTS[:5], repeat=2))
+    + [(20260810, 1, 11068), (2**63 - 1, 60, 2**32), (2**64 + 5, 0, 3)],
+)
+def test_stream_key_draws_what_default_rng_of_the_list_draws(key):
+    ours, numpy_s = stream(*key), np.random.default_rng(list(key))
+    assert ours.bit_generator.state == numpy_s.bit_generator.state
+    assert np.array_equal(ours.random(8), numpy_s.random(8))
+
+
+def test_stream_key_rejects_what_default_rng_rejects():
+    for key, error in (((3, -1), ValueError), ((np.int64(-1),), ValueError), ((1.5, 2), TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(list(key))
+        with pytest.raises(error):
+            stream(*key)
+    assert stream(np.int64(5), 2).random() == np.random.default_rng([5, 2]).random()

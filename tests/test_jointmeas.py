@@ -362,8 +362,7 @@ class TestFeasibilityOracle:
         )
         # small array passes, so that most batches span several of them
         with patch.object(jointmeas, "CHUNK", 7):
-            full = jointmeas.feasibility_batch(lengths, resolution, mode="full")
-            reduced = jointmeas.feasibility_batch(lengths, resolution, mode="reduced")
+            full, reduced = jointmeas.feasibility_batch(lengths, resolution)
         for k, inst in enumerate(instances):
             assert full[k] == feasibility_oracle(inst, resolution, mode="full")
             assert reduced[k] == feasibility_oracle(inst, resolution, mode="reduced")
@@ -411,8 +410,8 @@ class TestFeasibilityOracle:
 
         block_scan = jointmeas._block_scan
         with patch.object(jointmeas, "CHUNK", 7), patch.object(jointmeas, "_block_scan", spy):
-            full = jointmeas.feasibility_batch(
-                jointmeas.Lengths(*(v[:, 0] for v in lengths)), resolution, mode="full"
+            full, _ = jointmeas.feasibility_batch(
+                jointmeas.Lengths(*(v[:, 0] for v in lengths)), resolution
             )
         first = [reference_scan(inst, resolution, np.zeros(1)) for inst in instances]
         assert len(scanned) == first.count(False)
@@ -424,6 +423,14 @@ class TestFeasibilityOracle:
         for k, inst in enumerate(instances):
             parent = parent_block_scan(inst, resolution, along_m[k], axis_vals[k])
             assert full[k] == (first[k] or parent)
+
+    def test_oracle_picks_the_verdict_of_its_mode(self):
+        # the two verdicts agree off the boundary band, so pin the pick itself
+        inst = axis_instance(0.5, 0.1, 0.1)
+        verdicts = (np.array([True]), np.array([False]))
+        with patch.object(jointmeas, "feasibility_batch", return_value=verdicts):
+            assert feasibility_oracle(inst, mode="full") is True
+            assert feasibility_oracle(inst, mode="reduced") is False
 
     def test_resolution_validation(self):
         inst = axis_instance(0.5, 0.1, 0.1)

@@ -618,8 +618,7 @@ def kernel_stacks(draw):
         phases = np.array([rng.uniform(0.0, 2.0 * np.pi) for rng in rngs])
         setups = mzi.Setups.validated(rho, np.array(states), np.array(unitaries), phases)
     else:
-        state = random_pure_detector_state if detector == "pure" else random_detector_state
-        setups = mzi.random_setups(dim, rngs, detector_state=state)
+        setups = mzi.random_setups(dim, rngs, pure=detector == "pure")
     if kind == "optimal":
         return setups, None
     basis, in_s = mzi.random_strategies(dim, rngs)
