@@ -20,6 +20,7 @@ from .linalg import dagger, kron, partial_trace_detector
 from .qubit import (
     IDENTITY_2,
     QubitState,
+    effect_min_eigenvalue,
     haar_unitary,
     hilbert_schmidt_states,
     random_pure_detector_state,
@@ -28,8 +29,7 @@ from .qubit import (
 
 log = logging.getLogger(__name__)
 
-ORACLE_RESOLUTION = 0.01
-# per-setup gates of criteria 3-4, shared with the sweep's check
+# tolerances of the per-setup gates below, read at call time so a patched one reaches them all
 BOUND_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 
@@ -47,7 +47,7 @@ class CriterionResult:
 
 
 def criteria_oracle_agreement(
-    seed: int, count: int = 10_000, resolution: float = ORACLE_RESOLUTION
+    seed: int, count: int = 10_000, resolution: float = jointmeas.ORACLE_RESOLUTION
 ) -> tuple[CriterionResult, CriterionResult]:
     """Criteria 1 and 2: the closed-form criterion versus the FULL grid oracle,
     and the REDUCED slice versus FULL, on instances clear of the boundary band.
@@ -56,7 +56,6 @@ def criteria_oracle_agreement(
     its own stream, so the last one drawn is the last one kept; their margins
     and both oracles then run as array passes."""
     start = time.perf_counter()
-    band = 3.0 * resolution
     kept = [np.zeros((4, 0))]  # rows m0, m, n, margin
     drawn = checked = 0
     while checked < count:
@@ -65,7 +64,7 @@ def criteria_oracle_agreement(
         m0, m_vec, n_vec = jointmeas.draw_instances(rngs)
         m, n = jointmeas.check_pairs(m0, m_vec, n_vec)
         margin = jointmeas.margins(m0, m, n)
-        clear = np.abs(margin) >= band
+        clear = ~jointmeas.in_boundary_band(margin, resolution)
         kept.append(np.array([m0, m, n, margin])[:, clear])
         checked += int(np.count_nonzero(clear))
     m0, m, n, margin = np.concatenate(kept, axis=1)
@@ -95,23 +94,17 @@ def criteria_oracle_agreement(
     )
 
 
-def interferometer_unitary(setups: mzi.Setups) -> np.ndarray:
-    """Total unitaries (N, 2d, 2d) on quanton x detector, from entry to the
-    output ports: ``(H x I)(|0><0| x I + |1><1| x U)(A x I)`` with
-    ``A = phase_shifter(phi) @ H``."""
-    eye_d = np.eye(setups.u.shape[-1], dtype=complex)
-    coupling = kron(np.diag([1.0, 0.0]), eye_d) + kron(np.diag([0.0, 1.0]), setups.u)
-    entry = mzi.phase_shifter(setups.phi) @ mzi.HADAMARD
-    return kron(mzi.HADAMARD, eye_d) @ coupling @ kron(entry, eye_d)
-
-
 def reference_joint_observable(setups: mzi.Setups, strategies: mzi.Strategies) -> np.ndarray:
     """The realized joint observables (N, 2, 2, 2, 2) the long way, as the
     independent check of ``mzi.Evaluation.effects``: for each output port i
     and guess set j, ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]``
-    with T the full interferometer unitary and P_j the detector projector
-    onto the set."""
-    total = interferometer_unitary(setups)
+    with P_j the detector projector onto the set and T the full
+    interferometer unitary ``(H x I)(|0><0| x I + |1><1| x U)(A x I)``,
+    ``A = phase_shifter(phi) @ H``."""
+    eye_d = np.eye(setups.u.shape[-1], dtype=complex)
+    coupling = kron(np.diag([1.0, 0.0]), eye_d) + kron(np.diag([0.0, 1.0]), setups.u)
+    entry = mzi.phase_shifter(setups.phi) @ mzi.HADAMARD
+    total = kron(mzi.HADAMARD, eye_d) @ coupling @ kron(entry, eye_d)
     weighted = kron(IDENTITY_2, setups.rho_d) @ dagger(total)
     effects = np.zeros((len(total), 2, 2, 2, 2), dtype=complex)
     for j, guess_set in enumerate((strategies.in_s, ~strategies.in_s)):
@@ -132,71 +125,91 @@ def joint_observable_residuals(
     return tuple(float(residual[0]) for residual in mzi.evaluate_setup(setup, strategy).residuals)
 
 
-def identity_residual(stats: mzi.StrategyStats, report: mzi.DualityReport):
-    """Signed residual of ``D_S^2 + cross^2 (1 - P^2) = 1 - gamma_S^2``, with
-    ``cross = sqrt(eta_S eta_S^U) + sqrt(eta_Sbar eta_Sbar^U)``: the identity
-    behind the strategy-resolved duality bound.  Elementwise over stacks."""
+# The six per-setup gates, elementwise over one setup's records or a stack's:
+# each returns the value it bounds and a pass mask.  Criterion 3 owns the first
+# three, criterion 4 the last three, and sweep runs all six on each row.
+def eigenvalue_gate(min_eig):
+    return min_eig, min_eig >= -BOUND_TOL
+
+
+def povm_gate(*residuals):
+    value = np.maximum.reduce(residuals)
+    return value, value <= BOUND_TOL
+
+
+def margin_gate(margin):
+    return margin, margin >= -BOUND_TOL
+
+
+def duality_gate(report: mzi.DualityReport):
+    value = report.duality_lhs - report.duality_rhs
+    return value, value <= BOUND_TOL
+
+
+def identity_gate(stats: mzi.StrategyStats, report: mzi.DualityReport):
+    """The signed residual of ``D_S^2 + cross^2 (1 - P^2) = 1 - gamma_S^2``,
+    with ``cross = sqrt(eta_S eta_S^U) + sqrt(eta_Sbar eta_Sbar^U)``: the
+    identity behind the strategy-resolved duality bound."""
     cross = np.sqrt(stats.eta_s * stats.eta_s_u) + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
-    return (
-        report.distinguishability**2
-        + cross**2 * (1.0 - report.predictability**2)
-        - (1.0 - report.tightness_gap**2)
-    )
+    lhs = report.distinguishability**2 + cross**2 * (1.0 - report.predictability**2)
+    value = lhs - (1.0 - report.tightness_gap**2)
+    return value, np.abs(value) <= IDENTITY_TOL
+
+
+def classic_gate(report: mzi.DualityReport, optimal):
+    """The classic bound ``D^2 + (1 - P^2) C^2 <= 1``; -inf where ``optimal`` is false."""
+    value = np.where(optimal, report.jsve_lhs, -np.inf)[()]
+    return value, value <= 1.0 + BOUND_TOL
+
+
+def _pooled(results) -> tuple[np.ndarray, bool]:
+    """One gate's values over a criterion's stacks, flat, and whether all passed."""
+    values = np.concatenate([np.zeros(0), *(np.ravel(value) for value, _ in results)])
+    return values, all(bool(np.all(ok)) for _, ok in results)
 
 
 def setup_violations(setup: mzi.MZISetup, strategy: mzi.Strategy, optimal: bool) -> list[str]:
-    """The per-setup checks of criteria 3 and 4, one message per failed gate.
-    The classic bound is checked only when ``optimal`` says the strategy is
-    the optimal one."""
-    problems = []
+    """The six gates on one setup, one message per failed gate; ``optimal``
+    says whether the strategy is the optimal one."""
     report = mzi.duality_report(setup, strategy)
     min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
-    if min_eig < -BOUND_TOL:
-        problems.append(f"effect eigenvalue {min_eig:.3e} below -{BOUND_TOL:g}")
-    if completeness > BOUND_TOL or marginal > BOUND_TOL:
-        problems.append(f"POVM residual {max(completeness, marginal):.3e} above {BOUND_TOL:g}")
-    if report.duality_lhs > report.duality_rhs + BOUND_TOL:
-        problems.append(
-            f"duality violated: lhs {report.duality_lhs!r} > rhs {report.duality_rhs!r}"
-        )
-    identity = identity_residual(mzi.strategy_stats(setup, strategy), report)
-    if abs(identity) > IDENTITY_TOL:
-        problems.append(f"gap identity residual {identity:.3e} above {IDENTITY_TOL:g}")
-    if optimal and report.jsve_lhs > 1.0 + BOUND_TOL:
-        problems.append(f"classic duality bound violated: {report.jsve_lhs!r}")
+    stats = mzi.strategy_stats(setup, strategy)
     margin = jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy))
-    if margin < -BOUND_TOL:
-        problems.append(f"derived instance infeasible: margin {margin:.3e}")
-    return problems
+    checks = {
+        "effect eigenvalue {:.3e} below tolerance": eigenvalue_gate(min_eig),
+        "POVM residual {:.3e} above tolerance": povm_gate(completeness, marginal),
+        "derived instance infeasible: margin {:.3e} below tolerance": margin_gate(margin),
+        "duality violated: lhs - rhs {:.17g} above tolerance": duality_gate(report),
+        "gap identity residual {:.3e} outside tolerance": identity_gate(stats, report),
+        "classic duality bound violated: lhs {:.17g} above 1": classic_gate(report, optimal),
+    }
+    return [message.format(value) for message, (value, ok) in checks.items() if not ok]
 
 
 def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionResult:
     """Criterion 3: realized joint observables are POVMs with the right
     marginals and agree with the full-interferometer reference, and the
     derived instance is never infeasible."""
-    worst_eig = 0.0
-    worst_residual = 0.0
-    worst_margin = np.inf
+    eigs, residuals, margins = gates = [], [], []
     for dim in (2, 3, 4)[:count]:
         rngs = [stream(seed, 3, index) for index in range(dim - 2, count, 3)]
         setups = mzi.random_setups(dim, rngs)
         strategies = mzi.random_strategies(dim, rngs)
         result = mzi.Evaluation(setups, strategies)
         reference = reference_joint_observable(setups, strategies)
-        worst_residual = max(worst_residual, float(np.max(np.abs(result.effects - reference))))
         min_eig, completeness, marginal = result.residuals
-        worst_eig = min(worst_eig, float(np.min(min_eig)))
-        worst_residual = max(worst_residual, float(np.max(completeness)), float(np.max(marginal)))
+        deviation = np.abs(result.effects - reference).max(axis=(1, 2, 3, 4))
         m0, m_vec, n_vec = result.pair
-        margin = jointmeas.margins(m0, *jointmeas.check_pairs(m0, m_vec, n_vec))
-        worst_margin = min(worst_margin, float(np.min(margin)))
-    passed = worst_eig >= -BOUND_TOL and worst_residual <= BOUND_TOL and worst_margin >= -BOUND_TOL
+        eigs.append(eigenvalue_gate(min_eig))
+        residuals.append(povm_gate(completeness, marginal, deviation))
+        margins.append(margin_gate(jointmeas.margins(m0, *jointmeas.check_pairs(m0, m_vec, n_vec))))
+    (eig, eig_ok), (residual, residual_ok), (margin, margin_ok) = map(_pooled, gates)
     return CriterionResult(
         3,
         "realized joint observables are valid POVMs",
-        passed,
-        f"{count} setups, min eig {worst_eig:.2e}, worst residual {worst_residual:.2e}, "
-        f"min margin {worst_margin:.2e}",
+        eig_ok and residual_ok and margin_ok,
+        f"{count} setups, min eig {np.min(eig, initial=0.0):.2e}, worst residual "
+        f"{np.max(residual, initial=0.0):.2e}, min margin {np.min(margin, initial=np.inf):.2e}",
     )
 
 
@@ -204,37 +217,27 @@ def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResul
     """Criterion 4: the strategy-resolved duality bound, its underlying
     identity, the classic bound under the optimal strategy (even indices),
     and strictness."""
-    worst_gap = -np.inf
-    worst_identity = 0.0
-    worst_jsve = -np.inf
+    gaps, identities, classics = gates = [], [], []
     strict_found = False
     # index % 6 fixes both the dimension, 2 + index % 3, and the parity
     for residue in range(min(count, 6)):
-        dim = 2 + residue % 3
+        dim, optimal = 2 + residue % 3, residue % 2 == 0
         rngs = [stream(seed, 4, index) for index in range(residue, count, 6)]
         setups = mzi.random_setups(dim, rngs)
-        if residue % 2 == 0:
-            result = mzi.Evaluation(setups)
-            worst_jsve = max(worst_jsve, float(np.max(result.report.jsve_lhs)))
-        else:
-            result = mzi.Evaluation(setups, mzi.random_strategies(dim, rngs))
+        result = mzi.Evaluation(setups, None if optimal else mzi.random_strategies(dim, rngs))
         report = result.report
-        worst_gap = max(worst_gap, float(np.max(report.duality_lhs - report.duality_rhs)))
-        identity = identity_residual(result.stats, report)
-        worst_identity = max(worst_identity, float(np.max(np.abs(identity))))
+        gaps.append(duality_gate(report))
+        identities.append(identity_gate(result.stats, report))
+        classics.append(classic_gate(report, optimal))
         strict_found = strict_found or bool(np.any(report.duality_rhs < 1.0 - 1e-4))
-    passed = (
-        worst_gap <= BOUND_TOL
-        and worst_identity <= IDENTITY_TOL
-        and worst_jsve <= 1.0 + BOUND_TOL
-        and strict_found
-    )
+    (gap, gap_ok), (identity, identity_ok), (classic, classic_ok) = map(_pooled, gates)
     return CriterionResult(
         4,
         "duality inequality, identity, and strictness",
-        passed,
-        f"{count} configurations, max lhs-rhs {worst_gap:.2e}, max identity residual "
-        f"{worst_identity:.2e}, max classic lhs {worst_jsve:.6f}, strict case found: {strict_found}",
+        gap_ok and identity_ok and classic_ok and strict_found,
+        f"{count} configurations, max lhs-rhs {np.max(gap, initial=-np.inf):.2e}, max identity "
+        f"residual {np.max(np.abs(identity), initial=0.0):.2e}, max classic lhs "
+        f"{np.max(classic, initial=-np.inf):.6f}, strict case found: {strict_found}",
     )
 
 
@@ -354,16 +357,7 @@ def criterion_sampler(seed: int, n_scenarios: int = 10, shots: int = 10**6) -> C
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         probs = mzi.outcome_probabilities(setup, strategy)
         counts = mzi.sample_outcomes(setup, strategy, shots, stream(seed, 80, index))
-        freqs = counts / shots
-        for i in range(2):
-            for j in range(2):
-                p = probs[i, j]
-                sigma = np.sqrt(max(p * (1.0 - p), 0.0) / shots)
-                if sigma == 0.0:
-                    if freqs[i, j] != p:
-                        worst_z = np.inf
-                    continue
-                worst_z = max(worst_z, abs(freqs[i, j] - p) / sigma)
+        worst_z = max(worst_z, float(np.max(np.abs(mzi.z_scores(probs, counts)))))
     return CriterionResult(
         8,
         "sampler matches exact probabilities",
@@ -399,7 +393,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
             n_vec=np.array([0.0, 0.0, 0.5 * (s + t)]),
         )
         witness = jointmeas.construct_joint(inst)
-        low = jointmeas.min_effect_eigenvalue(witness.effects)
+        low = float(effect_min_eigenvalue(witness.effects).min())
         worst_zero = max(worst_zero, abs(low))
         worst_neg = min(worst_neg, low)
     passed = saturation_gap <= 1e-12 and worst_zero <= 1e-8 and worst_neg >= -1e-10

@@ -21,13 +21,15 @@ from . import __version__
 from .acceptance import run_all, setup_violations
 from .errors import InvalidArgument, MZDualityError, ScenarioError
 from .jointmeas import (
+    ORACLE_RESOLUTION,
     JMInstance,
     feasibility_oracle,
+    in_boundary_band,
     instance_from_setup,
     jm_criterion,
     jm_margin,
 )
-from .mzi import Strategy, duality_report, outcome_probabilities, sample_outcomes
+from .mzi import Strategy, duality_report, outcome_probabilities, sample_outcomes, z_scores
 from .qubit_detector import gap_slope_empirical, gap_slope_prediction
 from .scenarios import Scenario, load_scenario, random_scenario
 
@@ -77,7 +79,10 @@ def _result_row(scenario: Scenario, strategy: Strategy) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -112,19 +117,15 @@ def cmd_check_jm(args) -> int:
     }
     if verdict.witness is not None:
         payload["witness"] = {"x": verdict.witness.x, "y": list(verdict.witness.y_vec)}
-    exit_code = 0
+    agrees = True
     if args.oracle != "off":
         oracle = feasibility_oracle(inst, resolution=args.resolution, mode=args.oracle)
-        payload["oracle"] = {"mode": args.oracle, "resolution": args.resolution, "feasible": oracle}
-        inside_band = abs(verdict.margin) < 3.0 * args.resolution
-        payload["oracle"]["boundary_band"] = inside_band
-        if not inside_band and oracle != verdict.measurable:
-            payload["oracle"]["agrees"] = False
-            exit_code = 1
-        else:
-            payload["oracle"]["agrees"] = True
+        inside_band = bool(in_boundary_band(verdict.margin, args.resolution))
+        agrees = inside_band or oracle == verdict.measurable
+        payload["oracle"] = {"mode": args.oracle, "resolution": args.resolution, "feasible": oracle,
+                             "boundary_band": inside_band, "agrees": agrees}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return exit_code
+    return 0 if agrees else 1
 
 
 def cmd_sweep(args) -> int:
@@ -154,19 +155,13 @@ def cmd_sample(args) -> int:
     strategy = scenario.resolve_strategy()
     probs = outcome_probabilities(scenario.setup, strategy)
     counts = sample_outcomes(scenario.setup, strategy, args.shots, args.seed)
-    freqs = counts / args.shots
-    z_scores = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            sigma = np.sqrt(max(probs[i, j] * (1.0 - probs[i, j]), 0.0) / args.shots)
-            z_scores[i, j] = (freqs[i, j] - probs[i, j]) / sigma if sigma > 0 else 0.0
     payload = {
         "scenario": scenario.name,
         "shots": args.shots,
         "seed": args.seed,
         "counts": counts.tolist(),
         "probabilities": probs.tolist(),
-        "z_scores": z_scores.tolist(),
+        "z_scores": z_scores(probs, counts).tolist(),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=float)
     check.add_argument("--scenario")
     check.add_argument("--oracle", choices=["full", "reduced", "off"], default="off")
-    check.add_argument("--resolution", type=float, default=0.01)
+    check.add_argument("--resolution", type=float, default=ORACLE_RESOLUTION)
     check.add_argument("--out")
     check.set_defaults(func=cmd_check_jm)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI, as_generator, effect_min_eigenvalue
+from .qubit import IDENTITY_2, PAULI, as_generator
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -30,6 +30,7 @@ BALL_CHECK_TOL = 1e-10
 # pure floating-point guard inside the grid oracle; must stay far below the
 # margin band excluded from differential tests
 GRID_GUARD = 1e-9
+ORACLE_RESOLUTION = 0.01  # default grid step of the oracle
 # side of the square blocks of y grid points the FULL oracle keeps or skips whole
 BLOCK = 8
 # instances per array pass of the batched oracle, which bounds its temporaries
@@ -118,6 +119,12 @@ class JMVerdict:
     witness: JointCandidate | None
 
 
+def in_boundary_band(margin, resolution: float):
+    """Whether margins lie within three grid steps of the boundary, where the
+    grid oracle may miss a thin feasible set and need not match the criterion."""
+    return np.abs(margin) < 3.0 * resolution
+
+
 def margins(m0, m, n):
     """Criterion slack ``sqrt(m0^2 - m^2) + sqrt((1-m0)^2 - m^2) - 2n``,
     elementwise over stacked lengths."""
@@ -187,11 +194,6 @@ def jm_criterion(inst: JMInstance) -> JMVerdict:
     measurable = margin >= -MEASURABLE_TOL
     witness = construct_joint(inst) if measurable else None
     return JMVerdict(measurable=measurable, margin=margin, witness=witness)
-
-
-def min_effect_eigenvalue(effects: np.ndarray) -> float:
-    """Smallest eigenvalue over four effects stacked as a (2, 2, 2, 2) array."""
-    return float(np.min(effect_min_eigenvalue(effects)))
 
 
 def _axis_grids(inst, resolution: float) -> np.ndarray:
@@ -266,7 +268,9 @@ def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarra
     return found
 
 
-def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "full") -> bool:
+def feasibility_oracle(
+    inst: JMInstance, resolution: float = ORACLE_RESOLUTION, mode: str = "full"
+) -> bool:
     """Brute-force grid decision of joint measurability, independent of the
     closed-form criterion.
 
@@ -297,7 +301,7 @@ def feasibility_oracle(inst: JMInstance, resolution: float = 0.01, mode: str = "
     return bool((full if mode == "full" else reduced)[0])
 
 
-def feasibility_batch(lengths: Lengths, resolution: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """The FULL and REDUCED verdicts of ``feasibility_oracle`` on stacked
     instance lengths, one each per instance.
 

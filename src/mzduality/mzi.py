@@ -39,7 +39,6 @@ from .qubit import (
 
 HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
 
-ORTHONORMALITY_TOL = 1e-10
 ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
 
@@ -109,7 +108,7 @@ class Strategy:
     subset: frozenset
 
     def __post_init__(self):
-        basis = require_unitary(self.basis, ORTHONORMALITY_TOL)
+        basis = require_unitary(self.basis)
         if basis.ndim != 2:
             raise DimensionMismatch(f"expected one basis, got shape {basis.shape}")
         d = basis.shape[0]
@@ -472,6 +471,17 @@ def sample_outcomes(setup: MZISetup, strategy: Strategy, n_shots: int, seed) -> 
     return rng.multinomial(int(n_shots), probs.ravel()).reshape(2, 2)
 
 
+def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Binomial z-scores ``(f - p) / sqrt(p (1 - p) / shots)`` of a sample's
+    counts against exact probabilities; an outcome of probability 0 or 1
+    scores 0 at that frequency and inf at any other."""
+    shots = counts.sum()
+    freqs = counts / shots
+    sigma = np.sqrt(np.maximum(probs * (1.0 - probs), 0.0) / shots)
+    scores = (freqs - probs) / np.where(sigma > 0, sigma, 1.0)
+    return np.where(sigma > 0, scores, np.where(freqs == probs, 0.0, np.inf))
+
+
 def _draw_setups(d: int, rngs, pure: bool) -> tuple:
     """The draws of ``random_setups`` before any check, stacked: quanton
     matrices of Bloch-ball vectors, detector states (Hilbert-Schmidt, or Haar
@@ -514,7 +524,7 @@ def random_strategies(d: int, rngs) -> Strategies:
         rng.standard_normal(out=gaussian[row])
         rng.random(out=coins[row])
     basis = haar_unitary(gaussian[:, 0] + 1j * gaussian[:, 1])
-    return Strategies(require_unitary(basis, ORTHONORMALITY_TOL), coins < 0.5)
+    return Strategies(require_unitary(basis), coins < 0.5)
 
 
 def random_strategy(d: int, seed) -> Strategy:

@@ -26,10 +26,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_STACK = np.array(PAULI)
 
-# eigenvectors of sigma_x: the two interferometer paths in the +/- basis
-KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
 MIN_DETECTOR_DIM = 2
 MAX_DETECTOR_DIM = 8
 

@@ -76,17 +76,42 @@ def test_criterion_9_saturation():
     _report(criterion_saturation(SEED, n_boundary=100))
 
 
-def test_sweep_and_battery_share_the_identity_gate(monkeypatch, capsys):
-    # a negative gate fails every setup, on both paths that read it
+@pytest.mark.parametrize(
+    "tolerance, message, failing, passing",
+    [
+        (
+            "IDENTITY_TOL",
+            "gap identity residual",
+            (criterion_duality_inequality,),
+            (criterion_physical_realizability,),
+        ),
+        (
+            "BOUND_TOL",
+            "effect eigenvalue",
+            (criterion_physical_realizability, criterion_duality_inequality),
+            (),
+        ),
+    ],
+    ids=["IDENTITY_TOL", "BOUND_TOL"],
+)
+def test_sweep_and_battery_share_the_identity_gate(
+    tolerance, message, failing, passing, monkeypatch, capsys
+):
+    # a negative tolerance fails every setup on every path whose gates read
+    # it, and only those: criterion 3 does not gate the identity
     from mzduality.cli import main
 
-    monkeypatch.setattr(acceptance, "IDENTITY_TOL", -1.0)
+    monkeypatch.setattr(acceptance, tolerance, -1.0)
     assert main(["sweep", "--count", "2"]) == 1
     err = capsys.readouterr().err
-    assert "scenario sweep-0-0: gap identity residual" in err
-    assert "scenario sweep-0-1: gap identity residual" in err
-    result = criterion_duality_inequality(SEED, count=50)
-    assert not result.passed, result.detail
+    assert f"scenario sweep-0-0: {message}" in err
+    assert f"scenario sweep-0-1: {message}" in err
+    for criterion in failing:
+        result = criterion(SEED, count=50)
+        assert not result.passed, result.detail
+    for criterion in passing:
+        result = criterion(SEED, count=50)
+        assert result.passed, result.detail
 
 
 # The full-interferometer reference as it ran setup by setup, copied from

@@ -17,11 +17,16 @@ from mzduality.jointmeas import (
     instance_from_setup,
     jm_criterion,
     jm_margin,
-    min_effect_eigenvalue,
     positivity_check,
     random_instance,
 )
-from mzduality.qubit import QubitState, random_detector_state, random_qubit_state, random_unitary
+from mzduality.qubit import (
+    QubitState,
+    effect_min_eigenvalue,
+    random_detector_state,
+    random_qubit_state,
+    random_unitary,
+)
 from mzduality.scenarios import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -260,7 +265,7 @@ class TestConstruction:
             s = np.sqrt(m0 * m0 - m * m)
             t = np.sqrt((1 - m0) ** 2 - m * m)
             inst = axis_instance(m0, m, 0.5 * (s + t))
-            low = min_effect_eigenvalue(construct_joint(inst).effects)
+            low = effect_min_eigenvalue(construct_joint(inst).effects).min()
             assert abs(low) <= 1e-8
             assert low >= -1e-10
 
@@ -272,7 +277,7 @@ class TestConstruction:
                 continue
             candidate = construct_joint(inst)
             assert positivity_check(candidate, inst)
-            assert min_effect_eigenvalue(candidate.effects) >= -1e-10
+            assert effect_min_eigenvalue(candidate.effects).min() >= -1e-10
 
     def test_not_measurable_raises(self):
         with pytest.raises(NotMeasurable):
@@ -296,7 +301,7 @@ class TestPositivityCheck:
                 y_vec=rng.standard_normal(3) * rng.uniform(0.0, 0.7),
             )
             ball = positivity_check(candidate, inst, tol=0.0)
-            eig = min_effect_eigenvalue(candidate.effects) >= 0.0
+            eig = effect_min_eigenvalue(candidate.effects).min() >= 0.0
             agreements += ball == eig
         assert agreements == 10_000
 

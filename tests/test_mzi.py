@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect
@@ -415,6 +415,69 @@ class TestSampling:
         setup = random_setup(rng, 2)
         with pytest.raises(ValueError):
             mzi.sample_outcomes(setup, mzi.random_strategy(2, rng), 0, seed=0)
+
+
+# The per-entry z-score loops that mzi.z_scores replaces, copied from before:
+# the table `sample` prints, and criterion 8's worst score.
+def loop_z_scores(probs, counts, shots):
+    freqs = counts / shots
+    z_scores = np.zeros((2, 2))
+    for i in range(2):
+        for j in range(2):
+            sigma = np.sqrt(max(probs[i, j] * (1.0 - probs[i, j]), 0.0) / shots)
+            z_scores[i, j] = (freqs[i, j] - probs[i, j]) / sigma if sigma > 0 else 0.0
+    return z_scores
+
+
+def loop_worst_z(probs, counts, shots):
+    freqs = counts / shots
+    worst_z = 0.0
+    for i in range(2):
+        for j in range(2):
+            p = probs[i, j]
+            sigma = np.sqrt(max(p * (1.0 - p), 0.0) / shots)
+            if sigma == 0.0:
+                if freqs[i, j] != p:
+                    worst_z = np.inf
+                continue
+            worst_z = max(worst_z, abs(freqs[i, j] - p) / sigma)
+    return worst_z
+
+
+# outcome weights, zeros included, normalized as outcome_probabilities does
+weight_tables = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=4, max_size=4
+).filter(any)
+
+
+def outcome_table(weights):
+    probs = np.array(weights).reshape(2, 2)
+    return probs / probs.sum()
+
+
+class TestZScores:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(weight_tables, st.integers(1, 10**15), st.integers(0, 2**32 - 1))
+    @example([1.0, 0.0, 0.0, 0.0], 1000, 0)
+    @example([0.0, 0.3, 0.0, 0.7], 1, 1)
+    @example([0.25, 0.25, 0.25, 0.25], 10**6, 2)
+    def test_matches_the_sample_loop_bit_for_bit(self, weights, shots, seed):
+        probs = outcome_table(weights)
+        counts = np.random.default_rng(seed).multinomial(shots, probs.ravel()).reshape(2, 2)
+        scores = mzi.z_scores(probs, counts)
+        assert scores.tobytes() == loop_z_scores(probs, counts, shots).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(weight_tables, st.lists(st.integers(0, 10**9), min_size=4, max_size=4).filter(any))
+    @example([1.0, 0.0, 0.0, 0.0], [5, 0, 0, 0])
+    @example([1.0, 0.0, 0.0, 0.0], [4, 1, 0, 0])
+    @example([0.0, 0.5, 0.5, 0.0], [1, 3, 4, 0])
+    def test_worst_score_matches_the_criterion_loop(self, weights, counts):
+        # any counts, also ones a sample cannot give: a zero-probability
+        # outcome that occurs scores inf
+        probs, counts = outcome_table(weights), np.array(counts).reshape(2, 2)
+        worst = float(np.max(np.abs(mzi.z_scores(probs, counts))))
+        assert worst == loop_worst_z(probs, counts, int(counts.sum()))
 
 
 class TestTightnessGapAndReport:

@@ -152,6 +152,10 @@ class TestCli:
             ["report", "--scenario", "FRACTIONAL_DIM"],
             ["report", "--scenario", "COMMA_NAME"],
             ["report", "--scenario", "NEWLINE_NAME"],
+            ["report", "--scenario", str(SATURATING), "--out", "/nonexistent/dir/out.csv"],
+            ["sweep", "--count", "1", "--out", "/nonexistent/dir/out.csv"],
+            ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--out",
+             "/nonexistent/dir/out.json"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
