@@ -32,6 +32,9 @@ log = logging.getLogger(__name__)
 # tolerances of the per-setup gates below, read at call time so a patched one reaches them all
 BOUND_TOL = 1e-10
 IDENTITY_TOL = 1e-12
+# most random strategies criterion 5 scores in one stack (at least one setup's);
+# this bounds its temporaries, about 5 MB at default counts against 23 MB unchunked
+STRATEGY_CHUNK = 2000
 
 
 @dataclass(frozen=True)
@@ -247,15 +250,14 @@ def criterion_optimum_is_max(
     """Criterion 5: the trace-norm optimum equals the exhaustive eigenbasis
     maximum and dominates random strategies (detector dimensions 2 and 3).
     Each setup's stream draws the setup, then its random strategies in turn;
-    each dimension's setups, eigenbasis subsets and random strategies are
-    scored as one stack each."""
+    each dimension's setups and eigenbasis subsets are scored as one stack
+    each, its random strategies in stacks of whole setups (STRATEGY_CHUNK)."""
     worst_exhaustive = 0.0
     worst_random = -np.inf
     # index % 2 fixes the dimension, 2 + index % 2
     for dim in (2, 3)[:n_setups]:
         rngs = [stream(seed, 5, index) for index in range(dim - 2, n_setups, 2)]
         setups = mzi.random_setups(dim, rngs)
-        randoms = mzi.random_strategies(dim, [rng for rng in rngs for _ in range(n_random)])
         optimum = mzi.Evaluation(setups)
         d_max = optimum.report.max_distinguishability
         # every subset of each guess operator's eigenbasis
@@ -270,9 +272,13 @@ def criterion_optimum_is_max(
         )
         best = exhaustive.report.distinguishability.reshape(len(rngs), -1).max(axis=1)
         worst_exhaustive = max(worst_exhaustive, float(np.max(np.abs(best - d_max))))
-        scored = mzi.Evaluation(setups.rows(np.repeat(each, n_random)), randoms)
-        best = scored.report.distinguishability.reshape(len(rngs), -1).max(axis=1)
-        worst_random = max(worst_random, float(np.max(best - d_max)))
+        per_chunk = max(1, STRATEGY_CHUNK // n_random)
+        for first in range(0, len(rngs), per_chunk):
+            chunk = each[first : first + per_chunk]
+            randoms = mzi.random_strategies(dim, [rngs[i] for i in chunk for _ in range(n_random)])
+            scored = mzi.Evaluation(setups.rows(np.repeat(chunk, n_random)), randoms)
+            best = scored.report.distinguishability.reshape(len(chunk), -1).max(axis=1)
+            worst_random = max(worst_random, float(np.max(best - d_max[chunk])))
     passed = worst_exhaustive <= 1e-10 and worst_random <= 1e-10
     return CriterionResult(
         5,
@@ -385,8 +391,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
         rng = stream(seed, 90, index)
         m0 = float(rng.uniform(0.1, 0.9))
         m_len = float(rng.random()) * 0.95 * min(m0, 1.0 - m0)
-        s = np.sqrt(m0 * m0 - m_len * m_len)
-        t = np.sqrt((1.0 - m0) ** 2 - m_len * m_len)
+        s, t = jointmeas.criterion_roots(m0, m_len)
         inst = jointmeas.JMInstance(
             m0=m0,
             m_vec=np.array([m_len, 0.0, 0.0]),

@@ -9,6 +9,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -195,7 +196,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing leaves it unchanged and each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mzduality",
         description="Which-path duality and joint-measurability verification tools",
@@ -250,8 +254,7 @@ def main(argv=None) -> int:
         level=os.environ.get("MZDUALITY_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MZDualityError as exc:

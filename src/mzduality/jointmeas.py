@@ -125,11 +125,18 @@ def in_boundary_band(margin, resolution: float):
     return np.abs(margin) < 3.0 * resolution
 
 
-def margins(m0, m, n):
-    """Criterion slack ``sqrt(m0^2 - m^2) + sqrt((1-m0)^2 - m^2) - 2n``,
-    elementwise over stacked lengths."""
+def criterion_roots(m0, m):
+    """The criterion's square roots ``s = sqrt(m0^2 - m^2)`` and
+    ``t = sqrt((1-m0)^2 - m^2)``, elementwise, with rounding below 0 clamped."""
     s = np.sqrt(np.maximum(m0 * m0 - m * m, 0.0))
     t = np.sqrt(np.maximum((1.0 - m0) ** 2 - m * m, 0.0))
+    return s, t
+
+
+def margins(m0, m, n):
+    """Criterion slack ``s + t - 2n`` (see ``criterion_roots``), elementwise
+    over stacked lengths."""
+    s, t = criterion_roots(m0, m)
     return s + t - 2.0 * n
 
 
@@ -164,9 +171,8 @@ def construct_joint(inst: JMInstance) -> JointCandidate:
     margin = jm_margin(inst)
     if margin < -MEASURABLE_TOL:
         raise NotMeasurable(f"criterion margin {margin:.6g} is negative")
-    m0, m, n = inst.m0, inst.m, inst.n
-    s = np.sqrt(max(m0 * m0 - m * m, 0.0))
-    t = np.sqrt(max((1.0 - m0) ** 2 - m * m, 0.0))
+    n = inst.n
+    s, t = criterion_roots(inst.m0, inst.m)
     if n < 1e-14:
         y_vec = np.zeros(3)
     else:

@@ -60,6 +60,27 @@ def test_criterion_5_optimum_is_max():
     _report(criterion_optimum_is_max(SEED, n_setups=24, n_random=1000))
 
 
+@pytest.mark.parametrize("chunk", [1, 400, 10**9])
+def test_criterion_5_chunks_do_not_change_the_result(chunk, monkeypatch):
+    # one setup per stack, two per stack, and one stack per dimension;
+    # at this seed and size the largest random excess is negative, so it prints its value
+    monkeypatch.setattr(acceptance, "STRATEGY_CHUNK", chunk)
+    drawn, draw = [], mzi.random_strategies
+
+    def counted(dim, rngs):
+        drawn.append(len(rngs))
+        return draw(dim, rngs)
+
+    monkeypatch.setattr(mzi, "random_strategies", counted)
+    result = criterion_optimum_is_max(1, n_setups=7, n_random=150)
+    assert result.detail == (
+        "7 setups x 150 random strategies, exhaustive gap 7.77e-16, max random excess -2.78e-03"
+    )
+    # every setup's strategies are scored, in stacks no larger than the chunk allows
+    assert sum(drawn) == 7 * 150
+    assert max(drawn) == min(max(chunk // 150, 1), 4) * 150
+
+
 def test_criterion_6_pure_gap_and_identity():
     _report(criterion_pure_gap_and_identity(SEED, n_pure=1000, n_identity=10_000))
 

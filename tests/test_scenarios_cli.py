@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzduality.cli import main
+from mzduality.cli import build_parser, main
 from mzduality.scenarios import (
     load_scenario,
     random_scenario,
@@ -186,6 +186,28 @@ class TestCli:
         lines = first.read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert len(lines) == 14
+
+    def test_reused_parser_leaks_no_state(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        # an --out of one call does not reach the next call's namespace
+        sweep = ["sweep", "--count", "2", "--seed", "5", "--dim", "3"]
+        out = tmp_path / "sweep.csv"
+        assert main([*sweep, "--out", str(out)]) == 0
+        written = out.read_bytes()
+        out.unlink()
+        assert main(sweep) == 0
+        assert capsys.readouterr().out.encode() == written
+        assert not out.exists()
+        # nor does a call that argparse rejects
+        report = ["report", "--scenario", str(SATURATING)]
+        assert main(report) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--scenario", str(SATURATING), "--shots", "1e3"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(report) == 0
+        assert capsys.readouterr().out == first
 
     def test_sample_counts(self, capsys):
         assert main(
