@@ -270,14 +270,14 @@ def criterion_optimum_is_max(
                 np.tile(subsets, (len(rngs), 1)),
             ),
         )
-        best = exhaustive.report.distinguishability.reshape(len(rngs), -1).max(axis=1)
+        best = exhaustive.distinguishability.reshape(len(rngs), -1).max(axis=1)
         worst_exhaustive = max(worst_exhaustive, float(np.max(np.abs(best - d_max))))
         per_chunk = max(1, STRATEGY_CHUNK // n_random)
         for first in range(0, len(rngs), per_chunk):
             chunk = each[first : first + per_chunk]
             randoms = mzi.random_strategies(dim, [rngs[i] for i in chunk for _ in range(n_random)])
             scored = mzi.Evaluation(setups.rows(np.repeat(chunk, n_random)), randoms)
-            best = scored.report.distinguishability.reshape(len(chunk), -1).max(axis=1)
+            best = scored.distinguishability.reshape(len(chunk), -1).max(axis=1)
             worst_random = max(worst_random, float(np.max(best - d_max[chunk])))
     passed = worst_exhaustive <= 1e-10 and worst_random <= 1e-10
     return CriterionResult(
@@ -301,12 +301,15 @@ def criterion_pure_gap_and_identity(
         worst_gap = float(np.max(mzi.Evaluation(setups).report.tightness_gap))
     worst_residual = 0.0
     if n_identity:
-        rngs = [stream(seed, 60, index) for index in range(n_identity)]
-        # per stream: a radius, two directions, a bias
-        draws = [
-            (rng.random(), *rng.standard_normal((2, 3)), rng.uniform(-0.99, 0.99)) for rng in rngs
-        ]
-        radius, a_dir, b_dir, p = map(np.array, zip(*draws))
+        radius, p = np.empty(n_identity), np.empty(n_identity)
+        directions = np.empty((n_identity, 2, 3))
+        # per stream: a radius, two directions, a bias; one stream alive at a time
+        for index in range(n_identity):
+            rng = stream(seed, 60, index)
+            radius[index] = rng.random()
+            rng.standard_normal(out=directions[index])
+            p[index] = rng.uniform(-0.99, 0.99)
+        a_dir, b_dir = directions[:, 0], directions[:, 1]
         a_dir /= np.linalg.norm(a_dir, axis=1, keepdims=True)
         b_dir /= np.linalg.norm(b_dir, axis=1, keepdims=True)
         analysis = qubit_detector.QubitDetectorAnalysis(

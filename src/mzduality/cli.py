@@ -249,11 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is at that moment, so an
+    in-process caller that redirects stderr between calls gets the records."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("MZDUALITY_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # the package logger's handler is installed once, its level read on every call
+    if not log.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+    log.setLevel(os.environ.get("MZDUALITY_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -306,10 +306,16 @@ class Evaluation:
         return StrategyStats(plain_s, plain_sbar, rotated_s, rotated_sbar)
 
     @cached_property
+    def distinguishability(self) -> np.ndarray:
+        """``D_S`` of each row; with given strategies it needs no
+        eigendecomposition, which ``report`` spends on ``D_max``."""
+        return distinguishability(self.stats, *self._quanton[3:])
+
+    @cached_property
     def report(self) -> DualityReport:
         v0, phi0, pred, w_plus, w_minus = self._quanton
         visibility, delta, contrast = self.fringes
-        d_s = distinguishability(self.stats, w_plus, w_minus)
+        d_s = self.distinguishability
         d_max = np.abs(self.guess[1].eigenvalues).sum(axis=-1)
         gap = tightness_gap(self.stats, w_plus, w_minus)
         wave_term = (1.0 - pred**2) * contrast**2

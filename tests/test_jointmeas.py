@@ -383,6 +383,33 @@ class TestFeasibilityOracle:
             )
             assert reduced[k] == bool(np.any(slice_ok))
 
+    @pytest.mark.parametrize("resolution", [0.01, 0.05])
+    def test_chunks_in_reach_order_keep_each_verdict_with_its_instance(self, resolution):
+        # random draws, boundary-band instances on both sides of the boundary
+        # and the near-tangent cases, shuffled so that reach order is not
+        # draw order
+        rng = np.random.default_rng(72)
+        instances = [random_instance(rng) for _ in range(30)] + [
+            axis_instance(*case) for case in TANGENT_CASES
+        ]
+        for margin in np.linspace(-2.5, 2.5, 12) * resolution:
+            m0 = rng.uniform(0.1, 0.9)
+            m = rng.random() * min(m0, 1.0 - m0)
+            s, t = jointmeas.criterion_roots(m0, m)
+            instances.append(axis_instance(m0, m, min(0.5 * (s + t - margin), 0.5)))
+        instances = [instances[k] for k in rng.permutation(len(instances))]
+        lengths = jointmeas.Lengths(
+            *(np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n"))
+        )
+        with patch.object(jointmeas, "CHUNK", 5):
+            full, reduced = jointmeas.feasibility_batch(lengths, resolution)
+        order = np.argsort(lengths.m + lengths.n, kind="stable")
+        # verdicts written back in reach order, or in chunk order, would differ
+        assert (full != full[order]).any() and (reduced != reduced[order]).any()
+        for k, inst in enumerate(instances):
+            assert full[k] == feasibility_oracle(inst, resolution, mode="full")
+            assert reduced[k] == feasibility_oracle(inst, resolution, mode="reduced")
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(oracle_batches())
     def test_stacked_second_pass_matches_per_instance_scans(self, case):

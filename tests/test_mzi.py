@@ -735,3 +735,15 @@ class TestBatchedKernel:
             np.testing.assert_allclose(n_vec, want, atol=1e-12)
             min_eig = min(hermitian_eig(e).eigenvalues[0] for e in joint.reshape(4, 2, 2))
             assert result.residuals[0][k] == pytest.approx(min_eig, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kernel_stacks())
+    def test_distinguishability_alone_is_the_report_column(self, case):
+        setups, strategies = case
+        alone = mzi.Evaluation(setups, strategies)
+        d_s = alone.distinguishability
+        if strategies is not None:
+            # given strategies need no eigendecomposition for D_S
+            assert "guess" not in alone.__dict__
+        report = mzi.Evaluation(setups, strategies).report
+        assert d_s.tobytes() == report.distinguishability.tobytes()

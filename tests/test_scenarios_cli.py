@@ -1,5 +1,4 @@
 import json
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +233,21 @@ class TestCli:
         assert out.count("[PASS]") == 9
         assert "9/9 criteria passed" in out
 
-    def test_verify_stdout_is_byte_identical(self, capsys, caplog):
-        caplog.set_level(logging.INFO, logger="mzduality")
+    def test_log_level_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("MZDUALITY_LOG", raising=False)
+        assert main(["sweep", "--count", "20"]) == 0
+        assert "sweep progress" not in capsys.readouterr().err
+        monkeypatch.setenv("MZDUALITY_LOG", "INFO")
+        assert main(["sweep", "--count", "20"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("INFO mzduality: sweep progress: ") == 10
+        monkeypatch.delenv("MZDUALITY_LOG")
+        assert main(["sweep", "--count", "20"]) == 0
+        assert "sweep progress" not in capsys.readouterr().err
+
+    def test_verify_stdout_is_byte_identical(self, capsys, caplog, monkeypatch):
+        # main sets the package logger's level from MZDUALITY_LOG on each call
+        monkeypatch.setenv("MZDUALITY_LOG", "INFO")
         outputs = []
         for _ in range(2):
             assert main(["verify", "--count", "50"]) == 0
