@@ -267,9 +267,12 @@ def main(argv=None) -> int:
         handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         log.addHandler(handler)
-    log.setLevel(os.environ.get("MZDUALITY_LOG", "WARNING").upper())
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            log.setLevel(os.environ.get("MZDUALITY_LOG", "WARNING").upper())
+        except ValueError as exc:
+            raise InvalidArgument(f"MZDUALITY_LOG: {exc}") from None
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MZDualityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,19 +232,6 @@ def _x_window(inst: JMInstance, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndar
     return np.maximum(a1 - m0, a4 - (1.0 - m0)), np.minimum(m0 - a3, (1.0 - m0) - a2)
 
 
-def _grid_hits(inst, resolution: float, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """For each y point of the FULL grid, with components broadcast from y1
-    and y2 against instance lengths that are floats or (N, 1) columns,
-    whether some grid x passes the four ball constraints (NaN never passes)."""
-    reach = inst.m + inst.n + 1.0
-    k_x = np.floor(np.minimum(inst.m0, 1.0 - inst.m0) / resolution + 1e-9)
-    in_reach = y1 * y1 + y2**2 <= reach * reach + 1e-12
-    lo, hi = _x_window(inst, y1, y2)
-    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
-    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
-    return (k_lo <= k_hi) & in_reach
-
-
 def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of sorted grid values, NaN past each row's end, as NaN-padded
     blocks of ``BLOCK`` points (N, blocks, BLOCK), with the centre and
@@ -268,8 +255,14 @@ def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarra
     slack = 2.0 * np.hypot(y1_half[:, :, None], y2_half[:, None, :]) + 2.0 * GRID_GUARD + 1e-9
     owner, rows, cols = np.nonzero(lo - hi <= slack)
     live = Lengths(*(v[owner] for v in columns))
-    y1_live, y2_live = y1_blocks[owner, rows][:, :, None], y2_blocks[owner, cols][:, None, :]
-    hits = np.any(_grid_hits(live, resolution, y1_live, y2_live), axis=(1, 2))
+    y1, y2 = y1_blocks[owner, rows][:, :, None], y2_blocks[owner, cols][:, None, :]
+    # whether some grid x passes the four constraints at each y point (NaN never passes)
+    k_x = np.floor(np.minimum(live.m0, 1.0 - live.m0) / resolution + 1e-9)
+    reach = live.m + live.n + 1.0
+    lo, hi = _x_window(live, y1, y2)
+    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
+    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
+    hits = np.any((k_lo <= k_hi) & (y1 * y1 + y2**2 <= reach * reach + 1e-12), axis=(1, 2))
     found = np.zeros(len(y1_vals), dtype=bool)
     found[owner[hits]] = True
     return found
@@ -289,17 +282,19 @@ def feasibility_oracle(
     (up to a 1e-9 floating-point guard).  ``resolution`` must lie in
     [1e-3, 0.05]; finer grids need arrays of many gigabytes.
 
-    FULL mode's pass over y1 >= 0 visits the y grid in blocks of ``BLOCK`` x
-    ``BLOCK`` points and skips a block when ``lo - hi`` at its centre exceeds
-    ``2 h + 2 GRID_GUARD + 1e-9``, with h the half-diagonal of the block and
-    ``lo <= x <= hi`` the window the four constraints leave for x.  The skip
-    never changes the verdict: each constraint bounds x by the distance from
-    y to a fixed point, so ``lo`` (a max of such distances minus constants)
-    and ``hi`` (a min of constants minus such distances) are 1-Lipschitz in
-    y and ``lo - hi`` changes by at most 2 h inside the block, while a grid
-    point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9 resolution``.
-    The bound uses only the four ball constraints, never the closed-form
-    criterion.  This picks one verdict of ``feasibility_batch``.
+    The reduced slice is part of FULL mode's grid, so FULL mode starts from
+    the REDUCED verdict and scans the rest of its grid only where REDUCED
+    finds no witness.  That pass over y1 >= 0 visits the y grid in blocks of
+    ``BLOCK`` x ``BLOCK`` points and skips a block when ``lo - hi`` at its
+    centre exceeds ``2 h + 2 GRID_GUARD + 1e-9``, with h the half-diagonal of
+    the block and ``lo <= x <= hi`` the window the four constraints leave for
+    x.  The skip never changes the verdict: each constraint bounds x by the
+    distance from y to a fixed point, so ``lo`` (a max of such distances minus
+    constants) and ``hi`` (a min of constants minus such distances) are
+    1-Lipschitz in y and ``lo - hi`` changes by at most 2 h inside the block,
+    while a grid point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9
+    resolution``.  The bound uses only the four ball constraints, never the
+    closed-form criterion.  This picks one verdict of ``feasibility_batch``.
     """
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
@@ -313,11 +308,11 @@ def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, 
     instance lengths, one each per instance.
 
     Both modes run as array passes over NaN-padded grids, ``CHUNK`` instances
-    at a time, on one build of the chunk's axis grids: REDUCED mode and FULL
-    mode's pass through y1 = 0 over the axis grids, then FULL mode's pass
-    over y1 >= 0 over the instances of the chunk still open.  Chunks are
-    filled in order of reach ``m + n``, since the widest instance of a chunk
-    sizes its grids, and the verdicts are written back in input order.
+    at a time, on one build of the chunk's axis grids: REDUCED mode over the
+    axis grids, then FULL mode's pass over y1 >= 0 over the instances of the
+    chunk that REDUCED leaves open.  Chunks are filled in order of reach
+    ``m + n``, since the widest instance of a chunk sizes its grids, and the
+    verdicts are written back in input order.
     """
     if not (1e-3 <= resolution <= 0.05):
         raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
@@ -339,12 +334,12 @@ def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, 
         # (y1, y2, x) is convex; it is also symmetric under
         # (y1, x) -> (-y1, -x), which swaps the constraints in pairs.  So a
         # witness at (y1, y2, x) and its mirror image have a witness
-        # (0, y2, 0) midway: the slice through y1 = 0 settles every feasible
-        # instance, up to the rounding of the grid.  The pass over y1 >= 0 is
-        # kept all the same, as the brute-force search that does not lean on
-        # this argument; by the symmetry and the symmetric grids its half
-        # y1 >= 0 suffices.
-        found = np.any(_grid_hits(part, resolution, np.zeros((1, 1)), axis_vals), axis=1)
+        # (0, y2, 0) midway: REDUCED settles every feasible instance, up to
+        # the rounding of the grid, and FULL starts from its verdict.  The
+        # pass over y1 >= 0 is kept all the same, as the brute-force search
+        # that does not lean on this argument; by the symmetry and the
+        # symmetric grids its half y1 >= 0 suffices.
+        found = reduced[rows]
         open_ = np.flatnonzero(~found)
         if open_.size:
             rest = Lengths(*(v[open_] for v in part))

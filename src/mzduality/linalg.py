@@ -44,38 +44,38 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_complex_matrix(a)
     dev = float(np.abs(m - dagger(m)).max())
-    if dev > tol:
-        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
 
 
-def require_unitary(a, tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(a) -> np.ndarray:
     m = as_complex_matrix(a)
     dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max())
-    if dev > tol:
-        raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > UNITARITY_TOL:
+        raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
     return m
 
 
-def require_density(a, dim: int | None = None, tol: float = PSD_TOL) -> np.ndarray:
+def require_density(a, dim: int | None = None) -> np.ndarray:
     """Validate a density operator, or a stack (..., d, d) of them with one
     eigendecomposition: Hermitian, unit trace, positive semidefinite."""
     try:
-        m = require_hermitian(a, tol)
+        m = require_hermitian(a)
     except NotHermitian as exc:
         raise InvalidState(str(exc)) from None
     d = m.shape[-1]
     if dim is not None and d != dim:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")
     trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
-    if trace_dev > tol:
-        raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {tol:.1e}")
+    if trace_dev > PSD_TOL:
+        raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {PSD_TOL:.1e}")
     lo = float(hermitian_eig(m).eigenvalues[..., 0].min())
-    if lo < -tol:
-        raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{tol:.1e}")
+    if lo < -PSD_TOL:
+        raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
     return m
 
 

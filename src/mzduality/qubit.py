@@ -39,17 +39,14 @@ def as_generator(seed) -> np.random.Generator:
 
 def stream(*key: int) -> np.random.Generator:
     """The generator ``default_rng(list(key))`` of a key of non-negative
-    integers, seeded with the key's little-endian uint32 words: the entropy
-    numpy builds from the list, without its per-int conversion."""
+    integers.  A key whose parts all fit in uint32 goes in as one uint32
+    array: the entropy numpy builds from the list, without its per-int
+    conversion."""
     key = tuple(map(operator.index, key))
     try:
         return np.random.default_rng(np.array(key, dtype=np.uint32))
     except OverflowError:  # a part of 2**32 or more, or a negative one
-        if min(key) < 0:
-            raise ValueError(f"stream key parts must be non-negative, got {key}") from None
-    spans = [range(0, max(part.bit_length(), 1), 32) for part in key]
-    words = [(part >> shift) & 0xFFFFFFFF for part, span in zip(key, spans) for shift in span]
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+        return np.random.default_rng(list(key))
 
 
 def require_effect(vector, bias) -> np.ndarray:

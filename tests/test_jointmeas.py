@@ -72,6 +72,15 @@ def reference_scan(inst, resolution, y1):
     return bool(np.any((k_lo <= k_hi) & in_reach))
 
 
+def reduced_slice_hit(inst, resolution):
+    """Whether the REDUCED slice (x = 0, y along n) of the grid holds a witness."""
+    axis_vals = reference_axis_grid(inst, resolution)
+    slice_ok = (np.sqrt(inst.m**2 + (inst.n + axis_vals) ** 2) <= inst.m0 + GRID_GUARD) & (
+        np.sqrt(inst.m**2 + (inst.n - axis_vals) ** 2) <= 1.0 - inst.m0 + GRID_GUARD
+    )
+    return bool(np.any(slice_ok))
+
+
 def parent_block_scan(inst, resolution, y1_vals, y2_vals):
     """The FULL oracle's pass over y1 >= 0 as it ran one instance at a time,
     with its block skip rule, copied from before it ran on stacks."""
@@ -377,11 +386,9 @@ class TestFeasibilityOracle:
                 inst, resolution, along_m
             )
             assert full[k] == whole
-            axis_vals = reference_axis_grid(inst, resolution)
-            slice_ok = (np.sqrt(inst.m**2 + (inst.n + axis_vals) ** 2) <= inst.m0 + GRID_GUARD) & (
-                np.sqrt(inst.m**2 + (inst.n - axis_vals) ** 2) <= 1.0 - inst.m0 + GRID_GUARD
-            )
-            assert reduced[k] == bool(np.any(slice_ok))
+            assert reduced[k] == reduced_slice_hit(inst, resolution)
+            # the reduced slice is part of FULL mode's grid
+            assert full[k] or not reduced[k]
 
     @pytest.mark.parametrize("resolution", [0.01, 0.05])
     def test_chunks_in_reach_order_keep_each_verdict_with_its_instance(self, resolution):
@@ -428,9 +435,9 @@ class TestFeasibilityOracle:
         for k, inst in enumerate(instances):
             parent = parent_block_scan(inst, resolution, along_m[k], axis_vals[k])
             assert stacked[k] == parent == reference_scan(inst, resolution, along_m[k])
-        # the batch hands each open instance of a chunk its own grids; the
-        # verdicts alone cannot show a mix-up, since by the symmetry argument
-        # no instance the first pass leaves open has a witness
+        # the batch hands each instance of a chunk that REDUCED leaves open
+        # its own grids; the verdicts alone cannot show a mix-up, since by the
+        # symmetry argument no such instance has a witness
         scanned = []
 
         def spy(rows, resolution, y1_vals, y2_vals):
@@ -445,7 +452,7 @@ class TestFeasibilityOracle:
             full, _ = jointmeas.feasibility_batch(
                 jointmeas.Lengths(*(v[:, 0] for v in lengths)), resolution
             )
-        first = [reference_scan(inst, resolution, np.zeros(1)) for inst in instances]
+        first = [reduced_slice_hit(inst, resolution) for inst in instances]
         assert len(scanned) == first.count(False)
         for key, (y1, y2) in scanned:
             k = [(i.m0, i.m, i.n) for i in instances].index(key)
@@ -455,6 +462,19 @@ class TestFeasibilityOracle:
         for k, inst in enumerate(instances):
             parent = parent_block_scan(inst, resolution, along_m[k], axis_vals[k])
             assert full[k] == (first[k] or parent)
+
+    def test_reduced_hits_skip_the_full_scan(self):
+        # FULL starts from the REDUCED verdict, so a batch that REDUCED
+        # settles never evaluates the x window of any y point
+        inst = axis_instance(0.5, 0.1, 0.1)
+        lengths = jointmeas.Lengths(*(np.full(40, v) for v in (inst.m0, inst.m, inst.n)))
+        with patch.object(
+            jointmeas, "_block_scan", wraps=jointmeas._block_scan
+        ) as block_scan, patch.object(jointmeas, "_x_window", wraps=jointmeas._x_window) as window:
+            full, reduced = jointmeas.feasibility_batch(lengths, 0.01)
+        assert full.all() and reduced.all()
+        block_scan.assert_not_called()
+        window.assert_not_called()
 
     def test_oracle_picks_the_verdict_of_its_mode(self):
         # the two verdicts agree off the boundary band, so pin the pick itself

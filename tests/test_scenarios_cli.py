@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mzduality import cli
 from mzduality.cli import build_parser, main
 from mzduality.scenarios import (
     load_scenario,
@@ -244,6 +248,23 @@ class TestCli:
         monkeypatch.delenv("MZDUALITY_LOG")
         assert main(["sweep", "--count", "20"]) == 0
         assert "sweep progress" not in capsys.readouterr().err
+
+    def test_bad_log_level_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MZDUALITY_LOG", "bogus")
+        assert main(["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: MZDUALITY_LOG")
+        # the entry point maps it the same way, ahead of --version
+        src = Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "mzduality", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
     def test_verify_stdout_is_byte_identical(self, capsys, caplog, monkeypatch):
         # main sets the package logger's level from MZDUALITY_LOG on each call
