@@ -29,10 +29,12 @@ from .jointmeas import (
     instance_from_setup,
     jm_criterion,
     jm_margin,
+    require_resolution,
 )
 from .mzi import Strategy, duality_report, outcome_probabilities, sample_outcomes, z_scores
+from .qubit import require_dim
 from .qubit_detector import gap_slope_empirical, gap_slope_prediction
-from .scenarios import Scenario, load_scenario, random_scenario
+from .scenarios import Scenario, load_scenario, random_scenarios
 
 log = logging.getLogger("mzduality")
 
@@ -54,6 +56,7 @@ CSV_COLUMNS = (
     "jsve_lhs",
     "jm_margin",
 )
+SWEEP_CHUNK = 1024  # sweep rows drawn at once; the output does not depend on it
 
 
 def _in_range(option: str, value: int, low: int = 0, high: int | None = 2**63 - 1) -> int:
@@ -97,6 +100,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_check_jm(args) -> int:
+    require_resolution(args.resolution)
     if args.scenario:
         scenario = load_scenario(args.scenario)
         inst = instance_from_setup(scenario.setup, scenario.resolve_strategy())
@@ -132,17 +136,20 @@ def cmd_check_jm(args) -> int:
 def cmd_sweep(args) -> int:
     _in_range("--count", args.count)
     _in_range("--seed", args.seed, high=None)
+    require_dim(args.dim)
     lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
     violations = []
-    for index in range(args.count):
-        optimal = index % 2 == 0
-        scenario = random_scenario(args.seed, index, args.dim, optimal)
-        strategy = scenario.resolve_strategy()
-        lines.append(_result_row(scenario, strategy))
-        for problem in setup_violations(scenario.setup, strategy, optimal):
-            violations.append(f"scenario {scenario.name}: {problem}")
-        if args.count >= 20 and (index + 1) % (args.count // 10) == 0:
-            log.info("sweep progress: %d/%d", index + 1, args.count)
+    for start in range(0, args.count, SWEEP_CHUNK):
+        indices = range(start, min(start + SWEEP_CHUNK, args.count))
+        flags = [index % 2 == 0 for index in indices]
+        chunk = random_scenarios(args.seed, indices, args.dim, flags)
+        for index, optimal, scenario in zip(indices, flags, chunk):
+            strategy = scenario.resolve_strategy()
+            lines.append(_result_row(scenario, strategy))
+            for problem in setup_violations(scenario.setup, strategy, optimal):
+                violations.append(f"scenario {scenario.name}: {problem}")
+            if args.count >= 20 and (index + 1) % (args.count // 10) == 0:
+                log.info("sweep progress: %d/%d", index + 1, args.count)
     _emit("\n".join(lines) + "\n", args.out)
     for violation in violations:
         print(violation, file=sys.stderr)

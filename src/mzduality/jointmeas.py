@@ -120,6 +120,12 @@ class JMVerdict:
     witness: JointCandidate | None
 
 
+def require_resolution(resolution: float) -> None:
+    """Reject a grid step outside [1e-3, 0.05]; finer grids need arrays of many gigabytes."""
+    if not (1e-3 <= resolution <= 0.05):
+        raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
+
+
 def in_boundary_band(margin, resolution: float):
     """Whether margins lie within three grid steps of the boundary, where the
     grid oracle may miss a thin feasible set and need not match the criterion."""
@@ -279,8 +285,7 @@ def feasibility_oracle(
     the m-n plane with ``|y| <= m + n + 1``.  REDUCED mode scans only x = 0
     with y parallel to n, the slice the feasibility problem provably reduces
     to.  Returns True iff some grid point satisfies all four ball constraints
-    (up to a 1e-9 floating-point guard).  ``resolution`` must lie in
-    [1e-3, 0.05]; finer grids need arrays of many gigabytes.
+    (up to a 1e-9 floating-point guard), at a step ``require_resolution`` accepts.
 
     The reduced slice is part of FULL mode's grid, so FULL mode starts from
     the REDUCED verdict and scans the rest of its grid only where REDUCED
@@ -314,8 +319,7 @@ def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, 
     ``m + n``, since the widest instance of a chunk sizes its grids, and the
     verdicts are written back in input order.
     """
-    if not (1e-3 <= resolution <= 0.05):
-        raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
+    require_resolution(resolution)
     lengths = Lengths(*(np.asarray(v, dtype=float) for v in lengths))
     full = np.zeros(len(lengths.m0), dtype=bool)
     reduced = np.zeros_like(full)

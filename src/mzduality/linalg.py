@@ -46,7 +46,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     m = as_complex_matrix(a)
-    dev = float(np.abs(m - dagger(m)).max())
+    dev = float(np.abs(m - dagger(m)).max(initial=0.0))
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
@@ -54,7 +54,7 @@ def require_hermitian(a) -> np.ndarray:
 
 def require_unitary(a) -> np.ndarray:
     m = as_complex_matrix(a)
-    dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max())
+    dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(initial=0.0))
     if dev > UNITARITY_TOL:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
     return m
@@ -70,10 +70,10 @@ def require_density(a, dim: int | None = None) -> np.ndarray:
     d = m.shape[-1]
     if dim is not None and d != dim:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")
-    trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+    trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_dev > PSD_TOL:
         raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {PSD_TOL:.1e}")
-    lo = float(hermitian_eig(m).eigenvalues[..., 0].min())
+    lo = float(hermitian_eig(m).eigenvalues[..., 0].min(initial=np.inf))
     if lo < -PSD_TOL:
         raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
     return m

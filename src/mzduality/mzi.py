@@ -99,6 +99,10 @@ class Setups(NamedTuple):
         setup reads like an ``MZISetup`` with a bare quanton matrix."""
         return Setups(*(field[select] for field in self))
 
+    def setup(self, row: int) -> MZISetup:
+        """Row ``row`` as an ``MZISetup``, which validates it."""
+        return MZISetup(QubitState(self.rho[row]), self.rho_d[row], self.u[row], self.phi[row])
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -138,6 +142,10 @@ class Strategies(NamedTuple):
 
     basis: np.ndarray
     in_s: np.ndarray
+
+    def strategy(self, row: int) -> Strategy:
+        """Row ``row`` as a ``Strategy``, which validates it."""
+        return Strategy(self.basis[row], frozenset(np.flatnonzero(self.in_s[row]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -418,8 +426,7 @@ def optimal_strategy(setup: MZISetup) -> Strategy:
     with S collecting the strictly positive eigenvalues (ties go to S-bar).
     The evaluation that found it is kept as the evaluation of the pair."""
     result = evaluate_setup(setup)
-    basis, in_s = result.strategies
-    strategy = Strategy(basis=basis[0], subset=frozenset(np.flatnonzero(in_s[0]).tolist()))
+    strategy = result.strategies.strategy(0)
     object.__setattr__(setup, "_evaluation", (strategy, result))
     return strategy
 
@@ -488,7 +495,7 @@ def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.where(sigma > 0, scores, np.where(freqs == probs, 0.0, np.inf))
 
 
-def _draw_setups(d: int, rngs, pure: bool) -> tuple:
+def draw_setups(d: int, rngs, pure: bool = False) -> Setups:
     """The draws of ``random_setups`` before any check, stacked: quanton
     matrices of Bloch-ball vectors, detector states (Hilbert-Schmidt, or Haar
     pure), Haar coupling unitaries and uniform phases in [0, 2 pi).  Each
@@ -504,7 +511,7 @@ def _draw_setups(d: int, rngs, pure: bool) -> tuple:
     parts = normals[:, :size].reshape((-1, 2, d) if pure else (-1, 2, d, d))
     rho_d = (pure_states if pure else hilbert_schmidt_states)(parts[:, 0] + 1j * parts[:, 1])
     coupling = normals[:, size:].reshape(-1, 2, d, d)
-    return rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi
+    return Setups(rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi)
 
 
 def random_setups(d: int, rngs, pure: bool = False) -> Setups:
@@ -512,13 +519,12 @@ def random_setups(d: int, rngs, pure: bool = False) -> Setups:
     detector state is Hilbert-Schmidt-random, or Haar-random pure when
     ``pure`` is set.  Every Bloch vector is drawn before the rest, so each
     generator must be a stream of its own."""
-    return Setups.validated(*_draw_setups(d, rngs, pure))
+    return Setups.validated(*draw_setups(d, rngs, pure))
 
 
 def random_setup(d: int, seed) -> MZISetup:
     """Random setup drawn from one stream, as ``random_setups`` draws it."""
-    rho, rho_d, u, phi = _draw_setups(d, [as_generator(seed)], pure=False)
-    return MZISetup(rho=QubitState(rho[0]), rho_d=rho_d[0], u=u[0], phi=phi[0])
+    return draw_setups(d, [as_generator(seed)]).setup(0)
 
 
 def random_strategies(d: int, rngs) -> Strategies:
@@ -535,5 +541,4 @@ def random_strategies(d: int, rngs) -> Strategies:
 
 def random_strategy(d: int, seed) -> Strategy:
     """Haar-random basis with a uniformly random guess subset."""
-    basis, in_s = random_strategies(d, [as_generator(seed)])
-    return Strategy(basis=basis[0], subset=frozenset(np.flatnonzero(in_s[0]).tolist()))
+    return random_strategies(d, [as_generator(seed)]).strategy(0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MZDualityError, ScenarioError
-from .mzi import MZISetup, Strategy, optimal_strategy, random_setup, random_strategy
+from .mzi import MZISetup, Strategy, draw_setups, optimal_strategy, random_strategies
 from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix, stream
 
 OPTIMAL = "optimal"
@@ -180,9 +180,18 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
 
+def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenario]:
+    """``random_scenario`` at each index and flag of the sequences given, from two bulk draws."""
+    rngs = [stream(base_seed, index) for index in indices]
+    setups = draw_setups(dim, rngs)
+    drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
+    specs = map(drawn.strategy, range(len(drawn.basis)))
+    return [
+        Scenario(f"sweep-{base_seed}-{index}", setup, OPTIMAL if flag else next(specs), base_seed)
+        for index, flag, setup in zip(indices, optimal, map(setups.setup, range(len(rngs))))
+    ]
+
+
 def random_scenario(base_seed: int, index: int, dim: int, optimal: bool) -> Scenario:
-    """Deterministic random scenario derived from (base_seed, index)."""
-    rng = stream(base_seed, index)
-    setup = random_setup(dim, rng)
-    spec: Strategy | str = OPTIMAL if optimal else random_strategy(dim, rng)
-    return Scenario(name=f"sweep-{base_seed}-{index}", setup=setup, strategy_spec=spec, seed=base_seed)
+    """Deterministic random scenario from the stream of (base_seed, index)."""
+    return random_scenarios(base_seed, [index], dim, [optimal])[0]

@@ -9,11 +9,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzduality import jointmeas, mzi
 from mzduality.qubit import bloch_to_matrix, haar_unitary, stream
+from mzduality.scenarios import OPTIMAL, random_scenario, random_scenarios
 
 
 def ref_complex_gaussian(d, rng):
@@ -191,6 +192,38 @@ def test_single_draws_are_batches_of_one():
     m0, m_vec, n_vec = jointmeas.draw_instance(stream(13))
     want_m0, want_m, want_n = ref_draw_instance(np.random.default_rng([13]))
     assert m0 == want_m0 and np.array_equal(m_vec, want_m) and np.array_equal(n_vec, want_n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 2**40),
+    optimal=st.lists(st.booleans(), min_size=1, max_size=8),
+)
+@example(dim=3, seed=2**64 + 5, start=2**32 - 2, optimal=[True, False, False, True])
+def test_bulk_scenarios_are_the_scenarios_one_by_one(dim, seed, start, optimal):
+    # each stream draws its setup, then its strategy when it is not optimal
+    indices = range(start, start + len(optimal))
+    bulk = random_scenarios(seed, indices, dim, optimal)
+    assert len(bulk) == len(optimal)
+    for index, flag, got in zip(indices, optimal, bulk):
+        one = random_scenario(seed, index, dim, flag)
+        reference = np.random.default_rng([seed, index])
+        bloch, rho_d, gaussian, phi = ref_draw_setup(dim, reference, ref_detector_state)
+        for scenario in (got, one):
+            assert (scenario.name, scenario.seed) == (f"sweep-{seed}-{index}", seed)
+            assert np.array_equal(scenario.setup.rho.matrix, bloch_to_matrix(bloch / 2.0, 0.5))
+            assert np.array_equal(scenario.setup.rho_d, rho_d)
+            assert np.array_equal(scenario.setup.u, haar_unitary(gaussian))
+            assert scenario.setup.phi == phi
+        if flag:
+            assert got.strategy_spec == one.strategy_spec == OPTIMAL
+            continue
+        basis, in_s = ref_draw_strategy(dim, reference)
+        for scenario in (got, one):
+            assert np.array_equal(scenario.strategy_spec.basis, haar_unitary(basis))
+            assert scenario.strategy_spec.subset == frozenset(np.flatnonzero(in_s).tolist())
 
 
 EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 20260810)

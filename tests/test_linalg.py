@@ -12,6 +12,9 @@ from mzduality.linalg import (
     hermitian_eig,
     kron,
     partial_trace_detector,
+    require_density,
+    require_hermitian,
+    require_unitary,
     trace_norm,
 )
 from mzduality.qubit import (
@@ -220,3 +223,12 @@ class TestFidelityUnitaryPair:
             fidelity_unitary_pair(np.diag([0.9, 0.3]), np.eye(2))
         with pytest.raises(NotUnitary):
             fidelity_unitary_pair(np.eye(2) / 2, np.diag([1.0, 2.0]))
+
+
+def test_empty_stacks_validate_to_empty():
+    for check in (require_hermitian, require_unitary, require_density):
+        assert check(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    for d in (2, 8):
+        setups, strategies = mzi.random_setups(d, []), mzi.random_strategies(d, [])
+        assert [field.shape for field in setups] == [(0, 2, 2), (0, d, d), (0, d, d), (0,)]
+        assert [field.shape for field in strategies] == [(0, d, d), (0, d)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzduality import cli
+from mzduality import acceptance, cli
 from mzduality.cli import build_parser, main
 from mzduality.scenarios import (
     load_scenario,
@@ -159,6 +159,9 @@ class TestCli:
             ["sweep", "--count", "1", "--out", "/nonexistent/dir/out.csv"],
             ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--out",
              "/nonexistent/dir/out.json"],
+            ["sweep", "--count", "0", "--dim", "9"],
+            ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--oracle", "off",
+             "--resolution", "nan"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
@@ -189,6 +192,30 @@ class TestCli:
         lines = first.read_text().splitlines()
         assert lines[0] == "# schema=1"
         assert len(lines) == 14
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_short_sweeps(self, count, capsys):
+        assert main(["sweep", "--count", str(count), "--seed", "9", "--dim", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[2:]] == [f"sweep-9-{i}" for i in range(count)]
+
+    @pytest.mark.parametrize("failing_gate", [False, True])
+    def test_sweep_output_does_not_depend_on_the_chunk(self, failing_gate, capsys, monkeypatch):
+        if failing_gate:
+            # every row then fails the identity gate, as in
+            # test_sweep_and_battery_share_the_identity_gate
+            monkeypatch.setattr(acceptance, "IDENTITY_TOL", -1.0)
+        runs = []
+        for chunk in (cli.SWEEP_CHUNK, 1, 3):
+            monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+            code = main(["sweep", "--count", "11", "--seed", "6", "--dim", "3"])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        code, out, err = runs[0]
+        assert len(out.splitlines()) == 13
+        assert code == int(failing_gate)
+        named = [line.split(":")[0] for line in err.splitlines()]
+        assert named == ([f"scenario sweep-6-{i}" for i in range(11)] if failing_gate else [])
 
     def test_reused_parser_leaks_no_state(self, capsys, tmp_path):
         assert build_parser() is build_parser()
