@@ -29,7 +29,7 @@ from .qubit import (
 
 log = logging.getLogger(__name__)
 
-# tolerances of the per-setup gates below, read at call time so a patched one reaches them all
+# tolerances of every bound and identity checked below, read at call time so patches reach them
 BOUND_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 # most random strategies criterion 5 scores in one stack (at least one setup's);
@@ -50,7 +50,7 @@ class CriterionResult:
 
 
 def criteria_oracle_agreement(
-    seed: int, count: int = 10_000, resolution: float = jointmeas.ORACLE_RESOLUTION
+    seed: int, count: int = 10_000
 ) -> tuple[CriterionResult, CriterionResult]:
     """Criteria 1 and 2: the closed-form criterion versus the FULL grid oracle,
     and the REDUCED slice versus FULL, on instances clear of the boundary band.
@@ -67,12 +67,12 @@ def criteria_oracle_agreement(
         m0, m_vec, n_vec = jointmeas.draw_instances(rngs)
         m, n = jointmeas.check_pairs(m0, m_vec, n_vec)
         margin = jointmeas.margins(m0, m, n)
-        clear = ~jointmeas.in_boundary_band(margin, resolution)
+        clear = ~jointmeas.in_boundary_band(margin, jointmeas.ORACLE_RESOLUTION)
         kept.append(np.array([m0, m, n, margin])[:, clear])
         checked += int(np.count_nonzero(clear))
     m0, m, n, margin = np.concatenate(kept, axis=1)
     lengths = jointmeas.Lengths(m0, m, n)
-    full, reduced = jointmeas.feasibility_batch(lengths, resolution)
+    full, reduced = jointmeas.feasibility_batch(lengths, jointmeas.ORACLE_RESOLUTION)
     full_bad = int(np.count_nonzero(full != (margin >= 0.0)))
     reduced_bad = int(np.count_nonzero(reduced != full))
     infeasible = int(np.count_nonzero(margin < 0.0))
@@ -279,7 +279,7 @@ def criterion_optimum_is_max(
             scored = mzi.Evaluation(setups.rows(np.repeat(chunk, n_random)), randoms)
             best = scored.distinguishability.reshape(len(chunk), -1).max(axis=1)
             worst_random = max(worst_random, float(np.max(best - d_max[chunk])))
-    passed = worst_exhaustive <= 1e-10 and worst_random <= 1e-10
+    passed = worst_exhaustive <= BOUND_TOL and worst_random <= BOUND_TOL
     return CriterionResult(
         5,
         "trace-norm optimum is the true maximum",
@@ -316,7 +316,7 @@ def criterion_pure_gap_and_identity(
             alpha=radius[:, None] * a_dir, beta=radius[:, None] * b_dir, p=p
         )
         worst_residual = float(np.max(qubit_detector.purity_identity_residual(analysis)))
-    passed = worst_gap <= 1e-10 and worst_residual <= 1e-12
+    passed = worst_gap <= BOUND_TOL and worst_residual <= IDENTITY_TOL
     return CriterionResult(
         6,
         "pure-detector gap vanishes; product identity holds",
@@ -326,7 +326,7 @@ def criterion_pure_gap_and_identity(
     )
 
 
-def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> CriterionResult:
+def criterion_gap_slope(seed: int, count: int = 100) -> CriterionResult:
     """Criterion 7: the predicted small-bias slope of the tightness gap matches
     finite differences, including the closed-form reference case."""
     # per stream the Gaussians of a Hilbert-Schmidt detector state, then of a coupling
@@ -341,11 +341,11 @@ def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> Cr
     rho_d = np.concatenate([hilbert_schmidt_states(gaussians[:, 0]), [rho_ref]])
     u = np.concatenate([haar_unitary(gaussians[:, 1]), [u_ref]])
     predicted = qubit_detector.gap_slope_prediction(rho_d, u)
-    empirical = qubit_detector.gap_slope_empirical(rho_d, u, p_step)
+    empirical = qubit_detector.gap_slope_empirical(rho_d, u)
     relative = (np.abs(empirical - predicted) / np.abs(predicted))[:-1]
     worst_rel = float(np.max(relative, initial=0.0))
     pred_ref, emp_ref = predicted[-1], empirical[-1]
-    ref_ok = abs(pred_ref - expected) <= 1e-12 and abs(emp_ref - expected) / expected <= 1e-3
+    ref_ok = abs(pred_ref - expected) <= IDENTITY_TOL and abs(emp_ref - expected) / expected <= 1e-3
     passed = worst_rel <= 1e-3 and ref_ok
     return CriterionResult(
         7,
@@ -356,10 +356,10 @@ def criterion_gap_slope(seed: int, count: int = 100, p_step: float = 1e-4) -> Cr
     )
 
 
-def criterion_sampler(seed: int, n_scenarios: int = 10, shots: int = 10**6) -> CriterionResult:
+def criterion_sampler(seed: int, n_scenarios: int = 10) -> CriterionResult:
     """Criterion 8: empirical outcome frequencies stay within five binomial
     standard deviations of the exact probabilities."""
-    worst_z = 0.0
+    worst_z, shots = 0.0, 10**6
     for index in range(n_scenarios):
         rng = stream(seed, 8, index)
         setup = mzi.random_setup(2 + index % 3, rng)
@@ -404,7 +404,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
         low = float(effect_min_eigenvalue(witness.effects).min())
         worst_zero = max(worst_zero, abs(low))
         worst_neg = min(worst_neg, low)
-    passed = saturation_gap <= 1e-12 and worst_zero <= 1e-8 and worst_neg >= -1e-10
+    passed = saturation_gap <= IDENTITY_TOL and worst_zero <= 1e-8 and worst_neg >= -BOUND_TOL
     return CriterionResult(
         9,
         "saturation and boundary zero modes",

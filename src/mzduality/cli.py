@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from .jointmeas import (
     jm_margin,
     require_resolution,
 )
-from .mzi import Strategy, duality_report, outcome_probabilities, sample_outcomes, z_scores
+from .mzi import (DualityReport, Strategy, duality_report, outcome_probabilities,
+                  sample_outcomes, z_scores)
 from .qubit import require_dim
 from .qubit_detector import gap_slope_empirical, gap_slope_prediction
 from .scenarios import Scenario, load_scenario, random_scenarios
@@ -39,23 +41,7 @@ from .scenarios import Scenario, load_scenario, random_scenarios
 log = logging.getLogger("mzduality")
 
 CSV_SCHEMA_LINE = "# schema=1"
-CSV_COLUMNS = (
-    "scenario",
-    "seed",
-    "a_priori_visibility",
-    "predictability",
-    "visibility",
-    "phi0",
-    "delta",
-    "contrast",
-    "distinguishability",
-    "max_distinguishability",
-    "tightness_gap",
-    "duality_lhs",
-    "duality_rhs",
-    "jsve_lhs",
-    "jm_margin",
-)
+CSV_COLUMNS = ("scenario", "seed", *(f.name for f in fields(DualityReport)), "jm_margin")
 SWEEP_CHUNK = 1024  # sweep rows drawn at once; the output does not depend on it
 
 
@@ -76,8 +62,7 @@ def _fmt(value: float) -> str:
 def _result_row(scenario: Scenario, strategy: Strategy) -> str:
     report = duality_report(scenario.setup, strategy)
     margin = jm_margin(instance_from_setup(scenario.setup, strategy))
-    # the columns between the seed and the margin are DualityReport fields
-    numbers = [getattr(report, column) for column in CSV_COLUMNS[2:-1]] + [margin]
+    numbers = [*vars(report).values(), margin]
     return ",".join([scenario.name, str(scenario.seed), *map(_fmt, numbers)])
 
 

@@ -61,19 +61,19 @@ def require_unitary(a) -> np.ndarray:
 
 
 def require_density(a, dim: int | None = None) -> np.ndarray:
-    """Validate a density operator, or a stack (..., d, d) of them with one
-    eigendecomposition: Hermitian, unit trace, positive semidefinite."""
+    """Validate a density operator, or a stack (..., d, d) of them, with one
+    eigendecomposition that also checks Hermiticity: unit trace, positive semidefinite."""
     try:
-        m = require_hermitian(a)
+        lo = float(hermitian_eig(a).eigenvalues[..., 0].min(initial=np.inf))
     except NotHermitian as exc:
         raise InvalidState(str(exc)) from None
+    m = np.asarray(a, dtype=complex)
     d = m.shape[-1]
     if dim is not None and d != dim:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")
     trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if trace_dev > PSD_TOL:
         raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {PSD_TOL:.1e}")
-    lo = float(hermitian_eig(m).eigenvalues[..., 0].min(initial=np.inf))
     if lo < -PSD_TOL:
         raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
     return m

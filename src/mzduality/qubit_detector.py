@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateFidelity, InvalidArgument, InvalidInstance
 from .linalg import fidelity_unitary_pair, require_density, require_unitary
-from .mzi import Evaluation, Setups, predictability, tightness_gap
+from .mzi import Evaluation, Setups
 from .qubit import bloch_to_matrix, matrix_to_bloch
 
 BLOCH_MATCH_TOL = 1e-10
@@ -135,8 +135,7 @@ def gap_at_bias(rho_d, u, p):
     bloch = np.zeros((len(rho_d), 3))
     bloch[:, 0] = p
     setups = Setups.validated(bloch_to_matrix(bloch / 2.0, 0.5), rho_d, u, np.zeros(len(rho_d)))
-    _, w_plus, w_minus = predictability(setups.rho)
-    return tightness_gap(Evaluation(setups).stats, w_plus, w_minus)
+    return Evaluation(setups).report.tightness_gap
 
 
 def gap_slope_empirical(rho_d, u, p_step: float = 1e-4):

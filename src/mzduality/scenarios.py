@@ -42,10 +42,21 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what}: {value!r} is not a number")
+    return float(value)
+
+
+def _vector(values, what: str) -> np.ndarray:
+    return np.array([_number(value, what) for value in values])
+
+
 def matrix_from_json(data, what: str) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError, ValueError) as exc:
+        rows = [[complex(_number(re, what), _number(im, what)) for re, im in row] for row in data]
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{what}: entries must be [re, im] pairs ({exc})") from None
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -59,7 +70,7 @@ def _x_rotation(angle: float) -> np.ndarray:
 
 def _parse_quanton(spec) -> QubitState:
     if isinstance(spec, dict) and "bloch" in spec:
-        return QubitState.from_bloch(np.asarray(spec["bloch"], dtype=float))
+        return QubitState.from_bloch(_vector(spec["bloch"], "quanton Bloch vector"))
     if isinstance(spec, dict) and "matrix" in spec:
         return QubitState(matrix_from_json(spec["matrix"], "quanton matrix"))
     raise ScenarioError("quanton must provide 'bloch' or 'matrix'")
@@ -77,7 +88,7 @@ def _parse_detector_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "bloch" in spec:
         if dim != 2:
             raise ScenarioError("a Bloch detector state requires dim = 2")
-        return bloch_to_matrix(np.asarray(spec["bloch"], dtype=float) / 2.0, 0.5)
+        return bloch_to_matrix(_vector(spec["bloch"], "detector Bloch vector") / 2.0, 0.5)
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector state")
     raise ScenarioError("detector state must be a preset name, 'bloch', or 'matrix'")
@@ -95,7 +106,7 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "x-rotation" in spec:
         if dim != 2:
             raise ScenarioError("preset 'x-rotation' requires dim = 2")
-        return _x_rotation(float(spec["x-rotation"]))
+        return _x_rotation(_number(spec["x-rotation"], "x-rotation angle"))
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector unitary")
     raise ScenarioError("unitary must be a preset name, 'x-rotation', or 'matrix'")
@@ -107,7 +118,8 @@ def _parse_strategy(spec, dim: int) -> Strategy | str:
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
         basis = matrix_from_json(spec["basis"], "strategy basis")
         try:
-            return Strategy(basis=basis, subset=frozenset(int(k) for k in spec["subset"]))
+            subset = frozenset(_integer(k, "strategy subset index") for k in spec["subset"])
+            return Strategy(basis=basis, subset=subset)
         except MZDualityError as exc:
             raise ScenarioError(f"invalid strategy: {exc}") from None
     raise ScenarioError("strategy must be 'optimal' or {'basis': ..., 'subset': [...]}")
@@ -127,19 +139,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             rho=_parse_quanton(data["quanton"]),
             rho_d=_parse_detector_state(detector["state"], dim),
             u=_parse_unitary(detector["unitary"], dim),
-            phi=float(data.get("phi", 0.0)),
+            phi=_number(data.get("phi", 0.0), "phi"),
         )
         seed = _integer(data.get("seed", 0), "seed")
         name = data.get("name", "scenario")
         if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
             raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")
+        strategy_spec = _parse_strategy(data.get("strategy", OPTIMAL), dim)
     except ScenarioError:
         raise
     except MZDualityError as exc:
         raise ScenarioError(f"invalid setup: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
-    strategy_spec = _parse_strategy(data.get("strategy", OPTIMAL), dim)
     if isinstance(strategy_spec, Strategy) and strategy_spec.dim != dim:
         raise ScenarioError("strategy dimension does not match detector dimension")
     return Scenario(name=name, setup=setup, strategy_spec=strategy_spec, seed=seed)

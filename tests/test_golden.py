@@ -19,6 +19,12 @@ from mzduality.cli import CSV_COLUMNS, CSV_SCHEMA_LINE, main
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 DRIFT_BOUND = 1e-12
 TEXT_COLUMNS = ("scenario", "seed")
+# the header README shows, written out: CSV_COLUMNS is derived from DualityReport
+CSV_HEADER = (
+    "scenario,seed,a_priori_visibility,predictability,visibility,phi0,delta,contrast,"
+    "distinguishability,max_distinguishability,tightness_gap,duality_lhs,duality_rhs,"
+    "jsve_lhs,jm_margin"
+)
 
 GOLDEN_REPORTS = {
     "biased_mixed_detector.json": "biased-mixed-detector,7,0.5099019513592784,0.19999999999999996,0.30864866758176679,-0.19739555984988078,-0.13255153229667405,0.60530983801686222,0.29235594743394544,0.29235594743394561,0.18001339031222835,0.43721599999999988,0.9675951793082973,0.43721599999999994,0.35327156790517855",
@@ -79,7 +85,7 @@ NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 def csv_rows(argv, capsys) -> list[str]:
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
+    assert lines[:2] == [CSV_SCHEMA_LINE, CSV_HEADER]
     return lines[2:]
 
 

@@ -232,3 +232,19 @@ def test_empty_stacks_validate_to_empty():
         setups, strategies = mzi.random_setups(d, []), mzi.random_strategies(d, [])
         assert [field.shape for field in setups] == [(0, 2, 2), (0, d, d), (0, d, d), (0,)]
         assert [field.shape for field in strategies] == [(0, d, d), (0, d)]
+
+
+def test_require_density_checks_hermiticity_once(monkeypatch):
+    # the eigendecomposition's check is the only one, for one matrix or a stack
+    from mzduality import linalg
+
+    calls, check = [], linalg.require_hermitian
+    monkeypatch.setattr(linalg, "require_hermitian", lambda a: calls.append(a) or check(a))
+    states = np.stack([np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])])
+    for state in (states[0], states):
+        calls.clear()
+        np.testing.assert_array_equal(require_density(state), state)
+        assert len(calls) == 1
+    # a non-Hermitian matrix is still an invalid state, not a NotHermitian
+    with pytest.raises(InvalidState, match="A - A"):
+        require_density([[0.5, 0.1], [0.0, 0.5]])

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzduality import acceptance, cli
 from mzduality.cli import build_parser, main
@@ -40,6 +42,32 @@ class TestScenarioFiles:
             loaded.strategy_spec.basis, again.strategy_spec.basis
         )
         assert loaded.strategy_spec.subset == again.strategy_spec.subset
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        base_seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 10**6),
+        optimal=st.booleans(),
+    )
+    @example(dim=5, base_seed=2**64 + 3, index=7, optimal=False)
+    @example(dim=8, base_seed=2**70, index=0, optimal=True)
+    def test_json_round_trip_reproduces_random_scenarios(self, dim, base_seed, index, optimal):
+        # bit for bit, through the JSON text a saved file holds
+        scenario = random_scenario(base_seed, index, dim, optimal)
+        again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+        assert (again.name, again.seed) == (scenario.name, scenario.seed)
+
+        def setup_bytes(s):
+            fields = (s.setup.rho.matrix, s.setup.rho_d, s.setup.u, s.setup.phi)
+            return [np.asarray(field).tobytes() for field in fields]
+
+        assert setup_bytes(again) == setup_bytes(scenario)
+        if optimal:
+            assert again.strategy_spec == scenario.strategy_spec == "optimal"
+        else:
+            assert again.strategy_spec.basis.tobytes() == scenario.strategy_spec.basis.tobytes()
+            assert again.strategy_spec.subset == scenario.strategy_spec.subset
 
     def test_preset_parsing(self):
         scenario = scenario_from_dict(
@@ -76,6 +104,34 @@ class TestScenarioFiles:
             scenario_from_dict(long_detector)
         with pytest.raises(ScenarioError):
             scenario_from_dict({**long_detector, "quanton": {"bloch": [0, 0, 1.5]}})
+        # every number must be a JSON number: a string or a boolean is not one,
+        # nor an integer too large for a float
+        base = json.loads(SATURATING.read_text())
+        detector = base["detector"]
+        strategy = {"basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "subset": [0]}
+        wrong = [
+            {**base, "phi": "0.3"},
+            {**base, "phi": True},
+            {**base, "phi": 10**400},
+            {**base, "quanton": {"bloch": [0, 0, "0.4"]}},
+            {**base, "quanton": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+            {**base, "detector": {**detector, "state": {"bloch": ["0", "0", True]}}},
+            {**base, "detector": {**detector, "unitary": {"x-rotation": "1.0"}}},
+            {**base, "detector": {**detector, "unitary": {"x-rotation": False}}},
+            {**base, "strategy": {**strategy, "basis": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}},
+            {**base, "strategy": {**strategy, "basis": [[{"re": 1}]]}},
+            {**base, "strategy": {**strategy, "basis": [[[1, 0, "x"], [0, 0]], [[0, 0], [1, 0]]]}},
+            {**base, "strategy": {**strategy, "basis": [[[1], [0, 0]], [[0, 0], [1, 0]]]}},
+            {**base, "strategy": {**strategy, "subset": ["0"]}},
+            {**base, "strategy": {**strategy, "subset": [True]}},
+            {**base, "strategy": {**strategy, "subset": 0}},
+        ]
+        for data in wrong:
+            with pytest.raises(ScenarioError):
+                scenario_from_dict(data)
+        # the same fields as JSON numbers load
+        loaded = scenario_from_dict({**base, "phi": 0, "strategy": strategy})
+        assert loaded.setup.phi == 0.0 and loaded.strategy_spec.subset == {0}
 
 
     def test_integer_fields_and_safe_names(self, tmp_path):
@@ -162,10 +218,15 @@ class TestCli:
             ["sweep", "--count", "0", "--dim", "9"],
             ["check-jm", "--m0", "0.5", "--m", "0.3", "--n", "0.1", "--oracle", "off",
              "--resolution", "nan"],
+            ["report", "--scenario", "STRING_PHI"],
+            ["report", "--scenario", "BOOL_PHI"],
+            ["sample", "--scenario", "STRING_ANGLE"],
+            ["check-jm", "--scenario", "BOOL_BLOCH"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
         saturating = json.loads(SATURATING.read_text())
+        detector = saturating["detector"]
         nan_basis_strategy = {"basis": [[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]], "subset": [0]}
         files = {
             "NAN_PHI": {**saturating, "phi": float("nan")},
@@ -173,6 +234,10 @@ class TestCli:
             "FRACTIONAL_DIM": {**saturating, "detector": {**saturating["detector"], "dim": 2.5}},
             "COMMA_NAME": {**saturating, "name": "split,row"},
             "NEWLINE_NAME": {**saturating, "name": "split\nrow"},
+            "STRING_PHI": {**saturating, "phi": "0.3"},
+            "BOOL_PHI": {**saturating, "phi": True},
+            "STRING_ANGLE": {**saturating, "detector": {**detector, "unitary": {"x-rotation": "1"}}},
+            "BOOL_BLOCH": {**saturating, "detector": {**detector, "state": {"bloch": [0, 0, True]}}},
         }
         for placeholder, data in files.items():
             (tmp_path / placeholder).write_text(json.dumps(data))
