@@ -64,14 +64,12 @@ def criteria_oracle_agreement(
     while checked < count:
         rngs = [stream(seed, 1, drawn + k) for k in range(count - checked)]
         drawn += len(rngs)
-        m0, m_vec, n_vec = jointmeas.draw_instances(rngs)
-        m, n = jointmeas.check_pairs(m0, m_vec, n_vec)
-        margin = jointmeas.margins(m0, m, n)
+        inst = jointmeas.JMInstance(*jointmeas.draw_instances(rngs))
+        margin = jointmeas.jm_margin(inst)
         clear = ~jointmeas.in_boundary_band(margin, jointmeas.ORACLE_RESOLUTION)
-        kept.append(np.array([m0, m, n, margin])[:, clear])
+        kept.append(np.array([inst.m0, inst.m, inst.n, margin])[:, clear])
         checked += int(np.count_nonzero(clear))
-    m0, m, n, margin = np.concatenate(kept, axis=1)
-    lengths = jointmeas.Lengths(m0, m, n)
+    *lengths, margin = np.concatenate(kept, axis=1)
     full, reduced = jointmeas.feasibility_batch(lengths, jointmeas.ORACLE_RESOLUTION)
     full_bad = int(np.count_nonzero(full != (margin >= 0.0)))
     reduced_bad = int(np.count_nonzero(reduced != full))
@@ -202,10 +200,9 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
         reference = reference_joint_observable(setups, strategies)
         min_eig, completeness, marginal = result.residuals
         deviation = np.abs(result.effects - reference).max(axis=(1, 2, 3, 4))
-        m0, m_vec, n_vec = result.pair
         eigs.append(eigenvalue_gate(min_eig))
         residuals.append(povm_gate(completeness, marginal, deviation))
-        margins.append(margin_gate(jointmeas.margins(m0, *jointmeas.check_pairs(m0, m_vec, n_vec))))
+        margins.append(margin_gate(jointmeas.jm_margin(jointmeas.JMInstance(*result.pair))))
     (eig, eig_ok), (residual, residual_ok), (margin, margin_ok) = map(_pooled, gates)
     return CriterionResult(
         3,
@@ -388,22 +385,20 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     report = mzi.duality_report(setup, mzi.optimal_strategy(setup))
     saturation_gap = abs(report.duality_lhs - report.duality_rhs)
 
-    worst_zero = 0.0
-    worst_neg = 0.0
-    for index in range(n_boundary):
-        rng = stream(seed, 90, index)
-        m0 = float(rng.uniform(0.1, 0.9))
-        m_len = float(rng.random()) * 0.95 * min(m0, 1.0 - m0)
-        s, t = jointmeas.criterion_roots(m0, m_len)
-        inst = jointmeas.JMInstance(
-            m0=m0,
-            m_vec=np.array([m_len, 0.0, 0.0]),
-            n_vec=np.array([0.0, 0.0, 0.5 * (s + t)]),
-        )
-        witness = jointmeas.construct_joint(inst)
-        low = float(effect_min_eigenvalue(witness.effects).min())
-        worst_zero = max(worst_zero, abs(low))
-        worst_neg = min(worst_neg, low)
+    # per stream a bias, then the share of its cap that the length of m takes
+    rngs = (stream(seed, 90, index) for index in range(n_boundary))
+    m0, share = np.array([(rng.uniform(0.1, 0.9), rng.random()) for rng in rngs]).reshape(-1, 2).T
+    m_len = share * 0.95 * np.minimum(m0, 1.0 - m0)
+    s, t = jointmeas.criterion_roots(m0, m_len)
+    zeros = np.zeros(n_boundary)
+    inst = jointmeas.JMInstance(
+        m0=m0,
+        m_vec=np.stack([m_len, zeros, zeros], axis=-1),
+        n_vec=np.stack([zeros, zeros, 0.5 * (s + t)], axis=-1),
+    )
+    low = effect_min_eigenvalue(jointmeas.construct_joint(inst).effects).min(axis=(1, 2))
+    worst_zero = float(np.max(np.abs(low), initial=0.0))
+    worst_neg = float(np.min(low, initial=0.0))
     passed = saturation_gap <= IDENTITY_TOL and worst_zero <= 1e-8 and worst_neg >= -BOUND_TOL
     return CriterionResult(
         9,

@@ -35,7 +35,7 @@ from .jointmeas import (
 from .mzi import (DualityReport, Strategy, duality_report, outcome_probabilities,
                   sample_outcomes, z_scores)
 from .qubit import require_dim
-from .qubit_detector import gap_slope_empirical, gap_slope_prediction
+from .qubit_detector import P_STEP, gap_slope_empirical, gap_slope_prediction
 from .scenarios import Scenario, load_scenario, random_scenarios
 
 log = logging.getLogger("mzduality")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slope = sub.add_parser("gamma-slope", help="predicted vs empirical gap slope")
     slope.add_argument("--scenario", required=True)
-    slope.add_argument("--p-step", type=float, default=1e-4)
+    slope.add_argument("--p-step", type=float, default=P_STEP)
     slope.add_argument("--out")
     slope.set_defaults(func=cmd_gamma_slope)
 

@@ -13,15 +13,14 @@ criterion and construction can be differentially tested against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI, as_generator
+from .qubit import IDENTITY_2, PAULI_STACK, as_generator
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -36,69 +35,54 @@ ORACLE_RESOLUTION = 0.01  # default grid step of the oracle
 BLOCK = 16
 # instances per array pass of the batched oracle, which bounds its temporaries
 CHUNK = 32
-
-
-def check_pairs(m0, m_vec, n_vec) -> tuple[np.ndarray, np.ndarray]:
-    """The lengths ``(m, n)`` of one observable pair, or of pairs stacked
-    along a leading axis; raises InvalidInstance unless every pair is finite
-    and orthogonal with ``0 <= m0 <= 1``, ``|n| <= 1/2`` and
-    ``|m| <= min(m0, 1 - m0)``."""
-    if not (np.isfinite(m0).all() and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
-        raise InvalidInstance("m0, m_vec and n_vec must be finite")
-    if (np.abs(m0 - 0.5) > 0.5 + NORM_SLACK).any():
-        raise InvalidInstance(f"m0 = {m0} outside [0, 1]")
-    dot = np.abs((m_vec * n_vec).sum(axis=-1))
-    if (dot > ORTHOGONALITY_TOL).any():
-        raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
-    m, n = row_norms(m_vec), row_norms(n_vec)
-    if (n > 0.5 + NORM_SLACK).any():
-        raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
-    if (m > np.minimum(m0, 1.0 - m0) + NORM_SLACK).any():
-        raise InvalidInstance(f"|m| = {m.max():.6g} exceeds min(m0, 1-m0)")
-    return m, n
-
-
-class Lengths(NamedTuple):
-    """The lengths ``(m0, m, n)`` that decide joint measurability, as floats
-    or stacked arrays; reads like a ``JMInstance`` in the oracle helpers."""
-
-    m0: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
+SIGNS = np.array([1.0, -1.0])  # (-1)^i for i = 0, 1
 
 
 @dataclass(frozen=True)
 class JMInstance:
-    """Parameters (m0, m, n) of the observable pair, with m orthogonal to n."""
+    """Parameters (m0, m, n) of the observable pair, with m orthogonal to n.
 
-    m0: float
+    One pair has ``m0`` a float and 3-vectors; N pairs stacked have ``m0`` of
+    shape (N,) and vectors of shape (N, 3).  ``m`` and ``n`` are the lengths
+    of ``m_vec`` and ``n_vec``, floats or (N,) arrays as ``m0`` is.  Raises
+    InvalidInstance unless every pair is finite and orthogonal with
+    ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
+    """
+
+    m0: float | np.ndarray
     m_vec: np.ndarray
     n_vec: np.ndarray
+    m: float | np.ndarray = field(init=False)
+    n: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
+        m0 = np.asarray(self.m0, dtype=float)
         m_vec = np.asarray(self.m_vec, dtype=float)
         n_vec = np.asarray(self.n_vec, dtype=float)
-        if m_vec.shape != (3,) or n_vec.shape != (3,):
-            raise InvalidInstance("m_vec and n_vec must be 3-vectors")
-        m, n = check_pairs(self.m0, m_vec, n_vec)
-        object.__setattr__(self, "m_vec", m_vec)
-        object.__setattr__(self, "n_vec", n_vec)
-        object.__setattr__(self, "_m_n", (float(m), float(n)))
-
-    @property
-    def m(self) -> float:
-        return self._m_n[0]
-
-    @property
-    def n(self) -> float:
-        return self._m_n[1]
+        if m0.ndim > 1 or m_vec.shape != m0.shape + (3,) or n_vec.shape != m_vec.shape:
+            raise InvalidInstance("m_vec and n_vec must be 3-vectors, one pair per m0")
+        if not (np.isfinite(m0).all() and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
+            raise InvalidInstance("m0, m_vec and n_vec must be finite")
+        if (np.abs(m0 - 0.5) > 0.5 + NORM_SLACK).any():
+            raise InvalidInstance(f"m0 = {self.m0} outside [0, 1]")
+        dot = np.abs((m_vec * n_vec).sum(axis=-1))
+        if (dot > ORTHOGONALITY_TOL).any():
+            raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
+        m, n = row_norms(m_vec), row_norms(n_vec)
+        if (n > 0.5 + NORM_SLACK).any():
+            raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
+        if (m > np.minimum(m0, 1.0 - m0) + NORM_SLACK).any():
+            raise InvalidInstance(f"|m| = {m.max():.6g} exceeds min(m0, 1-m0)")
+        for name, value in zip(("m0", "m_vec", "n_vec", "m", "n"), (m0, m_vec, n_vec, m, n)):
+            object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
 
 
 @dataclass(frozen=True)
 class JointCandidate:
-    """Candidate joint observable parametrized by a scalar x and a vector y.
+    """Candidate joint observable parametrized by a scalar x and a vector y,
+    or a stack of them, one per instance of a stacked ``JMInstance``.
 
-    ``effects[i, j]`` is the 2x2 matrix ``x_ij I + y_ij . sigma`` with
+    ``effects[..., i, j, :, :]`` is the 2x2 matrix ``x_ij I + y_ij . sigma`` with
 
         x_ij = 1/4 + (-1)^j (2 m0 - 1)/4 + (-1)^(i+j) x/2,
         y_ij = [(-1)^j m + (-1)^i n + (-1)^(i+j) y] / 2,
@@ -108,7 +92,7 @@ class JointCandidate:
     ``positivity_check`` decides.
     """
 
-    x: float
+    x: float | np.ndarray
     y_vec: np.ndarray
     effects: np.ndarray
 
@@ -140,50 +124,46 @@ def criterion_roots(m0, m):
     return s, t
 
 
-def margins(m0, m, n):
-    """Criterion slack ``s + t - 2n`` (see ``criterion_roots``), elementwise
-    over stacked lengths."""
-    s, t = criterion_roots(m0, m)
-    return s + t - 2.0 * n
+def jm_margin(inst: JMInstance):
+    """Criterion slack ``s + t - 2n`` (see ``criterion_roots``), of one
+    instance or elementwise over a stack."""
+    s, t = criterion_roots(inst.m0, inst.m)
+    return s + t - 2.0 * inst.n
 
 
-def jm_margin(inst: JMInstance) -> float:
-    """Criterion slack of one instance (see ``margins``)."""
-    return float(margins(inst.m0, inst.m, inst.n))
-
-
-def build_candidate(inst: JMInstance, x: float, y_vec) -> JointCandidate:
-    """Assemble the four candidate effects for given free parameters (x, y)."""
-    y = np.asarray(y_vec, dtype=float)
-    if y.shape != (3,):
-        raise InvalidInstance("y_vec must be a 3-vector")
-    effects = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            si = -1.0 if i else 1.0
-            sj = -1.0 if j else 1.0
-            weight = 0.25 + 0.25 * sj * (2.0 * inst.m0 - 1.0) + si * sj * 0.5 * x
-            vec = 0.5 * (sj * inst.m_vec + si * inst.n_vec + si * sj * y)
-            effects[i, j] = weight * IDENTITY_2 + sum(v * s for v, s in zip(vec, PAULI))
-    return JointCandidate(x=float(x), y_vec=y, effects=effects)
+def build_candidate(inst: JMInstance, x, y_vec) -> JointCandidate:
+    """Assemble the four candidate effects for given free parameters (x, y),
+    of one instance or of each in a stack, x a float or one per instance."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y_vec, dtype=float)
+    if y.shape != inst.m_vec.shape:
+        raise InvalidInstance("y_vec must be a 3-vector per instance")
+    # (-1)^i down the rows and (-1)^j along the columns of the (2, 2) outcome grid
+    s_i, s_j = SIGNS[:, None], SIGNS
+    m0 = np.asarray(inst.m0)[..., None, None]
+    weight = 0.25 + 0.25 * s_j * (2.0 * m0 - 1.0) + s_i * s_j * 0.5 * x[..., None, None]
+    m_vec, n_vec, y_row = (v[..., None, None, :] for v in (inst.m_vec, inst.n_vec, y))
+    s_i, s_j = s_i[..., None], s_j[..., None]
+    vec = 0.5 * (s_j * m_vec + s_i * n_vec + s_i * s_j * y_row)
+    # each entry sums at most two nonzero Pauli terms, so any order gives the same bits
+    effects = weight[..., None, None] * IDENTITY_2 + np.einsum("...k,kab->...ab", vec, PAULI_STACK)
+    return JointCandidate(x=float(x) if x.ndim == 0 else x, y_vec=y, effects=effects)
 
 
 def construct_joint(inst: JMInstance) -> JointCandidate:
-    """Explicit joint observable for a measurable instance: x = 0 and y along n
-    with length ``min(sqrt(m0^2 - m^2) - n, n + sqrt((1-m0)^2 - m^2))``.
+    """Explicit joint observable for a measurable instance, or for each of a
+    stack: x = 0 and y along n with length
+    ``min(sqrt(m0^2 - m^2) - n, n + sqrt((1-m0)^2 - m^2))``.
 
-    Raises NotMeasurable when the criterion fails.  For n = 0 the direction is
-    immaterial and y = 0 is used.
+    Raises NotMeasurable when the criterion fails for any instance.  For
+    n = 0 the direction is immaterial and y = 0 is used.
     """
-    margin = jm_margin(inst)
+    margin = np.min(jm_margin(inst), initial=np.inf)
     if margin < -MEASURABLE_TOL:
         raise NotMeasurable(f"criterion margin {margin:.6g} is negative")
-    n = inst.n
     s, t = criterion_roots(inst.m0, inst.m)
-    if n < 1e-14:
-        y_vec = np.zeros(3)
-    else:
-        y_vec = min(s - n, n + t) * inst.n_vec / n
+    along = np.minimum(s - inst.n, inst.n + t)[..., None] * inst.n_vec
+    n = np.asarray(inst.n)[..., None]
+    y_vec = np.divide(along, n, out=np.zeros_like(along), where=n >= 1e-14)
     return build_candidate(inst, 0.0, y_vec)
 
 
@@ -203,34 +183,36 @@ def positivity_check(cand: JointCandidate, inst: JMInstance, tol: float = BALL_C
 def jm_criterion(inst: JMInstance) -> JMVerdict:
     """Closed-form joint-measurability verdict with an explicit witness when
     the answer is positive."""
-    margin = jm_margin(inst)
+    margin = float(jm_margin(inst))
     measurable = margin >= -MEASURABLE_TOL
     witness = construct_joint(inst) if measurable else None
     return JMVerdict(measurable=measurable, margin=margin, witness=witness)
 
 
-def _axis_grids(inst, resolution: float) -> np.ndarray:
+def _axis_grids(lengths, resolution: float) -> np.ndarray:
     """Grids along the n direction, anchored at +/- n, for instance lengths
-    stacked as (N, 1) columns: an (N, G) array, NaN past each instance's
-    reach, unsorted and with any duplicates kept.
+    ``(m0, m, n)`` stacked as (N, 1) columns: an (N, G) array, NaN past each
+    instance's reach, unsorted and with any duplicates kept.
 
     Anchoring matters: at near-tangent geometries the feasible set collapses
     onto a segment centred on one of those two points, thinner than any fixed
     grid step, and an unanchored grid would miss it.
     """
-    reach = inst.m + inst.n + 1.0
+    _, m, n = lengths
+    reach = m + n + 1.0
     k = np.floor(reach / resolution + 1e-9)
     steps = np.arange(-np.max(k), np.max(k) + 1)
     ticks = resolution * steps
-    vals = np.concatenate([inst.n + ticks, -inst.n + ticks], axis=-1)
+    vals = np.concatenate([n + ticks, -n + ticks], axis=-1)
     inside = np.tile(np.abs(steps) <= k, 2) & (np.abs(vals) <= reach + 1e-12)
     return np.where(inside, vals, np.nan)
 
 
-def _x_window(inst: JMInstance, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _x_window(lengths, y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``lo <= x <= hi`` that the four ball constraints leave for x at
-    the y point with components y1 along m and y2 along n."""
-    m0, m, n = inst.m0, inst.m, inst.n
+    the y point with components y1 along m and y2 along n, for instance
+    lengths ``(m0, m, n)``."""
+    m0, m, n = lengths
     a1 = np.sqrt((m + y1) ** 2 + (n + y2) ** 2)
     a2 = np.sqrt((m + y1) ** 2 + (n - y2) ** 2)
     a3 = np.sqrt((m - y1) ** 2 + (n + y2) ** 2)
@@ -249,22 +231,22 @@ def _blocks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return blocks, 0.5 * (first + last), 0.5 * (last - first)
 
 
-def _block_scan(inst, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray) -> np.ndarray:
-    """For instance lengths stacked as (N, 1) columns, whether each row's grid
-    ``y1_vals[k] x y2_vals[k]`` (sorted rows, NaN past their ends) holds a
-    witness, visiting only the blocks that the bound in
+def _block_scan(lengths, resolution: float, y1_vals: np.ndarray, y2_vals: np.ndarray) -> np.ndarray:
+    """For instance lengths ``(m0, m, n)`` stacked as (N, 1) columns, whether
+    each row's grid ``y1_vals[k] x y2_vals[k]`` (sorted rows, NaN past their
+    ends) holds a witness, visiting only the blocks that the bound in
     ``feasibility_oracle`` cannot rule out."""
     y1_blocks, y1_mid, y1_half = _blocks(y1_vals)
     y2_blocks, y2_mid, y2_half = _blocks(y2_vals)
-    columns = Lengths(*(np.reshape(v, (-1, 1, 1)) for v in inst))
+    columns = np.reshape(lengths, (3, -1, 1, 1))
     lo, hi = _x_window(columns, y1_mid[:, :, None], y2_mid[:, None, :])
     slack = 2.0 * np.hypot(y1_half[:, :, None], y2_half[:, None, :]) + 2.0 * GRID_GUARD + 1e-9
     owner, rows, cols = np.nonzero(lo - hi <= slack)
-    live = Lengths(*(v[owner] for v in columns))
+    m0, m, n = live = columns[:, owner]
     y1, y2 = y1_blocks[owner, rows][:, :, None], y2_blocks[owner, cols][:, None, :]
     # whether some grid x passes the four constraints at each y point (NaN never passes)
-    k_x = np.floor(np.minimum(live.m0, 1.0 - live.m0) / resolution + 1e-9)
-    reach = live.m + live.n + 1.0
+    k_x = np.floor(np.minimum(m0, 1.0 - m0) / resolution + 1e-9)
+    reach = m + n + 1.0
     lo, hi = _x_window(live, y1, y2)
     k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
     k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
@@ -303,14 +285,13 @@ def feasibility_oracle(
     """
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
-    lengths = Lengths(*([value] for value in (inst.m0, inst.m, inst.n)))
-    full, reduced = feasibility_batch(lengths, resolution)
+    full, reduced = feasibility_batch(([inst.m0], [inst.m], [inst.n]), resolution)
     return bool((full if mode == "full" else reduced)[0])
 
 
-def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """The FULL and REDUCED verdicts of ``feasibility_oracle`` on stacked
-    instance lengths, one each per instance.
+def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """The FULL and REDUCED verdicts of ``feasibility_oracle`` on instance
+    lengths ``(m0, m, n)``, three arrays of shape (N,), one each per instance.
 
     Both modes run as array passes over NaN-padded grids, ``CHUNK`` instances
     at a time, on one build of the chunk's axis grids: REDUCED mode over the
@@ -320,14 +301,13 @@ def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, 
     verdicts are written back in input order.
     """
     require_resolution(resolution)
-    lengths = Lengths(*(np.asarray(v, dtype=float) for v in lengths))
-    full = np.zeros(len(lengths.m0), dtype=bool)
+    lengths = np.array(lengths, dtype=float)
+    full = np.zeros(lengths.shape[1], dtype=bool)
     reduced = np.zeros_like(full)
-    order = np.argsort(lengths.m + lengths.n, kind="stable")
+    order = np.argsort(lengths[1] + lengths[2], kind="stable")
     for start in range(0, len(full), CHUNK):
         rows = order[start : start + CHUNK]
-        part = Lengths(*(v[rows, None] for v in lengths))
-        m0, m, n = part
+        m0, m, n = part = lengths[:, rows, None]
         axis_vals = _axis_grids(part, resolution)
         # with x = 0 and y parallel to n the four constraints coincide pairwise
         a1 = np.sqrt(m * m + (n + axis_vals) ** 2)
@@ -346,8 +326,8 @@ def feasibility_batch(lengths: Lengths, resolution: float) -> tuple[np.ndarray, 
         found = reduced[rows]
         open_ = np.flatnonzero(~found)
         if open_.size:
-            rest = Lengths(*(v[open_] for v in part))
-            k1 = np.floor((rest.m + rest.n + 1.0) / resolution + 1e-9)
+            rest = part[:, open_]
+            k1 = np.floor((rest[1] + rest[2] + 1.0) / resolution + 1e-9)
             steps = np.arange(0, np.max(k1) + 1)
             along_m = np.where(steps <= k1, resolution * steps, np.nan)
             # each row's axis grid sorted, repeats after the first dropped, NaN last
@@ -363,8 +343,7 @@ def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
     """Observable pair realized by a setup and strategy: ``n`` is the vector
     of ``interference_povm``, and ``m0`` and ``m`` are the bias and vector of
     ``which_path_povm``."""
-    m0, m_vec, n_vec = evaluate_setup(setup, strategy).pair
-    return JMInstance(m0=float(m0[0]), m_vec=m_vec[0], n_vec=n_vec[0])
+    return JMInstance(*(v[0] for v in evaluate_setup(setup, strategy).pair))
 
 
 def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,12 +375,6 @@ def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m0, m_len[:, None] * e1, 0.5 * shaped[:, 2, None] * (e2 / lengths[:, None])
 
 
-def draw_instance(seed) -> tuple[float, np.ndarray, np.ndarray]:
-    """One ``draw_instances`` draw from one stream."""
-    m0, m_vec, n_vec = draw_instances([as_generator(seed)])
-    return float(m0[0]), m_vec[0], n_vec[0]
-
-
 def random_instance(seed) -> JMInstance:
-    """A ``draw_instance`` draw as a validated instance."""
-    return JMInstance(*draw_instance(seed))
+    """One ``draw_instances`` draw from one stream, as a validated instance."""
+    return JMInstance(*(v[0] for v in draw_instances([as_generator(seed)])))

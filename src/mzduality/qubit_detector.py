@@ -20,6 +20,7 @@ from .qubit import bloch_to_matrix, matrix_to_bloch
 
 BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
+P_STEP = 1e-4  # default path-bias step of the finite-difference gap slope
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def gap_at_bias(rho_d, u, p):
     return Evaluation(setups).report.tightness_gap
 
 
-def gap_slope_empirical(rho_d, u, p_step: float = 1e-4):
+def gap_slope_empirical(rho_d, u, p_step: float = P_STEP):
     """Finite-difference slope of the tightness gap at zero path bias, of
     one detector or of each in stacks (N, 2, 2).
 

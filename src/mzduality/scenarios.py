@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MZDualityError, ScenarioError
 from .mzi import MZISetup, Strategy, draw_setups, optimal_strategy, random_strategies
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix, stream
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix, require_dim, stream
 
 OPTIMAL = "optimal"
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -134,7 +134,7 @@ def _integer(value, what: str) -> int:
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         detector = data["detector"]
-        dim = _integer(detector["dim"], "detector dim")
+        dim = require_dim(_integer(detector["dim"], "detector dim"))
         setup = MZISetup(
             rho=_parse_quanton(data["quanton"]),
             rho_d=_parse_detector_state(detector["state"], dim),

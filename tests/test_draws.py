@@ -189,9 +189,10 @@ def test_single_draws_are_batches_of_one():
         basis, in_s = mzi.random_strategies(dim, [stream(12, dim)])
         assert np.array_equal(strategy.basis, basis[0])
         assert np.array_equal(strategy.in_s, in_s[0])
-    m0, m_vec, n_vec = jointmeas.draw_instance(stream(13))
+    inst = jointmeas.random_instance(stream(13))
     want_m0, want_m, want_n = ref_draw_instance(np.random.default_rng([13]))
-    assert m0 == want_m0 and np.array_equal(m_vec, want_m) and np.array_equal(n_vec, want_n)
+    assert inst.m0 == want_m0
+    assert np.array_equal(inst.m_vec, want_m) and np.array_equal(inst.n_vec, want_n)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -10,6 +10,7 @@ from mzduality.errors import InvalidInstance, NotMeasurable
 from mzduality import jointmeas, mzi
 from mzduality.jointmeas import (
     GRID_GUARD,
+    MEASURABLE_TOL,
     JMInstance,
     build_candidate,
     construct_joint,
@@ -21,6 +22,8 @@ from mzduality.jointmeas import (
     random_instance,
 )
 from mzduality.qubit import (
+    IDENTITY_2,
+    PAULI,
     QubitState,
     effect_min_eigenvalue,
     random_detector_state,
@@ -112,6 +115,12 @@ def parent_block_scan(inst, resolution, y1_vals, y2_vals):
     k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
     k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
     return bool(np.any((k_lo <= k_hi) & (y1 * y1 + y2**2 <= reach * reach + 1e-12)))
+
+
+def stack_bytes(values):
+    """The bytes of values stacked as one float or complex array, so that
+    equal bytes mean bit-equal values, signed zeros included."""
+    return np.array(values).tobytes()
 
 
 def padded_rows(rows):
@@ -315,6 +324,119 @@ class TestPositivityCheck:
         assert agreements == 10_000
 
 
+def stack_of(instances):
+    """The instances as one stacked JMInstance."""
+    return JMInstance(
+        *(np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m_vec", "n_vec"))
+    )
+
+
+def reference_candidate_effects(inst, x, y):
+    """The four candidate effects of one instance as ``build_candidate``
+    assembled them before it ran on stacks, one outcome pair at a time."""
+    effects = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            si = -1.0 if i else 1.0
+            sj = -1.0 if j else 1.0
+            weight = 0.25 + 0.25 * sj * (2.0 * inst.m0 - 1.0) + si * sj * 0.5 * x
+            vec = 0.5 * (sj * inst.m_vec + si * inst.n_vec + si * sj * y)
+            effects[i, j] = weight * IDENTITY_2 + sum(v * s for v, s in zip(vec, PAULI))
+    return effects
+
+
+def reference_witness_y(inst):
+    """The witness's y of one instance as ``construct_joint`` computed it
+    before it ran on stacks, in the same order of operations."""
+    s, t = jointmeas.criterion_roots(inst.m0, inst.m)
+    return np.zeros(3) if inst.n < 1e-14 else min(s - inst.n, inst.n + t) * inst.n_vec / inst.n
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(oracle_batches())
+    def test_stack_is_its_instances_one_by_one(self, case):
+        # random draws, boundary-band instances on both sides and the
+        # near-tangent cases, bit for bit
+        instances, _ = case
+        stack = stack_of(instances)
+        for name in ("m0", "m", "n"):
+            assert stack_bytes(getattr(stack, name)) == stack_bytes(
+                [getattr(inst, name) for inst in instances]
+            )
+        margins = jm_margin(stack)
+        assert stack_bytes(margins) == stack_bytes([jm_margin(inst) for inst in instances])
+        measurable = [inst for inst in instances if jm_margin(inst) >= -MEASURABLE_TOL]
+        if not measurable:
+            return
+        joint = construct_joint(stack_of(measurable))
+        singles = [construct_joint(inst) for inst in measurable]
+        assert stack_bytes(joint.effects) == stack_bytes([c.effects for c in singles])
+        assert stack_bytes(joint.y_vec) == stack_bytes([c.y_vec for c in singles])
+        assert stack_bytes(joint.y_vec) == stack_bytes([reference_witness_y(i) for i in measurable])
+        assert joint.x == 0.0 and all(c.x == 0.0 for c in singles)
+
+    def test_a_stack_with_an_infeasible_instance_has_no_witness(self):
+        instances = [axis_instance(0.5, 0.1, 0.1), axis_instance(0.5, 0.5, 0.5)]
+        with pytest.raises(NotMeasurable, match="-1"):
+            construct_joint(stack_of(instances))
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_stacked_candidates_match_the_per_instance_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        instances = [random_instance(rng) for _ in range(300)]
+        # (x, y) = 0 in about half the rows, which makes short pairs positive
+        scale = rng.integers(0, 2, len(instances)) * rng.uniform(0.0, 0.7, len(instances))
+        x = rng.uniform(-0.6, 0.6, len(instances)) * (scale > 0)
+        y = rng.standard_normal((len(instances), 3)) * scale[:, None]
+        stacked = build_candidate(stack_of(instances), x, y)
+        assert stacked.effects.shape == (len(instances), 2, 2, 2, 2)
+        for k, inst in enumerate(instances):
+            want = reference_candidate_effects(inst, x[k], y[k])
+            assert stack_bytes(stacked.effects[k]) == stack_bytes(want)
+            assert stack_bytes(build_candidate(inst, x[k], y[k]).effects) == stack_bytes(want)
+        # positive and non-positive candidates both occur
+        low = effect_min_eigenvalue(stacked.effects).min(axis=(1, 2))
+        assert (low < 0.0).any() and (low >= 0.0).any()
+
+    BAD_ROWS = {
+        "nan m0": (np.nan, [0.1, 0.0, 0.0], [0.0, 0.0, 0.1]),
+        "inf vector": (0.5, [0.1, np.inf, 0.0], [0.0, 0.0, 0.1]),
+        "bias above 1": (1.2, [0.0, 0.0, 0.0], [0.0, 0.0, 0.1]),
+        "not orthogonal": (0.5, [0.2, 0.0, 0.0], [0.2, 0.1, 0.0]),
+        "n too long": (0.5, [0.2, 0.0, 0.0], [0.0, 0.0, 0.6]),
+        "m too long": (0.3, [0.4, 0.0, 0.0], [0.0, 0.0, 0.1]),
+    }
+
+    @pytest.mark.parametrize("row", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    def test_one_bad_row_rejects_the_stack(self, row, position):
+        rng = np.random.default_rng(84)
+        stack = stack_of([random_instance(rng) for _ in range(8)])
+        fields = [stack.m0.copy(), stack.m_vec.copy(), stack.n_vec.copy()]
+        for field, value in zip(fields, self.BAD_ROWS[row]):
+            field[position] = value
+        with pytest.raises(InvalidInstance):
+            JMInstance(*fields)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((4,), (3, 3), (4, 3)), ((4,), (4, 3), (3, 3)), ((4,), (4, 2), (4, 2)),
+         ((4, 1), (4, 1, 3), (4, 1, 3)), ((), (1, 3), (1, 3)), ((4,), (3,), (3,))],
+    )
+    def test_mismatched_shapes_are_rejected(self, shapes):
+        m0_shape, m_shape, n_shape = shapes
+        with pytest.raises(InvalidInstance):
+            JMInstance(np.full(m0_shape, 0.5), np.zeros(m_shape), np.zeros(n_shape))
+
+    def test_candidate_parameters_must_match_the_stack(self):
+        stack = stack_of([axis_instance(0.5, 0.1, 0.1)] * 4)
+        with pytest.raises(InvalidInstance):
+            build_candidate(stack, 0.0, np.zeros(3))
+        with pytest.raises(InvalidInstance):
+            build_candidate(axis_instance(0.5, 0.1, 0.1), 0.0, np.zeros((1, 3)))
+
+
 class TestFeasibilityOracle:
     def test_sharp_pair_infeasible_in_both_modes(self):
         inst = axis_instance(0.5, 0.5, 0.5)
@@ -362,7 +484,7 @@ class TestFeasibilityOracle:
         along_m = resolution * np.arange(0, int((inst.m + inst.n + 1.0) / resolution + 1e-9) + 1)
         whole = reference_scan(inst, resolution, along_m)
         axis_vals = reference_axis_grid(inst, resolution)
-        lengths = jointmeas.Lengths(inst.m0, inst.m, inst.n)
+        lengths = (inst.m0, inst.m, inst.n)
         assert jointmeas._block_scan(lengths, resolution, along_m[None], axis_vals[None]) == [whole]
         expected = reference_scan(inst, resolution, np.zeros(1)) or whole
         assert feasibility_oracle(inst, resolution, mode="full") == expected
@@ -371,8 +493,8 @@ class TestFeasibilityOracle:
     @given(oracle_batches())
     def test_batch_verdicts_match_single_calls_and_whole_grid(self, case):
         instances, resolution = case
-        lengths = jointmeas.Lengths(
-            *(np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n"))
+        lengths = tuple(
+            np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n")
         )
         # small array passes, so that most batches span several of them
         with patch.object(jointmeas, "CHUNK", 7):
@@ -405,12 +527,12 @@ class TestFeasibilityOracle:
             s, t = jointmeas.criterion_roots(m0, m)
             instances.append(axis_instance(m0, m, min(0.5 * (s + t - margin), 0.5)))
         instances = [instances[k] for k in rng.permutation(len(instances))]
-        lengths = jointmeas.Lengths(
-            *(np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n"))
+        m0, m, n = lengths = tuple(
+            np.array([getattr(inst, name) for inst in instances]) for name in ("m0", "m", "n")
         )
         with patch.object(jointmeas, "CHUNK", 5):
             full, reduced = jointmeas.feasibility_batch(lengths, resolution)
-        order = np.argsort(lengths.m + lengths.n, kind="stable")
+        order = np.argsort(m + n, kind="stable")
         # verdicts written back in reach order, or in chunk order, would differ
         assert (full != full[order]).any() and (reduced != reduced[order]).any()
         for k, inst in enumerate(instances):
@@ -423,8 +545,8 @@ class TestFeasibilityOracle:
         # mixed feasible and infeasible rows, each scanned with y1 = 0 in its
         # grid, so a row read from the wrong instance shows in the verdicts
         instances, resolution = case
-        lengths = jointmeas.Lengths(
-            *(np.array([[getattr(inst, name)] for inst in instances]) for name in ("m0", "m", "n"))
+        lengths = tuple(
+            np.array([[getattr(inst, name)] for inst in instances]) for name in ("m0", "m", "n")
         )
         along_m = [resolution * np.arange(0, int((i.m + i.n + 1.0) / resolution + 1e-9) + 1)
                    for i in instances]
@@ -450,7 +572,7 @@ class TestFeasibilityOracle:
         block_scan = jointmeas._block_scan
         with patch.object(jointmeas, "CHUNK", 7), patch.object(jointmeas, "_block_scan", spy):
             full, _ = jointmeas.feasibility_batch(
-                jointmeas.Lengths(*(v[:, 0] for v in lengths)), resolution
+                tuple(v[:, 0] for v in lengths), resolution
             )
         first = [reduced_slice_hit(inst, resolution) for inst in instances]
         assert len(scanned) == first.count(False)
@@ -467,7 +589,7 @@ class TestFeasibilityOracle:
         # FULL starts from the REDUCED verdict, so a batch that REDUCED
         # settles never evaluates the x window of any y point
         inst = axis_instance(0.5, 0.1, 0.1)
-        lengths = jointmeas.Lengths(*(np.full(40, v) for v in (inst.m0, inst.m, inst.n)))
+        lengths = tuple(np.full(40, v) for v in (inst.m0, inst.m, inst.n))
         with patch.object(
             jointmeas, "_block_scan", wraps=jointmeas._block_scan
         ) as block_scan, patch.object(jointmeas, "_x_window", wraps=jointmeas._x_window) as window:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mzduality import acceptance, cli
 from mzduality.cli import build_parser, main
+from mzduality.qubit_detector import gap_slope_empirical
 from mzduality.scenarios import (
     load_scenario,
     random_scenario,
@@ -132,6 +134,13 @@ class TestScenarioFiles:
         # the same fields as JSON numbers load
         loaded = scenario_from_dict({**base, "phi": 0, "strategy": strategy})
         assert loaded.setup.phi == 0.0 and loaded.strategy_spec.subset == {0}
+        # the dimension is checked before any preset builds a dim x dim array
+        for dim in (0, 1, 9):
+            for state in ("maximally-mixed", "ground"):
+                for unitary in ("identity", "pauli-x"):
+                    data = {**base, "detector": {"dim": dim, "state": state, "unitary": unitary}}
+                    with pytest.raises(ScenarioError, match="invalid setup: detector dimension"):
+                        scenario_from_dict(data)
 
 
     def test_integer_fields_and_safe_names(self, tmp_path):
@@ -222,6 +231,12 @@ class TestCli:
             ["report", "--scenario", "BOOL_PHI"],
             ["sample", "--scenario", "STRING_ANGLE"],
             ["check-jm", "--scenario", "BOOL_BLOCH"],
+            ["report", "--scenario", "DIM_0"],
+            ["sample", "--scenario", "DIM_0"],
+            ["check-jm", "--scenario", "DIM_0"],
+            ["gamma-slope", "--scenario", "DIM_0"],
+            ["report", "--scenario", "DIM_1"],
+            ["check-jm", "--scenario", "DIM_9"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
@@ -238,6 +253,7 @@ class TestCli:
             "BOOL_PHI": {**saturating, "phi": True},
             "STRING_ANGLE": {**saturating, "detector": {**detector, "unitary": {"x-rotation": "1"}}},
             "BOOL_BLOCH": {**saturating, "detector": {**detector, "state": {"bloch": [0, 0, True]}}},
+            **{f"DIM_{dim}": {**saturating, "detector": {**detector, "dim": dim}} for dim in (0, 1, 9)},
         }
         for placeholder, data in files.items():
             (tmp_path / placeholder).write_text(json.dumps(data))
@@ -247,6 +263,8 @@ class TestCli:
         assert captured.out == ""
         if "NAN_BASIS" in argv:
             assert "strategy" in captured.err
+        if argv[-1].startswith("DIM_"):
+            assert captured.err.startswith("error: invalid setup: detector dimension")
 
     def test_sweep_deterministic_and_clean(self, tmp_path):
         first = tmp_path / "a.csv"
@@ -317,6 +335,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["predicted"] == pytest.approx(0.75 / np.sqrt(0.875), abs=1e-12)
         assert payload["relative_error"] <= 1e-3
+
+    def test_gamma_slope_step_default_is_the_function_default(self):
+        args = build_parser().parse_args(["gamma-slope", "--scenario", str(QUARTER_TURN)])
+        default = inspect.signature(gap_slope_empirical).parameters["p_step"].default
+        assert args.p_step == default
 
     def test_gamma_slope_rejects_large_detector(self, capsys, tmp_path):
         scenario = random_scenario(1, 0, dim=3, optimal=True)
