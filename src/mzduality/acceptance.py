@@ -95,7 +95,7 @@ def criteria_oracle_agreement(
     )
 
 
-def reference_joint_observable(setups: mzi.Setups, strategies: mzi.Strategies) -> np.ndarray:
+def reference_joint_observable(setups: mzi.MZISetup, strategies: mzi.Strategy) -> np.ndarray:
     """The realized joint observables (N, 2, 2, 2, 2) the long way, as the
     independent check of ``mzi.Evaluation.effects``: for each output port i
     and guess set j, ``E_ij = tr_D[(I x rho_D) T^dag (|i><i| x P_j) T]``
@@ -261,8 +261,8 @@ def criterion_optimum_is_max(
         subsets = np.array(list(product((False, True), repeat=dim)))
         each = np.arange(len(rngs))
         exhaustive = mzi.Evaluation(
-            setups.rows(np.repeat(each, len(subsets))),
-            mzi.Strategies(
+            setups[np.repeat(each, len(subsets))],
+            mzi.Strategy(
                 np.repeat(optimum.strategies.basis, len(subsets), axis=0),
                 np.tile(subsets, (len(rngs), 1)),
             ),
@@ -273,7 +273,7 @@ def criterion_optimum_is_max(
         for first in range(0, len(rngs), per_chunk):
             chunk = each[first : first + per_chunk]
             randoms = mzi.random_strategies(dim, [rngs[i] for i in chunk for _ in range(n_random)])
-            scored = mzi.Evaluation(setups.rows(np.repeat(chunk, n_random)), randoms)
+            scored = mzi.Evaluation(setups[np.repeat(chunk, n_random)], randoms)
             best = scored.distinguishability.reshape(len(chunk), -1).max(axis=1)
             worst_random = max(worst_random, float(np.max(best - d_max[chunk])))
     passed = worst_exhaustive <= BOUND_TOL and worst_random <= BOUND_TOL

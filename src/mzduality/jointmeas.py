@@ -65,6 +65,10 @@ class JMInstance:
             raise InvalidInstance("m0, m_vec and n_vec must be finite")
         if (np.abs(m0 - 0.5) > 0.5 + NORM_SLACK).any():
             raise InvalidInstance(f"m0 = {self.m0} outside [0, 1]")
+        for name, vec in (("m_vec", m_vec), ("n_vec", n_vec)):  # ahead of any product
+            large = np.abs(vec) > 0.5 + NORM_SLACK
+            if large.any():
+                raise InvalidInstance(f"{name} component {vec[large][0]:.6g} exceeds 1/2")
         dot = np.abs((m_vec * n_vec).sum(axis=-1))
         if (dot > ORTHOGONALITY_TOL).any():
             raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")

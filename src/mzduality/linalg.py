@@ -52,8 +52,17 @@ def require_hermitian(a) -> np.ndarray:
     return m
 
 
+def require_entries_within_1(m: np.ndarray, tol: float, error) -> None:
+    """Raise ``error`` for an entry of modulus above 1 + tol, which no density matrix or
+    unitary has: checked before any product, so a huge entry is named, not overflowed."""
+    modulus = np.abs(m)
+    if modulus.max(initial=0.0) > 1.0 + tol:
+        raise error(f"entry {m.flat[modulus.argmax()]:.6g} has modulus above 1")
+
+
 def require_unitary(a) -> np.ndarray:
     m = as_complex_matrix(a)
+    require_entries_within_1(m, UNITARITY_TOL, NotUnitary)
     dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(initial=0.0))
     if dev > UNITARITY_TOL:
         raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
@@ -63,11 +72,12 @@ def require_unitary(a) -> np.ndarray:
 def require_density(a, dim: int | None = None) -> np.ndarray:
     """Validate a density operator, or a stack (..., d, d) of them, with one
     eigendecomposition that also checks Hermiticity: unit trace, positive semidefinite."""
+    m = as_complex_matrix(a)
+    require_entries_within_1(m, PSD_TOL, InvalidState)
     try:
-        lo = float(hermitian_eig(a).eigenvalues[..., 0].min(initial=np.inf))
+        lo = float(hermitian_eig(m).eigenvalues[..., 0].min(initial=np.inf))
     except NotHermitian as exc:
         raise InvalidState(str(exc)) from None
-    m = np.asarray(a, dtype=complex)
     d = m.shape[-1]
     if dim is not None and d != dim:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")

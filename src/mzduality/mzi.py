@@ -6,16 +6,17 @@ d-dimensional detector by ``|0><0| x I + |1><1| x U``, and exits through a
 second Hadamard.  A strategy measures the detector in an orthonormal basis and
 guesses path |0> for outcomes in the subset S, path |1> otherwise.
 
-Every strategy-dependent quantity comes from one batched kernel,
-``Evaluation``, which runs over stacks of setups and strategies of one detector
-dimension; the single-setup functions call it with a stack of one.
+``MZISetup`` holds one setup or a stack of setups of one detector dimension,
+and ``Strategy`` one strategy or a stack; each validates itself once, and a
+row taken from a stack is not validated again.  Every strategy-dependent
+quantity comes from one batched kernel, ``Evaluation``, which reads one setup
+as a stack of one; the single-setup functions read row 0 of its columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .qubit import (
     hilbert_schmidt_states,
     pure_states,
     require_dim,
+    unchecked,
 )
 
 HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
@@ -43,109 +45,83 @@ ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
 
 
-def _check_detector(rho_d, u, phi):
-    """Detector states, unitaries and phases of one setup, or stacked along a
-    leading axis, as validated arrays."""
-    rho_d = require_density(rho_d)
-    u = require_unitary(u)
-    require_dim(rho_d.shape[-1])
-    if u.shape != rho_d.shape:
-        raise DimensionMismatch(f"detector unitary is {u.shape} but state is {rho_d.shape}")
-    phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        raise InvalidArgument(f"phase phi must be finite, got {phi}")
-    return rho_d, u, phi
-
-
 @dataclass(frozen=True)
 class MZISetup:
-    """Quanton state, detector state, detector unitary, and phase-shifter angle."""
+    """Quanton state, detector state, detector unitary and phase-shifter
+    angle of one setup, (2, 2), (d, d), (d, d) and a float, or of N setups
+    of one detector dimension, each with a leading axis N.  ``setups[rows]``
+    takes an index, slice or index array, or None to read one setup as a
+    stack of one, without validating again what the constructor did."""
 
     rho: QubitState
     rho_d: np.ndarray
     u: np.ndarray
-    phi: float = 0.0
+    phi: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        rho_d, u, phi = _check_detector(self.rho_d, self.u, self.phi)
-        if rho_d.ndim != 2:
-            raise DimensionMismatch(f"expected one detector state, got shape {rho_d.shape}")
-        object.__setattr__(self, "rho_d", rho_d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phi", float(phi))
+        rho_d, u = require_density(self.rho_d), require_unitary(self.u)
+        require_dim(rho_d.shape[-1])
+        if u.shape != rho_d.shape:
+            raise DimensionMismatch(f"detector unitary is {u.shape} but state is {rho_d.shape}")
+        phi = np.asarray(self.phi, dtype=float)
+        if not np.isfinite(phi).all():
+            raise InvalidArgument(f"phase phi must be finite, got {phi}")
+        rows = rho_d.shape[:-2]
+        if len(rows) > 1 or self.rho.matrix.shape[:-2] != rows or phi.shape != rows:
+            raise DimensionMismatch(
+                f"quanton {self.rho.matrix.shape}, detector {rho_d.shape} and phase "
+                f"{phi.shape} do not stack alike"
+            )
+        vars(self).update(rho_d=rho_d, u=u, phi=float(phi) if phi.ndim == 0 else phi)
+
+    def __getitem__(self, rows) -> "MZISetup":
+        return unchecked(
+            MZISetup, rho=self.rho[rows], rho_d=self.rho_d[rows], u=self.u[rows],
+            phi=np.asarray(self.phi)[rows],
+        )
 
     @property
     def detector_dim(self) -> int:
-        return self.rho_d.shape[0]
-
-
-class Setups(NamedTuple):
-    """Setups of one detector dimension stacked along a leading axis: quanton
-    matrices (N, 2, 2), detector states and unitaries (N, d, d), phases (N,)."""
-
-    rho: np.ndarray
-    rho_d: np.ndarray
-    u: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def validated(cls, rho, rho_d, u, phi) -> "Setups":
-        """The stacks checked as ``MZISetup`` checks one setup, one
-        eigendecomposition and one unitarity residual per stack."""
-        return cls(require_density(rho, dim=2), *_check_detector(rho_d, u, phi))
-
-    def rows(self, select) -> "Setups":
-        """The setups ``select`` picks (an index, slice or mask); one unstacked
-        setup reads like an ``MZISetup`` with a bare quanton matrix."""
-        return Setups(*(field[select] for field in self))
-
-    def setup(self, row: int) -> MZISetup:
-        """Row ``row`` as an ``MZISetup``, which validates it."""
-        return MZISetup(QubitState(self.rho[row]), self.rho_d[row], self.u[row], self.phi[row])
+        return self.rho_d.shape[-1]
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Orthonormal detector basis plus the outcome subset that votes for path |0>."""
-
-    basis: np.ndarray
-    subset: frozenset
-
-    def __post_init__(self):
-        basis = require_unitary(self.basis)
-        if basis.ndim != 2:
-            raise DimensionMismatch(f"expected one basis, got shape {basis.shape}")
-        d = basis.shape[0]
-        subset = frozenset(int(k) for k in self.subset)
-        if not subset <= set(range(d)):
-            raise DimensionMismatch(f"subset {sorted(subset)} not within 0..{d - 1}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "subset", subset)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def in_s(self) -> np.ndarray:
-        """The subset as a boolean mask over the basis columns."""
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[list(self.subset)] = True
-        return mask
-
-    def complement(self) -> frozenset:
-        return frozenset(range(self.dim)) - self.subset
-
-
-class Strategies(NamedTuple):
-    """Strategies stacked along a leading axis: bases (N, d, d) and guess masks (N, d)."""
+    """Orthonormal detector basis and the mask ``in_s`` of its columns, the
+    outcomes S that vote for path |0>: one strategy as (d, d) and (d,), or N
+    stacked as (N, d, d) and (N, d).  Validated and indexed as ``MZISetup``."""
 
     basis: np.ndarray
     in_s: np.ndarray
 
-    def strategy(self, row: int) -> Strategy:
-        """Row ``row`` as a ``Strategy``, which validates it."""
-        return Strategy(self.basis[row], frozenset(np.flatnonzero(self.in_s[row]).tolist()))
+    def __post_init__(self):
+        basis, in_s = require_unitary(self.basis), np.asarray(self.in_s, dtype=bool)
+        if basis.ndim > 3 or in_s.shape != basis.shape[:-1]:
+            raise DimensionMismatch(f"guess mask {in_s.shape} does not fit basis {basis.shape}")
+        vars(self).update(basis=basis, in_s=in_s)
+
+    @classmethod
+    def from_subset(cls, basis, subset) -> "Strategy":
+        """One strategy that guesses path |0> on the outcome indices in ``subset``."""
+        d = np.shape(basis)[-1]
+        subset = frozenset(int(k) for k in subset)
+        if not subset <= set(range(d)):
+            raise DimensionMismatch(f"subset {sorted(subset)} not within 0..{d - 1}")
+        in_s = np.zeros(d, dtype=bool)
+        in_s[list(subset)] = True
+        return cls(basis, in_s)
+
+    def __getitem__(self, rows) -> "Strategy":
+        return unchecked(Strategy, basis=self.basis[rows], in_s=self.in_s[rows])
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[-1]
+
+    @property
+    def subset(self) -> frozenset:
+        """The outcome indices in S, of one strategy."""
+        return frozenset(np.flatnonzero(self.in_s).tolist())
 
 
 @dataclass(frozen=True)
@@ -196,10 +172,9 @@ class DualityReport:
 
 
 def _quanton_terms(rho) -> tuple:
-    """``(V0, phi0, P, w+, w-)`` of a QubitState or of quanton matrices
-    stacked as (N, 2, 2)."""
+    """``(V0, phi0, P, w+, w-)`` of quanton matrices, (2, 2) or (N, 2, 2)."""
     # rho in the sigma_x eigenbasis |+>, |-> (the columns of HADAMARD)
-    in_pm = HADAMARD @ getattr(rho, "matrix", rho) @ HADAMARD
+    in_pm = HADAMARD @ rho @ HADAMARD
     overlap = in_pm[..., 1, 0]
     w_plus, w_minus = in_pm[..., 0, 0].real, in_pm[..., 1, 1].real
     v0 = 2.0 * np.abs(overlap)
@@ -211,16 +186,15 @@ def a_priori_visibility(rho):
     """Interference contrast without the detector and the phase that attains it.
 
     Returns ``(2 |<+|rho|->|, arg <-|rho|+>)``; the phase defaults to 0 when
-    the visibility vanishes.  ``rho`` is a QubitState or quanton matrices
-    stacked as (N, 2, 2).
+    the visibility vanishes.  ``rho`` is a QubitState of one state or a stack.
     """
-    return _quanton_terms(rho)[:2]
+    return _quanton_terms(rho.matrix)[:2]
 
 
 def predictability(rho):
     """Path bias of the input state: ``(|w+ - w-|, w+, w-)`` in the sigma_x
-    eigenbasis, of a QubitState or of stacked quanton matrices."""
-    return _quanton_terms(rho)[2:]
+    eigenbasis, of a QubitState of one state or a stack."""
+    return _quanton_terms(rho.matrix)[2:]
 
 
 def phase_shifter(phi) -> np.ndarray:
@@ -246,11 +220,12 @@ def tightness_gap(stats: StrategyStats, w_plus, w_minus):
 
 
 class Evaluation:
-    """The batched kernel: N validated setups of one detector dimension,
-    measured by the given strategies or, when None, by the optimal ones (the
-    guess operator's eigenbasis, S its strictly positive eigenvalues, ties to
-    S-bar).  Each quantity is an array with leading axis N, computed on first
-    use and kept, so a caller pays only for what it reads.
+    """The batched kernel: a stack of N setups, or one setup read as a stack
+    of one, measured by as many strategies of the same dimension or, when
+    None, by the optimal ones (the guess operator's eigenbasis, S its
+    strictly positive eigenvalues, ties to S-bar).  Each quantity is an
+    array with leading axis N, computed on first use and kept, so a caller
+    pays only for what it reads.
 
     The joint observable is ``E_ij = A^dag M_ij A`` with
     ``A = phase_shifter(phi) @ HADAMARD`` and
@@ -262,12 +237,20 @@ class Evaluation:
     ``<b_k|U rho_D|b_k>`` over that set.
     """
 
-    def __init__(self, setups: Setups, strategies: Strategies | None = None):
+    def __init__(self, setups: MZISetup, strategies: Strategy | None = None):
+        setups = setups[None] if setups.rho_d.ndim == 2 else setups
+        if strategies is not None:
+            strategies = strategies[None] if strategies.in_s.ndim == 1 else strategies
+            if strategies.in_s.shape != setups.rho_d.shape[:-1]:
+                raise DimensionMismatch(
+                    f"{len(strategies.in_s)} strategies of dimension {strategies.dim} for "
+                    f"{len(setups.phi)} setups of detector dimension {setups.detector_dim}"
+                )
         self.setups, self._given = setups, strategies
 
     @cached_property
     def _quanton(self) -> tuple:
-        return _quanton_terms(self.setups.rho)
+        return _quanton_terms(self.setups.rho.matrix)
 
     @cached_property
     def _detector(self) -> tuple:
@@ -292,17 +275,18 @@ class Evaluation:
         return operator, hermitian_eig(operator)
 
     @cached_property
-    def strategies(self) -> Strategies:
+    def strategies(self) -> Strategy:
         if self._given is not None:
             return self._given
         vals, vecs = self.guess[1]
-        return Strategies(vecs, vals > ZERO_EIGENVALUE_TOL)
+        return unchecked(Strategy, basis=vecs, in_s=vals > ZERO_EIGENVALUE_TOL)
 
     @cached_property
     def _sums(self) -> tuple:
         """``<b_k|X|b_k>`` for X = rho_D, U rho_D U^dag and U rho_D, summed over
         S and over S-bar: two (N, 3) arrays."""
-        (basis, in_s), (coherence, rotated, _) = self.strategies, self._detector
+        basis, in_s = self.strategies.basis, self.strategies.in_s
+        coherence, rotated, _ = self._detector
         operators = np.array((self.setups.rho_d, rotated, coherence))
         diagonals = np.einsum("nji,onjk,nki->noi", basis.conj(), operators, basis)
         inside = np.where(in_s[:, None, :], diagonals, 0.0)
@@ -377,21 +361,15 @@ class Evaluation:
 
 
 def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> Evaluation:
-    """The kernel on a stack of one: ``setup`` measured by ``strategy``, or by
-    the optimal strategy when it is None.  The setup keeps the evaluation of
+    """The kernel on one setup: ``setup`` measured by ``strategy``, or by the
+    optimal strategy when it is None.  The setup keeps the evaluation of
     the strategy object it was last measured by, so a report row and its
     checks, which read one pair through several functions below, compute
     each quantity once; setups and strategies are frozen, so it stays valid."""
     kept = setup.__dict__.get("_evaluation")
     if kept is not None and kept[0] is strategy:
         return kept[1]
-    if strategy is not None and strategy.dim != setup.detector_dim:
-        raise DimensionMismatch(
-            f"strategy dimension {strategy.dim} != detector dimension {setup.detector_dim}"
-        )
-    setups = Setups(setup.rho.matrix[None], setup.rho_d[None], setup.u[None], np.array([setup.phi]))
-    stacked = None if strategy is None else Strategies(strategy.basis[None], strategy.in_s[None])
-    result = Evaluation(setups, stacked)
+    result = Evaluation(setup, strategy)
     object.__setattr__(setup, "_evaluation", (strategy, result))
     return result
 
@@ -426,7 +404,7 @@ def optimal_strategy(setup: MZISetup) -> Strategy:
     with S collecting the strictly positive eigenvalues (ties go to S-bar).
     The evaluation that found it is kept as the evaluation of the pair."""
     result = evaluate_setup(setup)
-    strategy = result.strategies.strategy(0)
+    strategy = result.strategies[0]
     object.__setattr__(setup, "_evaluation", (strategy, result))
     return strategy
 
@@ -495,14 +473,15 @@ def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.where(sigma > 0, scores, np.where(freqs == probs, 0.0, np.inf))
 
 
-def draw_setups(d: int, rngs, pure: bool = False) -> Setups:
-    """The draws of ``random_setups`` before any check, stacked: quanton
+def random_setups(d: int, rngs, pure: bool = False) -> MZISetup:
+    """One setup drawn from each generator, validated as one stack: quanton
     matrices of Bloch-ball vectors, detector states (Hilbert-Schmidt, or Haar
-    pure), Haar coupling unitaries and uniform phases in [0, 2 pi).  Each
-    stream draws its Bloch vector, then the Gaussians of its detector state
-    and coupling in one call, then its phase."""
+    pure when ``pure`` is set), Haar coupling unitaries and uniform phases in
+    [0, 2 pi).  Every Bloch vector is drawn first; then each stream draws the
+    Gaussians of its detector state and coupling in one call, then its
+    phase.  So each generator must be a stream of its own."""
     d = require_dim(d)
-    rho = bloch_to_matrix(bloch_vectors(rngs) / 2.0, 0.5)
+    rho = QubitState(bloch_to_matrix(bloch_vectors(rngs) / 2.0, 0.5))
     size = 2 * d if pure else 2 * d * d
     normals, phi = np.empty((len(rngs), size + 2 * d * d)), np.empty(len(rngs))
     for row, rng in enumerate(rngs):
@@ -511,23 +490,15 @@ def draw_setups(d: int, rngs, pure: bool = False) -> Setups:
     parts = normals[:, :size].reshape((-1, 2, d) if pure else (-1, 2, d, d))
     rho_d = (pure_states if pure else hilbert_schmidt_states)(parts[:, 0] + 1j * parts[:, 1])
     coupling = normals[:, size:].reshape(-1, 2, d, d)
-    return Setups(rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi)
-
-
-def random_setups(d: int, rngs, pure: bool = False) -> Setups:
-    """One setup drawn from each generator, validated as one stack; the
-    detector state is Hilbert-Schmidt-random, or Haar-random pure when
-    ``pure`` is set.  Every Bloch vector is drawn before the rest, so each
-    generator must be a stream of its own."""
-    return Setups.validated(*draw_setups(d, rngs, pure))
+    return MZISetup(rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi)
 
 
 def random_setup(d: int, seed) -> MZISetup:
     """Random setup drawn from one stream, as ``random_setups`` draws it."""
-    return draw_setups(d, [as_generator(seed)]).setup(0)
+    return random_setups(d, [as_generator(seed)])[0]
 
 
-def random_strategies(d: int, rngs) -> Strategies:
+def random_strategies(d: int, rngs) -> Strategy:
     """One strategy drawn from each generator, in turn: the Gaussians of a
     Haar basis in one call, then one fair coin per outcome for the subset."""
     d = require_dim(d)
@@ -535,10 +506,9 @@ def random_strategies(d: int, rngs) -> Strategies:
     for row, rng in enumerate(rngs):
         rng.standard_normal(out=gaussian[row])
         rng.random(out=coins[row])
-    basis = haar_unitary(gaussian[:, 0] + 1j * gaussian[:, 1])
-    return Strategies(require_unitary(basis), coins < 0.5)
+    return Strategy(haar_unitary(gaussian[:, 0] + 1j * gaussian[:, 1]), coins < 0.5)
 
 
 def random_strategy(d: int, seed) -> Strategy:
     """Haar-random basis with a uniformly random guess subset."""
-    return random_strategies(d, [as_generator(seed)]).strategy(0)
+    return random_strategies(d, [as_generator(seed)])[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch, InvalidEffect, InvalidState, NotHermitian
+from .errors import BadDimension, InvalidEffect, InvalidState, NotHermitian
 from .linalg import PSD_TOL, dagger, require_density, require_hermitian, row_dots, row_norms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,23 +91,33 @@ def matrix_to_bloch(effect) -> tuple[float, np.ndarray]:
     return bias, vector
 
 
+def unchecked(cls, **fields):
+    """``cls(**fields)`` without its checks, for rows of an object that passed them."""
+    item = object.__new__(cls)
+    item.__dict__.update(fields)
+    return item
+
+
 @dataclass(frozen=True)
 class QubitState:
-    """Validated 2x2 density matrix of the quanton."""
+    """Validated density matrix of the quanton, (2, 2), or a stack (N, 2, 2)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = require_density(self.matrix, dim=2)
-        if m.ndim != 2:
-            raise DimensionMismatch(f"expected one density matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", require_density(self.matrix, dim=2))
+
+    def __getitem__(self, rows) -> "QubitState":
+        return unchecked(QubitState, matrix=self.matrix[rows])
 
     @classmethod
     def from_bloch(cls, vector) -> "QubitState":
         v = np.asarray(vector, dtype=float)
         if v.shape != (3,):
             raise InvalidState(f"Bloch vector must have shape (3,), got {v.shape}")
+        large = np.abs(v) > 1.0 + PSD_TOL  # ahead of the norm, which a huge one overflows
+        if large.any():
+            raise InvalidState(f"Bloch component {v[large][0]:.6g} exceeds 1 in absolute value")
         norm = float(np.linalg.norm(v))
         if not norm <= 1.0 + PSD_TOL:
             raise InvalidState(f"Bloch norm {norm:.6g} must be finite and at most 1")

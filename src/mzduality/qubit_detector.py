@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DegenerateFidelity, InvalidArgument, InvalidInstance
 from .linalg import fidelity_unitary_pair, require_density, require_unitary
-from .mzi import Evaluation, Setups
-from .qubit import bloch_to_matrix, matrix_to_bloch
+from .mzi import Evaluation, MZISetup
+from .qubit import QubitState, bloch_to_matrix, matrix_to_bloch
 
 BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -135,7 +135,7 @@ def gap_at_bias(rho_d, u, p):
     p a float or one bias per detector."""
     bloch = np.zeros((len(rho_d), 3))
     bloch[:, 0] = p
-    setups = Setups.validated(bloch_to_matrix(bloch / 2.0, 0.5), rho_d, u, np.zeros(len(rho_d)))
+    setups = MZISetup(QubitState(bloch_to_matrix(bloch / 2.0, 0.5)), rho_d, u, np.zeros(len(rho_d)))
     return Evaluation(setups).report.tightness_gap
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MZDualityError, ScenarioError
-from .mzi import MZISetup, Strategy, draw_setups, optimal_strategy, random_strategies
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, bloch_to_matrix, require_dim, stream
+from .mzi import MZISetup, Strategy, optimal_strategy, random_setups, random_strategies
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, stream
 
 OPTIMAL = "optimal"
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -88,7 +88,7 @@ def _parse_detector_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "bloch" in spec:
         if dim != 2:
             raise ScenarioError("a Bloch detector state requires dim = 2")
-        return bloch_to_matrix(_vector(spec["bloch"], "detector Bloch vector") / 2.0, 0.5)
+        return QubitState.from_bloch(_vector(spec["bloch"], "detector Bloch vector")).matrix
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector state")
     raise ScenarioError("detector state must be a preset name, 'bloch', or 'matrix'")
@@ -118,8 +118,8 @@ def _parse_strategy(spec, dim: int) -> Strategy | str:
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
         basis = matrix_from_json(spec["basis"], "strategy basis")
         try:
-            subset = frozenset(_integer(k, "strategy subset index") for k in spec["subset"])
-            return Strategy(basis=basis, subset=subset)
+            subset = (_integer(k, "strategy subset index") for k in spec["subset"])
+            return Strategy.from_subset(basis, subset)
         except MZDualityError as exc:
             raise ScenarioError(f"invalid strategy: {exc}") from None
     raise ScenarioError("strategy must be 'optimal' or {'basis': ..., 'subset': [...]}")
@@ -195,12 +195,12 @@ def save_scenario(s: Scenario, path) -> None:
 def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenario]:
     """``random_scenario`` at each index and flag of the sequences given, from two bulk draws."""
     rngs = [stream(base_seed, index) for index in indices]
-    setups = draw_setups(dim, rngs)
+    setups = random_setups(dim, rngs)
     drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
-    specs = map(drawn.strategy, range(len(drawn.basis)))
+    specs = map(drawn.__getitem__, range(len(drawn.in_s)))
     return [
         Scenario(f"sweep-{base_seed}-{index}", setup, OPTIMAL if flag else next(specs), base_seed)
-        for index, flag, setup in zip(indices, optimal, map(setups.setup, range(len(rngs))))
+        for index, flag, setup in zip(indices, optimal, map(setups.__getitem__, range(len(rngs))))
     ]
 
 

@@ -201,11 +201,12 @@ def per_setup_reference(rho_d, u, phi, basis, in_s):
 def test_stacked_reference_matches_per_setup_reference(dim, seed, size, kind, pure):
     rngs = [np.random.default_rng([seed, k]) for k in range(size)]
     setups = mzi.random_setups(dim, rngs, pure=pure)
-    basis, in_s = mzi.random_strategies(dim, rngs)
+    strategies = mzi.random_strategies(dim, rngs)
+    basis, in_s = strategies.basis, strategies.in_s
     if kind != "random":
         in_s = np.full_like(in_s, kind == "full")
-    stacked = acceptance.reference_joint_observable(setups, mzi.Strategies(basis, in_s))
+    stacked = acceptance.reference_joint_observable(setups, mzi.Strategy(basis, in_s))
     for k in range(size):
-        _, rho_d, u, phi = setups.rows(k)
-        want = per_setup_reference(rho_d, u, phi, basis[k], in_s[k])
+        row = setups[k]
+        want = per_setup_reference(row.rho_d, row.u, row.phi, basis[k], in_s[k])
         assert np.max(np.abs(stacked[k] - want)) <= 1e-12

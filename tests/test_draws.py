@@ -127,7 +127,7 @@ def test_setups_match_per_stream_draws(dim, pure, seed, scripted):
     state = ref_pure_detector_state if pure else ref_detector_state
     draws = [ref_draw_setup(dim, reference, state) for _, reference in pairs]
     bloch, rho_d, gaussian, phi = map(np.array, zip(*draws))
-    assert np.array_equal(setups.rho, bloch_to_matrix(bloch / 2.0, 0.5))
+    assert np.array_equal(setups.rho.matrix, bloch_to_matrix(bloch / 2.0, 0.5))
     assert np.array_equal(setups.rho_d, rho_d)
     assert np.array_equal(setups.u, haar_unitary(gaussian))
     assert np.array_equal(setups.phi, phi)
@@ -144,10 +144,10 @@ def test_strategies_match_per_stream_draws(dim, seed, repeats):
     # a generator may repeat: its strategies are drawn in turn
     pairs = generator_pairs(seed, [False] * len(repeats), ())
     order = [k for k, times in enumerate(repeats) for _ in range(times)]
-    basis, in_s = mzi.random_strategies(dim, [pairs[k][0] for k in order])
+    strategies = mzi.random_strategies(dim, [pairs[k][0] for k in order])
     gaussian, want = map(np.array, zip(*(ref_draw_strategy(dim, pairs[k][1]) for k in order)))
-    assert np.array_equal(basis, haar_unitary(gaussian))
-    assert np.array_equal(in_s, want)
+    assert np.array_equal(strategies.basis, haar_unitary(gaussian))
+    assert np.array_equal(strategies.in_s, want)
     assert_same_streams(pairs)
 
 
@@ -181,14 +181,14 @@ def test_single_draws_are_batches_of_one():
     for dim in (2, 5, 8):
         setup = mzi.random_setup(dim, stream(11, dim))
         setups = mzi.random_setups(dim, [stream(11, dim)])
-        assert np.array_equal(setup.rho.matrix, setups.rho[0])
+        assert np.array_equal(setup.rho.matrix, setups.rho.matrix[0])
         assert np.array_equal(setup.rho_d, setups.rho_d[0])
         assert np.array_equal(setup.u, setups.u[0])
         assert setup.phi == setups.phi[0]
         strategy = mzi.random_strategy(dim, stream(12, dim))
-        basis, in_s = mzi.random_strategies(dim, [stream(12, dim)])
-        assert np.array_equal(strategy.basis, basis[0])
-        assert np.array_equal(strategy.in_s, in_s[0])
+        strategies = mzi.random_strategies(dim, [stream(12, dim)])
+        assert np.array_equal(strategy.basis, strategies.basis[0])
+        assert np.array_equal(strategy.in_s, strategies.in_s[0])
     inst = jointmeas.random_instance(stream(13))
     want_m0, want_m, want_n = ref_draw_instance(np.random.default_rng([13]))
     assert inst.m0 == want_m0

@@ -2,9 +2,9 @@
 and mutated fields of the bundled scenarios.
 
 Whatever the input, ``main`` returns or exits with 0, 1 or 2, raises no
-other exception, prints no traceback, and writes ``error:`` to stderr
-whenever the code is 2.  The mutants hold no valid input that is expensive
-to run: no huge count, and no detector dimension from 9 to 2**62.
+other exception, prints no traceback or warning, and writes ``error:`` to
+stderr whenever the code is 2.  The mutants hold no valid input that is
+expensive to run: no huge count, and no detector dimension from 9 to 2**62.
 """
 
 import copy
@@ -73,6 +73,7 @@ def assert_contract(argv):
     code, _, err = run_main(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    assert "Warning" not in err, (argv, err)
     if code == 2:
         assert "error:" in err, (argv, err)
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from unittest.mock import patch
 
@@ -181,6 +182,15 @@ class TestInstanceValidation:
     def test_rejects_bad_bias(self):
         with pytest.raises(InvalidInstance):
             axis_instance(1.2, 0.0, 0.1)
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, 0.6])
+    @pytest.mark.parametrize("field", ["m_vec", "n_vec"])
+    def test_names_a_component_beyond_one_half_as_given(self, field, value):
+        vectors = {"m_vec": np.array([0.1, 0.0, 0.0]), "n_vec": np.array([0.0, 0.0, 0.1])}
+        vectors[field][1] = value
+        message = re.escape(f"{field} component {value:.6g} exceeds 1/2")
+        with pytest.raises(InvalidInstance, match=message):
+            JMInstance(0.5, **vectors)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["m0", "m_vec", "n_vec"])
@@ -687,3 +697,79 @@ class TestInstanceFromSetup:
         )
         inst = instance_from_setup(setup, mzi.optimal_strategy(setup))
         assert jm_margin(inst) == pytest.approx(0.0, abs=1e-12)
+
+
+def duality_form(eta_s, eta_s_u, c):
+    """``(1 - gamma_S^2) - (D_S^2 + c^2)`` at path weights w+ = w- = 1/2,
+    with ``D_S = eta_S - eta_S^U`` and
+    ``gamma_S = |sqrt(eta_S (1 - eta_S)) - sqrt(eta_S^U (1 - eta_S^U))|``."""
+    gamma = np.abs(np.sqrt(eta_s * (1.0 - eta_s)) - np.sqrt(eta_s_u * (1.0 - eta_s_u)))
+    return (1.0 - gamma**2) - ((eta_s - eta_s_u) ** 2 + c**2)
+
+
+def equivalence_rhs(inst):
+    """``jm_margin (s + t + 2 |n|)``, with (s, t) the criterion roots."""
+    s, t = jointmeas.criterion_roots(inst.m0, inst.m)
+    return jm_margin(inst) * (s + t + 2.0 * inst.n)
+
+
+class TestDualityEquivalence:
+    """The paper's claim that joint measurability is equivalent to a duality
+    inequality, as an identity.  For an instance (m0, m, n) put
+    eta_S = m0 + |m|, eta_S^U = m0 - |m| and c = 2 |n|; with eta_S = cos^2 a
+    and eta_S^U = cos^2 b, s + t = cos(a - b) and D_S^2 + gamma_S^2 =
+    sin^2(a - b), so
+
+        (1 - gamma_S^2) - (D_S^2 + c^2) = jm_margin (s + t + 2 |n|),
+
+    and, the factor being non-negative, the duality form fails exactly when
+    the criterion does, on every pair, measurable or not."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(oracle_batches())
+    def test_identity_on_arbitrary_pairs(self, case):
+        # draws from draw_instances streams, boundary-band pairs on both sides
+        # of the boundary and the near-tangent cases
+        inst = stack_of(case[0])
+        form = duality_form(inst.m0 + inst.m, inst.m0 - inst.m, 2.0 * inst.n)
+        rhs = equivalence_rhs(inst)
+        assert np.max(np.abs(form - rhs)) <= 1e-13
+        # off the rounding of the identity, the form's sign is the margin's
+        decided = np.abs(rhs) > 1e-13
+        assert np.array_equal((form < 0.0)[decided], (jm_margin(inst) < 0.0)[decided])
+
+    def test_identity_on_many_drawn_pairs(self):
+        # about a quarter of draw_instances pairs are not measurable
+        inst = JMInstance(*jointmeas.draw_instances(
+            [np.random.default_rng([74, k]) for k in range(20_000)]))
+        margin = jm_margin(inst)
+        assert 0.2 < np.mean(margin < 0.0) < 0.35
+        form = duality_form(inst.m0 + inst.m, inst.m0 - inst.m, 2.0 * inst.n)
+        assert np.max(np.abs(form - equivalence_rhs(inst))) <= 1e-13
+        assert np.array_equal(form < 0.0, margin < 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3, 5, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        optimal=st.booleans(),
+    )
+    def test_identity_on_realized_pairs(self, dim, seed, size, optimal):
+        # The report's own bound is the duality form of its realized pair
+        # only at P = 0, so the quanton's Bloch x-component is set to 0
+        # (w+ = w- = 1/2).  With a setup's own w+ and w- the strategy-resolved
+        # bound weighs eta_S and eta_S^U unequally, and the residual reaches
+        # 0.96 on 16,000 drawn setups; the joint-measurability condition does
+        # not depend on w+-.
+        rngs = [np.random.default_rng([seed, k]) for k in range(size)]
+        drawn = mzi.random_setups(dim, rngs)
+        bloch = np.array([QubitState(rho).bloch() for rho in drawn.rho.matrix])
+        bloch[:, 0] = 0.0
+        rho = QubitState(np.array([QubitState.from_bloch(b).matrix for b in bloch]))
+        setups = mzi.MZISetup(rho, drawn.rho_d, drawn.u, drawn.phi)
+        result = mzi.Evaluation(setups, None if optimal else mzi.random_strategies(dim, rngs))
+        report = result.report
+        assert np.max(report.predictability) <= 1e-15
+        rhs = equivalence_rhs(JMInstance(*result.pair))
+        assert np.max(np.abs(report.duality_rhs - report.duality_lhs - rhs)) <= 1e-13

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,10 +125,10 @@ class TestHermitianEig:
             assert stats.eta_s == pytest.approx(np.trace(projector @ setup.rho_d).real, abs=1e-12)
             assert stats.eta_s_u == pytest.approx(np.trace(projector @ rotated).real, abs=1e-12)
             # another orthonormal basis of the complement gives the same statistics
-            rest = sorted(optimal.complement())
+            rest = np.flatnonzero(~optimal.in_s)
             basis = optimal.basis.copy()
             basis[:, rest] = basis[:, rest] @ random_unitary(len(rest), rng)
-            mixed = mzi.strategy_stats(setup, mzi.Strategy(basis, optimal.subset))
+            mixed = mzi.strategy_stats(setup, mzi.Strategy(basis, optimal.in_s))
             assert mixed.eta_s == pytest.approx(stats.eta_s, abs=1e-12)
             assert mixed.eta_s_u == pytest.approx(stats.eta_s_u, abs=1e-12)
 
@@ -230,8 +233,9 @@ def test_empty_stacks_validate_to_empty():
         assert check(np.zeros((0, 3, 3))).shape == (0, 3, 3)
     for d in (2, 8):
         setups, strategies = mzi.random_setups(d, []), mzi.random_strategies(d, [])
-        assert [field.shape for field in setups] == [(0, 2, 2), (0, d, d), (0, d, d), (0,)]
-        assert [field.shape for field in strategies] == [(0, d, d), (0, d)]
+        shapes = setups.rho.matrix.shape, setups.rho_d.shape, setups.u.shape, setups.phi.shape
+        assert shapes == ((0, 2, 2), (0, d, d), (0, d, d), (0,))
+        assert (strategies.basis.shape, strategies.in_s.shape) == ((0, d, d), (0, d))
 
 
 def test_require_density_checks_hermiticity_once(monkeypatch):
@@ -248,3 +252,17 @@ def test_require_density_checks_hermiticity_once(monkeypatch):
     # a non-Hermitian matrix is still an invalid state, not a NotHermitian
     with pytest.raises(InvalidState, match="A - A"):
         require_density([[0.5, 0.1], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e300j, -2.0, 1.0 + 1e-9])
+def test_entries_beyond_modulus_1_are_named_before_any_product(entry):
+    # no entry of a density matrix or a unitary exceeds 1 in modulus
+    huge = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    huge[0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check, error in ((require_density, InvalidState), (require_unitary, NotUnitary)):
+            with pytest.raises(error, match=re.escape(f"entry {complex(entry):.6g} has modulus")):
+                check(np.array([np.eye(2) / 2, huge]))
+    # at the tolerance, the other checks decide
+    assert require_unitary(np.diag([1.0 + 1e-11, 1.0])).shape == (2, 2)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzduality.errors import BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect
+from mzduality.errors import (
+    BadDimension,
+    DimensionMismatch,
+    InvalidArgument,
+    InvalidEffect,
+    MZDualityError,
+    NotUnitary,
+)
 from mzduality.linalg import hermitian_eig
 from mzduality import acceptance, mzi
 from mzduality.qubit import (
@@ -19,7 +27,13 @@ from mzduality.qubit import (
     random_qubit_state,
     random_unitary,
 )
-from mzduality.scenarios import random_scenario
+from mzduality.scenarios import (
+    Scenario,
+    random_scenario,
+    random_scenarios,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 
@@ -47,15 +61,35 @@ class TestSetupConstruction:
             messages.add(str(caught.value))
         assert len(messages) == 1
 
-    def test_single_objects_reject_stacks(self):
-        # the validators accept stacks; the single-setup types must not
-        pair = np.array([GROUND, GROUND])
+    def test_fields_that_do_not_stack_alike_raise(self):
+        setups = mzi.random_setups(2, [np.random.default_rng([56, k]) for k in range(4)])
+        rho, rho_d, u, phi = setups.rho.matrix, setups.rho_d, setups.u, setups.phi
+        for fields in (
+            (rho[:3], rho_d, u, phi[:2]),  # three quantons, four detectors, two phases
+            (rho, rho_d, u, phi[:3]),
+            (rho[0], rho_d, u, phi),  # one quanton for a stack
+            (rho, rho_d, u[:3], phi),
+            (rho, rho_d[0], u[0], phi[0]),  # a stack of quantons for one setup
+            (rho[None], rho_d[None], u[None], phi[None]),  # two stacking axes
+        ):
+            with pytest.raises(DimensionMismatch):
+                mzi.MZISetup(QubitState(fields[0]), *fields[1:])
+        strategies = mzi.random_strategies(3, [np.random.default_rng([57, k]) for k in range(3)])
+        for basis, in_s in (
+            (strategies.basis, strategies.in_s[0]),
+            (strategies.basis[0], strategies.in_s),
+            (strategies.basis[None], strategies.in_s[None]),
+            (np.array([np.eye(2)] * 3), strategies.in_s),
+        ):
+            with pytest.raises(DimensionMismatch):
+                mzi.Strategy(basis, in_s)
+        # the kernel wants one strategy of the setups' dimension per setup
+        two = mzi.random_strategies(2, [np.random.default_rng([58, k]) for k in range(4)])
+        for given in (two[:3], two[None], strategies[[0, 1, 2, 0]], strategies[0]):
+            with pytest.raises(DimensionMismatch):
+                mzi.Evaluation(setups, given)
         with pytest.raises(DimensionMismatch):
-            QubitState(pair)
-        with pytest.raises(DimensionMismatch):
-            mzi.MZISetup(rho=QubitState(GROUND), rho_d=pair, u=np.array([np.eye(2)] * 2))
-        with pytest.raises(DimensionMismatch):
-            mzi.Strategy(basis=np.array([np.eye(2)] * 2), subset=frozenset())
+            mzi.Evaluation(setups[0], two)
         with pytest.raises(InvalidEffect):
             BinaryQubitObservable(bias=np.array([0.5, 0.5]), vector=np.zeros((2, 3)))
 
@@ -152,9 +186,9 @@ class TestStrategiesAndDistinguishability:
         rng = np.random.default_rng(35)
         setup = random_setup(rng, 3)
         basis = random_unitary(3, rng)
-        full = mzi.strategy_stats(setup, mzi.Strategy(basis=basis, subset=frozenset(range(3))))
+        full = mzi.strategy_stats(setup, mzi.Strategy.from_subset(basis, range(3)))
         assert (full.eta_s, full.eta_s_u) == pytest.approx((1.0, 1.0), abs=1e-12)
-        empty = mzi.strategy_stats(setup, mzi.Strategy(basis=basis, subset=frozenset()))
+        empty = mzi.strategy_stats(setup, mzi.Strategy.from_subset(basis, []))
         assert (empty.eta_s, empty.eta_s_u) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_probability_ranges(self):
@@ -171,7 +205,7 @@ class TestStrategiesAndDistinguishability:
         setup = mzi.MZISetup(rho=rho, rho_d=random_detector_state(2, rng), u=np.eye(2), phi=0.0)
         _, w_plus, _ = mzi.predictability(rho)
         stats = mzi.strategy_stats(
-            setup, mzi.Strategy(basis=np.eye(2), subset=frozenset({0, 1}))
+            setup, mzi.Strategy.from_subset(np.eye(2), [0, 1])
         )
         assert mzi.distinguishability(stats, w_plus, 1 - w_plus) == pytest.approx(
             2 * w_plus - 1, abs=1e-12
@@ -180,7 +214,7 @@ class TestStrategiesAndDistinguishability:
     def test_perfect_which_path_marking(self):
         # unbiased quanton, ground detector flipped to an orthogonal state
         setup = mzi.MZISetup(rho=QubitState(GROUND), rho_d=GROUND, u=SIGMA_X, phi=0.0)
-        strategy = mzi.Strategy(basis=np.eye(2), subset=frozenset({0}))
+        strategy = mzi.Strategy.from_subset(np.eye(2), [0])
         stats = mzi.strategy_stats(setup, strategy)
         assert mzi.distinguishability(stats, 0.5, 0.5) == pytest.approx(1.0, abs=1e-14)
         assert mzi.max_distinguishability(setup) == pytest.approx(1.0, abs=1e-12)
@@ -217,7 +251,7 @@ class TestStrategiesAndDistinguishability:
             vals, vecs = hermitian_eig(mzi.guess_operator(setup))
             best = max(
                 mzi.distinguishability(
-                    mzi.strategy_stats(setup, mzi.Strategy(basis=vecs, subset=frozenset(sub))),
+                    mzi.strategy_stats(setup, mzi.Strategy.from_subset(vecs, sub)),
                     w_plus,
                     w_minus,
                 )
@@ -289,10 +323,10 @@ class TestPovms:
         rng = np.random.default_rng(43)
         setup = random_setup(rng, 3)
         basis = random_unitary(3, rng)
-        all_in = mzi.which_path_povm(setup, mzi.Strategy(basis=basis, subset=frozenset(range(3))))
+        all_in = mzi.which_path_povm(setup, mzi.Strategy.from_subset(basis, range(3)))
         np.testing.assert_allclose(all_in.effect(0), np.eye(2), atol=1e-12)
         identity_setup = mzi.MZISetup(rho=setup.rho, rho_d=setup.rho_d, u=np.eye(3), phi=0.0)
-        strategy = mzi.Strategy(basis=basis, subset=frozenset({1}))
+        strategy = mzi.Strategy.from_subset(basis, [1])
         povm = mzi.which_path_povm(identity_setup, strategy)
         stats = mzi.strategy_stats(identity_setup, strategy)
         np.testing.assert_allclose(povm.effect(0), stats.eta_s * np.eye(2), atol=1e-12)
@@ -311,7 +345,7 @@ class TestJointObservable:
     def test_all_subset_empties_second_column(self):
         rng = np.random.default_rng(45)
         setup = random_setup(rng, 3)
-        strategy = mzi.Strategy(basis=random_unitary(3, rng), subset=frozenset(range(3)))
+        strategy = mzi.Strategy.from_subset(random_unitary(3, rng), range(3))
         effects = mzi.joint_observable(setup, strategy)
         np.testing.assert_allclose(effects[0, 1], 0, atol=1e-14)
         np.testing.assert_allclose(effects[1, 1], 0, atol=1e-14)
@@ -371,21 +405,16 @@ class TestJointObservable:
         setup = random_setup(rng, dim, phi=phi)
         strategy = mzi.random_strategy(dim, rng)
         if kind != "random":
-            subset = frozenset(range(dim)) if kind == "full" else frozenset()
-            strategy = mzi.Strategy(basis=strategy.basis, subset=subset)
+            strategy = mzi.Strategy(strategy.basis, np.full(dim, kind == "full"))
         effects = mzi.joint_observable(setup, strategy)
-        setups = mzi.Setups(
-            setup.rho.matrix[None], setup.rho_d[None], setup.u[None], np.array([setup.phi])
-        )
-        strategies = mzi.Strategies(strategy.basis[None], strategy.in_s[None])
-        reference = acceptance.reference_joint_observable(setups, strategies)[0]
+        reference = acceptance.reference_joint_observable(setup[None], strategy[None])[0]
         assert np.max(np.abs(effects - reference)) <= 1e-12
 
 
 class TestSampling:
     def test_deterministic_outcomes(self):
         setup = mzi.MZISetup(rho=QubitState(GROUND), rho_d=GROUND, u=np.eye(2), phi=0.0)
-        strategy = mzi.Strategy(basis=np.eye(2), subset=frozenset({0, 1}))
+        strategy = mzi.Strategy.from_subset(np.eye(2), [0, 1])
         counts = mzi.sample_outcomes(setup, strategy, 5000, seed=2)
         assert np.array_equal(counts, mzi.sample_outcomes(setup, strategy, 5000, seed=2))
         # deterministic physics: quanton exits port 0 and the guess is always S
@@ -562,8 +591,7 @@ class TestTightnessGapAndReport:
                                  u=setup.u, phi=setup.phi)
         strategy = mzi.random_strategy(dim, rng)
         if kind != "random":
-            subset = frozenset(range(dim)) if kind == "full" else frozenset()
-            strategy = mzi.Strategy(basis=strategy.basis, subset=subset)
+            strategy = mzi.Strategy(strategy.basis, np.full(dim, kind == "full"))
         r = mzi.duality_report(setup, strategy)
         lhs = r.distinguishability**2 + (1.0 - r.predictability**2) * r.contrast**2
         assert lhs <= 1.0 - r.tightness_gap**2 + 1e-10
@@ -677,17 +705,17 @@ def kernel_stacks(draw):
             plane = np.outer(psi, psi.conj()) + np.outer(other, other.conj())
             unitaries.append(np.eye(dim) - plane + turn if rotate else np.eye(dim))
         x = [rng.uniform(-1.0, 1.0) for rng in rngs]
-        rho = np.array([QubitState.from_bloch([v, 0.0, 0.0]).matrix for v in x])
+        rho = QubitState(np.array([QubitState.from_bloch([v, 0.0, 0.0]).matrix for v in x]))
         phases = np.array([rng.uniform(0.0, 2.0 * np.pi) for rng in rngs])
-        setups = mzi.Setups.validated(rho, np.array(states), np.array(unitaries), phases)
+        setups = mzi.MZISetup(rho, np.array(states), np.array(unitaries), phases)
     else:
         setups = mzi.random_setups(dim, rngs, pure=detector == "pure")
     if kind == "optimal":
         return setups, None
-    basis, in_s = mzi.random_strategies(dim, rngs)
+    strategies = mzi.random_strategies(dim, rngs)
     if kind != "random":
-        in_s = np.full_like(in_s, kind == "full")
-    return setups, mzi.Strategies(basis, in_s)
+        strategies = mzi.Strategy(strategies.basis, np.full_like(strategies.in_s, kind == "full"))
+    return setups, strategies
 
 
 class TestBatchedKernel:
@@ -699,8 +727,7 @@ class TestBatchedKernel:
         report = np.array(list(vars(result.report).values()))
         stats = np.array(list(vars(result.stats).values()))
         for k in range(len(setups.phi)):
-            rho, rho_d, u, phi = setups.rows(k)
-            setup = mzi.MZISetup(rho=QubitState(rho), rho_d=rho_d, u=u, phi=phi)
+            setup = setups[k]
             if strategies is None:
                 _, _, _, basis, subset = reference_guess(setup)
                 # the optimal guess set, as the projector onto its eigenvectors
@@ -710,8 +737,7 @@ class TestBatchedKernel:
                     chosen @ chosen.conj().T, wanted @ wanted.conj().T, atol=1e-12
                 )
             else:
-                basis = strategies.basis[k]
-                subset = frozenset(np.flatnonzero(strategies.in_s[k]).tolist())
+                basis, subset = strategies.basis[k], strategies[k].subset
             got, want = report[:, k].copy(), np.array(reference_report(setup, basis, subset))
             # gamma_S takes square roots of eta products that round to ~1e-17
             # for pure detectors, which turns rounding into ~1e-9; its square,
@@ -747,3 +773,142 @@ class TestBatchedKernel:
             assert "guess" not in alone.__dict__
         report = mzi.Evaluation(setups, strategies).report
         assert d_s.tobytes() == report.distinguishability.tobytes()
+
+
+def evaluation_columns(result):
+    """Every column of an evaluation, as (name, array with leading axis N)."""
+    yield "strategies.basis", result.strategies.basis
+    yield "strategies.in_s", result.strategies.in_s
+    for record in ("report", "stats"):
+        for name, column in vars(getattr(result, record)).items():
+            yield f"{record}.{name}", column
+    for name, column in zip(("m0", "m_vec", "n_vec"), result.pair):
+        yield f"pair.{name}", column
+    yield "effects", result.effects
+    for name, column in zip(("min_eig", "completeness", "marginal"), result.residuals):
+        yield f"residuals.{name}", column
+
+
+# a bad value for one row of one field, and the error that row raises alone
+BAD_SETUP_ROWS = {
+    "quanton not positive": ("rho", np.array([[0.5, 0.6], [0.6, 0.5]]), "InvalidState"),
+    "quanton trace": ("rho", np.diag([0.5, 0.6]), "InvalidState"),
+    "quanton entry 1e300": ("rho", np.array([[1e300, 0.0], [0.0, 0.5]]), "InvalidState"),
+    "detector not Hermitian": ("rho_d", "upper", "InvalidState"),
+    "detector nan": ("rho_d", np.nan, "DimensionMismatch"),
+    "unitary scaled": ("u", 0.5, "NotUnitary"),
+    "unitary entry 1e300": ("u", 1e300, "NotUnitary"),
+    "phase inf": ("phi", np.inf, "InvalidArgument"),
+}
+
+
+def record_validations(monkeypatch):
+    """A list that gets the class name of each QubitState, MZISetup and
+    Strategy validated from now on."""
+    checked = []
+    for cls in (QubitState, mzi.MZISetup, mzi.Strategy):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda self, check=check, name=cls.__name__: checked.append(name) or check(self),
+        )
+    return checked
+
+
+class TestStacksAndRows:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kernel_stacks())
+    def test_a_stack_is_its_rows_one_by_one(self, case):
+        # every column, bit for bit: d = 2..8, optimal, random, empty and full
+        # strategies, and degenerate setups
+        setups, strategies = case
+        stacked = dict(evaluation_columns(mzi.Evaluation(setups, strategies)))
+        for k in range(len(setups.phi)):
+            alone = mzi.Evaluation(setups[k], None if strategies is None else strategies[k])
+            for name, column in evaluation_columns(alone):
+                assert column.shape[0] == 1, name
+                assert column[0].tobytes() == stacked[name][k].tobytes(), (k, name)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        size=st.integers(1, 6),
+        share=st.floats(0.0, 1.0, exclude_max=True),
+        bad=st.sampled_from(sorted(BAD_SETUP_ROWS)),
+    )
+    def test_a_stack_with_one_bad_row_raises_as_that_row(self, dim, size, share, bad):
+        setups = mzi.random_setups(dim, [np.random.default_rng([59, k]) for k in range(size)])
+        fields = {"rho": setups.rho.matrix.copy(), "rho_d": setups.rho_d.copy(),
+                  "u": setups.u.copy(), "phi": setups.phi.copy()}
+        field, value, error = BAD_SETUP_ROWS[bad]
+        row = int(share * size)
+        if isinstance(value, str):  # one entry above the diagonal changed
+            fields[field][row, 0, 1] += 0.1
+        elif field in ("rho", "phi"):
+            fields[field][row] = value
+        else:
+            fields[field][row] *= value
+
+        def build(rows):
+            return mzi.MZISetup(QubitState(fields["rho"][rows]), *(
+                fields[name][rows] for name in ("rho_d", "u", "phi")))
+
+        for rows in (row, slice(None)):
+            with pytest.raises(MZDualityError) as caught:
+                build(rows)
+            assert type(caught.value).__name__ == error
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_a_strategy_stack_with_one_bad_row_raises_as_that_row(self, row):
+        strategies = mzi.random_strategies(3, [np.random.default_rng([60, k]) for k in range(5)])
+        basis = strategies.basis.copy()
+        basis[row, :, 0] *= 1.5
+        for rows in (row, slice(None)):
+            with pytest.raises(NotUnitary):
+                mzi.Strategy(basis[rows], strategies.in_s[rows])
+
+    def test_taking_rows_does_not_validate(self, monkeypatch):
+        checked = record_validations(monkeypatch)
+        rngs = [np.random.default_rng([61, k]) for k in range(5)]
+        setups, strategies = mzi.random_setups(3, rngs), mzi.random_strategies(3, rngs)
+        assert checked == ["QubitState", "MZISetup", "Strategy"]
+        for rows in (2, slice(1, 4), np.array([4, 0, 0]), None):
+            setup_rows, strategy_rows = setups[rows], strategies[rows]
+            np.testing.assert_array_equal(setup_rows.rho.matrix, setups.rho.matrix[rows])
+            np.testing.assert_array_equal(setup_rows.u, setups.u[rows])
+            np.testing.assert_array_equal(setup_rows.phi, setups.phi[rows])
+            np.testing.assert_array_equal(strategy_rows.in_s, strategies.in_s[rows])
+        # nor does reading one setup as a stack of one, or a row's report
+        one = setups[1]
+        mzi.duality_report(one, mzi.optimal_strategy(one))
+        mzi.duality_report(one, strategies[1])
+        assert checked == ["QubitState", "MZISetup", "Strategy"]
+
+    @pytest.mark.parametrize("optimal", [[True] * 4, [False, True, False, False]])
+    def test_a_sweep_chunk_validates_each_stack_once(self, optimal, monkeypatch):
+        checked = record_validations(monkeypatch)
+        scenarios = random_scenarios(62, range(4), 3, optimal)
+        assert checked == ["QubitState", "MZISetup", "Strategy"]
+        for scenario in scenarios:
+            mzi.duality_report(scenario.setup, scenario.resolve_strategy())
+        assert len(checked) == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_from_subset_round_trips_through_subset_and_the_scenario_json(self, dim, seed, data):
+        subset = data.draw(st.sets(st.integers(0, dim - 1)))
+        basis = random_unitary(dim, seed)
+        strategy = mzi.Strategy.from_subset(basis, sorted(subset, reverse=True))
+        assert strategy.subset == frozenset(subset)
+        assert strategy.in_s.tolist() == [k in subset for k in range(dim)]
+        scenario = Scenario("round-trip", random_setup(np.random.default_rng(seed), dim),
+                            strategy, seed)
+        loaded = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+        assert loaded.strategy_spec.subset == frozenset(subset)
+        assert loaded.strategy_spec.in_s.tobytes() == strategy.in_s.tobytes()
+        assert loaded.strategy_spec.basis.tobytes() == strategy.basis.tobytes()
+
+    @pytest.mark.parametrize("subset", [[3], [-1], [0, 5]])
+    def test_from_subset_rejects_outcomes_outside_the_basis(self, subset):
+        with pytest.raises(DimensionMismatch, match=r"subset \[.*\] not within 0..2"):
+            mzi.Strategy.from_subset(np.eye(3), subset)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -122,6 +124,11 @@ class TestQubitState:
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(InvalidState):
             QubitState.from_bloch([1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("component", [1e300, -1e300, np.inf, 1.5])
+    def test_rejects_a_large_component_as_given(self, component):
+        with pytest.raises(InvalidState, match=re.escape(f"component {component:.6g} exceeds 1")):
+            QubitState.from_bloch([0.0, component, 0.0])
 
     def test_rejects_non_finite_bloch_vector(self):
         with pytest.raises(InvalidState):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from mzduality.scenarios import (
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SATURATING = SCENARIO_DIR / "saturating_pure_detector.json"
 QUARTER_TURN = SCENARIO_DIR / "quarter_turn_detector.json"
+BIASED = SCENARIO_DIR / "biased_mixed_detector.json"
 
 
 class TestScenarioFiles:
@@ -265,6 +267,36 @@ class TestCli:
             assert "strategy" in captured.err
         if argv[-1].startswith("DIM_"):
             assert captured.err.startswith("error: invalid setup: detector dimension")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-jm", "--m0", "0.5", "--m", "1e300", "--n", "0.1"],
+            ["report", "--scenario", "QUANTON_BLOCH"],
+            ["report", "--scenario", "DETECTOR_BLOCH"],
+            ["report", "--scenario", "UNITARY_ENTRY"],
+        ],
+        ids=["check-jm-m", "quanton-bloch", "detector-bloch", "unitary-entry"],
+    )
+    def test_huge_magnitudes_are_named_before_any_arithmetic(self, argv, capsys, tmp_path):
+        # each overflowed in a product before, printing RuntimeWarning lines
+        # ahead of an error that named inf instead of the value given
+        biased = json.loads(BIASED.read_text())
+        detector, huge = biased["detector"], {"bloch": [1e300, 0, 0]}
+        unitary = {"matrix": [[[1e300, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]}
+        files = {
+            "QUANTON_BLOCH": {**biased, "quanton": huge},
+            "DETECTOR_BLOCH": {**biased, "detector": {**detector, "state": huge}},
+            "UNITARY_ENTRY": {**biased, "detector": {**detector, "unitary": unitary}},
+        }
+        for placeholder, data in files.items():
+            (tmp_path / placeholder).write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1e+300" in err
+        assert "Warning" not in err
 
     def test_sweep_deterministic_and_clean(self, tmp_path):
         first = tmp_path / "a.csv"
