@@ -23,7 +23,6 @@ from .linalg import (
     trace_norm,
 )
 from .qubit import (
-    BinaryQubitObservable,
     QubitState,
     bloch_to_matrix,
     matrix_to_bloch,
@@ -40,7 +39,6 @@ from .mzi import (
     a_priori_visibility,
     distinguishability,
     duality_report,
-    interference_povm,
     joint_observable,
     max_distinguishability,
     optimal_strategy,
@@ -50,8 +48,6 @@ from .mzi import (
     sample_outcomes,
     strategy_stats,
     tightness_gap,
-    visibility_with_detector,
-    which_path_povm,
 )
 from .jointmeas import (
     JMInstance,

@@ -38,7 +38,7 @@ CHUNK = 32
 SIGNS = np.array([1.0, -1.0])  # (-1)^i for i = 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JMInstance:
     """Parameters (m0, m, n) of the observable pair, with m orthogonal to n.
 
@@ -81,7 +81,7 @@ class JMInstance:
             object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointCandidate:
     """Candidate joint observable parametrized by a scalar x and a vector y,
     or a stack of them, one per instance of a stacked ``JMInstance``.
@@ -344,9 +344,10 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
 
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
-    """Observable pair realized by a setup and strategy: ``n`` is the vector
-    of ``interference_povm``, and ``m0`` and ``m`` are the bias and vector of
-    ``which_path_povm``."""
+    """Observable pair realized by a setup and strategy, validated: ``n`` is
+    the vector of the output ports, a smeared interference observable, and
+    ``m0`` and ``m`` are the bias and vector of the guess, a smeared sigma_x.
+    This is the one public reading of ``Evaluation.pair``."""
     return JMInstance(*(v[0] for v in evaluate_setup(setup, strategy).pair))
 
 

@@ -11,6 +11,9 @@ and ``Strategy`` one strategy or a stack; each validates itself once, and a
 row taken from a stack is not validated again.  Every strategy-dependent
 quantity comes from one batched kernel, ``Evaluation``, which reads one setup
 as a stack of one; the single-setup functions read row 0 of its columns.
+The observable pair a setup and strategy realize, ``Evaluation.pair``, is
+read as a validated ``jointmeas.JMInstance`` through
+``jointmeas.instance_from_setup``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .qubit import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
-    BinaryQubitObservable,
     QubitState,
     as_generator,
     bloch_to_matrix,
@@ -45,7 +47,7 @@ ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MZISetup:
     """Quanton state, detector state, detector unitary and phase-shifter
     angle of one setup, (2, 2), (d, d), (d, d) and a float, or of N setups
@@ -85,7 +87,7 @@ class MZISetup:
         return self.rho_d.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """Orthonormal detector basis and the mask ``in_s`` of its columns, the
     outcomes S that vote for path |0>: one strategy as (d, d) and (d,), or N
@@ -260,7 +262,10 @@ class Evaluation:
 
     @cached_property
     def fringes(self) -> tuple:
-        """``(V, delta, contrast)`` as ``visibility_with_detector`` returns them."""
+        """Fringe visibility with the detector coupled, ``(V, delta, contrast)``:
+        ``contrast = |tr(U rho_D)|`` multiplies the a priori visibility, and
+        ``delta = arg tr(rho_D U^dag)`` (0 when the contrast vanishes) is the
+        phase offset the detector imprints on the fringes."""
         trace = self._detector[2]
         contrast = np.abs(trace)
         delta = np.where(contrast >= DEGENERATE_PHASE_TOL, np.angle(np.conj(trace)), 0.0)
@@ -379,21 +384,6 @@ def _first(record):
     return type(record)(*(float(column[0]) for column in vars(record).values()))
 
 
-def visibility_with_detector(setup: MZISetup) -> tuple[float, float, float]:
-    """Fringe visibility with the detector coupled: ``(V, delta, contrast)``.
-
-    ``contrast = |tr(U rho_D)|`` multiplies the a priori visibility;
-    ``delta = arg tr(rho_D U^dag)`` (0 when the contrast vanishes) is the
-    phase offset the detector imprints on the fringes.
-    """
-    return tuple(float(value[0]) for value in evaluate_setup(setup).fringes)
-
-
-def guess_operator(setup: MZISetup) -> np.ndarray:
-    """The Helstrom operator ``w+ rho_D - w- U rho_D U^dag`` the optimal guess diagonalizes."""
-    return evaluate_setup(setup).guess[0][0].copy()
-
-
 def strategy_stats(setup: MZISetup, strategy: Strategy) -> StrategyStats:
     """Probabilities of the detector landing in S / S-bar before and after U."""
     return _first(evaluate_setup(setup, strategy).stats)
@@ -414,24 +404,11 @@ def max_distinguishability(setup: MZISetup) -> float:
     return float(evaluate_setup(setup).report.max_distinguishability[0])
 
 
-def interference_povm(setup: MZISetup) -> BinaryQubitObservable:
-    """Binary observable recorded at the output ports: a smeared version of the
-    sharp interference observable at phase ``delta + phi``, with sharpness
-    ``contrast / 2``."""
-    return BinaryQubitObservable(bias=0.5, vector=evaluate_setup(setup).pair[2][0])
-
-
-def which_path_povm(setup: MZISetup, strategy: Strategy) -> BinaryQubitObservable:
-    """Binary observable realized by the detector guess: a smeared version of
-    the sharp path observable sigma_x."""
-    m0, m_vec, _ = evaluate_setup(setup, strategy).pair
-    return BinaryQubitObservable(bias=float(m0[0]), vector=m_vec[0])
-
-
 def joint_observable(setup: MZISetup, strategy: Strategy) -> np.ndarray:
     """Four-outcome observable (output port i, guess j) the setup realizes, as
     a (2, 2, 2, 2) array of 2x2 effects in the closed form of ``Evaluation``.
-    Its marginals reproduce ``interference_povm`` and ``which_path_povm``."""
+    Its marginals are the effects of the pair ``jointmeas.instance_from_setup``
+    returns."""
     return evaluate_setup(setup, strategy).effects[0].copy()
 
 
@@ -481,7 +458,7 @@ def random_setups(d: int, rngs, pure: bool = False) -> MZISetup:
     Gaussians of its detector state and coupling in one call, then its
     phase.  So each generator must be a stream of its own."""
     d = require_dim(d)
-    rho = QubitState(bloch_to_matrix(bloch_vectors(rngs) / 2.0, 0.5))
+    rho = QubitState.from_bloch(bloch_vectors(rngs))
     size = 2 * d if pure else 2 * d * d
     normals, phi = np.empty((len(rngs), size + 2 * d * d)), np.empty(len(rngs))
     for row, rng in enumerate(rngs):

@@ -1,4 +1,4 @@
-"""Bloch-vector algebra, qubit states, and binary unsharp observables.
+"""Bloch-vector algebra, qubit states, and the effects of binary unsharp observables.
 
 Randomized generators use numpy's PCG64 via ``default_rng``; every draw takes
 an explicit seed (or Generator), and ``stream(seed, index, ...)`` derives the
@@ -49,10 +49,10 @@ def stream(*key: int) -> np.random.Generator:
         return np.random.default_rng(list(key))
 
 
-def require_effect(vector, bias) -> np.ndarray:
-    """The Bloch vector of the effect ``bias * I + v . sigma`` as floats, one
-    of shape (3,) or a stack (..., 3) with matching biases; raises
-    InvalidEffect unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``."""
+def bloch_to_matrix(vector, bias) -> np.ndarray:
+    """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for a
+    stack (..., 3) of vectors with matching biases; raises InvalidEffect
+    unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``."""
     v = np.asarray(vector, dtype=float)
     if v.shape[-1:] != (3,):
         raise InvalidEffect(f"Bloch vector must have shape (3,), got {v.shape}")
@@ -61,14 +61,8 @@ def require_effect(vector, bias) -> np.ndarray:
     excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
     if (excess > PSD_TOL).any():
         raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
-    return v
-
-
-def bloch_to_matrix(vector, bias) -> np.ndarray:
-    """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for
-    stacked input; validated by ``require_effect``."""
     # each entry sums at most two nonzero terms, so any order gives the same bits
-    vector_part = np.einsum("...k,kij->...ij", require_effect(vector, bias), PAULI_STACK)
+    vector_part = np.einsum("...k,kij->...ij", v, PAULI_STACK)
     return np.asarray(bias, dtype=float)[..., None, None] * IDENTITY_2 + vector_part
 
 
@@ -98,7 +92,7 @@ def unchecked(cls, **fields):
     return item
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitState:
     """Validated density matrix of the quanton, (2, 2), or a stack (N, 2, 2)."""
 
@@ -112,45 +106,23 @@ class QubitState:
 
     @classmethod
     def from_bloch(cls, vector) -> "QubitState":
+        """The state of one Bloch vector, (3,), or the stack of N, (N, 3),
+        each within the unit ball."""
         v = np.asarray(vector, dtype=float)
-        if v.shape != (3,):
+        if v.shape[-1:] != (3,) or v.ndim > 2:
             raise InvalidState(f"Bloch vector must have shape (3,), got {v.shape}")
         large = np.abs(v) > 1.0 + PSD_TOL  # ahead of the norm, which a huge one overflows
         if large.any():
             raise InvalidState(f"Bloch component {v[large][0]:.6g} exceeds 1 in absolute value")
-        norm = float(np.linalg.norm(v))
-        if not norm <= 1.0 + PSD_TOL:
-            raise InvalidState(f"Bloch norm {norm:.6g} must be finite and at most 1")
+        norms = row_norms(np.atleast_2d(v))
+        outside = ~(norms <= 1.0 + PSD_TOL)
+        if outside.any():
+            raise InvalidState(f"Bloch norm {norms[outside][0]:.6g} must be finite and at most 1")
         return cls(bloch_to_matrix(v / 2.0, 0.5))
 
     def bloch(self) -> np.ndarray:
         _, v = matrix_to_bloch(self.matrix)
         return 2.0 * v
-
-
-@dataclass(frozen=True)
-class BinaryQubitObservable:
-    """Two-outcome unsharp qubit observable ``{bias I + v.sigma, (1-bias) I - v.sigma}``.
-
-    Validity requires ``|v| <= min(bias, 1-bias)`` so that both effects are
-    positive semidefinite.
-    """
-
-    bias: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vector = require_effect(self.vector, self.bias)
-        if vector.shape != (3,):
-            raise InvalidEffect(f"expected one Bloch vector, got shape {vector.shape}")
-        object.__setattr__(self, "vector", vector)
-
-    def effect(self, outcome: int) -> np.ndarray:
-        if outcome == 0:
-            return bloch_to_matrix(self.vector, self.bias)
-        if outcome == 1:
-            return bloch_to_matrix(-self.vector, 1.0 - self.bias)
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
 
 
 def require_dim(d: int) -> int:

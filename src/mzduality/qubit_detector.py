@@ -16,14 +16,14 @@ import numpy as np
 from .errors import DegenerateFidelity, InvalidArgument, InvalidInstance
 from .linalg import fidelity_unitary_pair, require_density, require_unitary
 from .mzi import Evaluation, MZISetup
-from .qubit import QubitState, bloch_to_matrix, matrix_to_bloch
+from .qubit import QubitState, matrix_to_bloch
 
 BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
 P_STEP = 1e-4  # default path-bias step of the finite-difference gap slope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitDetectorAnalysis:
     """Bloch data of a qubit detector before (alpha) and after (beta) the
     coupling unitary, plus the path bias parameter p with w+ = (1 + p)/2.
@@ -121,9 +121,9 @@ def gap_slope_prediction(rho_d, u):
     """Leading coefficient of the tightness gap in the path bias,
     ``2 (1 - tr rho_D^2) / F(rho_D, U rho_D U^dag)``, of one detector or of
     each in stacks (N, 2, 2)."""
-    rho = require_density(rho_d, dim=2)
+    fid = fidelity_unitary_pair(rho_d, u)  # validates both
+    rho = np.asarray(rho_d, dtype=complex)
     purity = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
-    fid = fidelity_unitary_pair(rho, u)
     if np.any(fid <= 1e-12):
         raise DegenerateFidelity("fidelity vanishes; the slope ratio is undefined")
     return 2.0 * np.maximum(1.0 - purity, 0.0) / fid
@@ -135,7 +135,7 @@ def gap_at_bias(rho_d, u, p):
     p a float or one bias per detector."""
     bloch = np.zeros((len(rho_d), 3))
     bloch[:, 0] = p
-    setups = MZISetup(QubitState(bloch_to_matrix(bloch / 2.0, 0.5)), rho_d, u, np.zeros(len(rho_d)))
+    setups = MZISetup(QubitState.from_bloch(bloch), rho_d, u, np.zeros(len(rho_d)))
     return Evaluation(setups).report.tightness_gap
 
 

@@ -23,7 +23,7 @@ OPTIMAL = "optimal"
 NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A named, seeded setup plus strategy specification."""
 

@@ -665,7 +665,7 @@ class TestInstanceFromSetup:
             )
             strategy = mzi.random_strategy(dim, rng)
             stats = mzi.strategy_stats(setup, strategy)
-            _, _, contrast = mzi.visibility_with_detector(setup)
+            contrast = mzi.duality_report(setup, strategy).contrast
             expected = (
                 np.sqrt(stats.eta_s * stats.eta_s_u)
                 + np.sqrt(stats.eta_sbar * stats.eta_sbar_u)
@@ -678,15 +678,19 @@ class TestInstanceFromSetup:
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_witness_marginals_are_the_realized_pair(self, path):
         # the witness is a joint observable of the pair the setup realizes,
-        # so its marginals are the interferometer's own two POVMs
+        # so its marginals are the interferometer's own two POVMs, the
+        # marginals of the joint observable the setup realizes
         scenario = load_scenario(path)
         setup, strategy = scenario.setup, scenario.resolve_strategy()
         effects = construct_joint(instance_from_setup(setup, strategy)).effects
-        port_povm = mzi.interference_povm(setup)
-        guess_povm = mzi.which_path_povm(setup, strategy)
+        realized = mzi.joint_observable(setup, strategy)
         for k in range(2):
-            np.testing.assert_allclose(effects[k].sum(axis=0), port_povm.effect(k), atol=1e-12)
-            np.testing.assert_allclose(effects[:, k].sum(axis=0), guess_povm.effect(k), atol=1e-12)
+            np.testing.assert_allclose(
+                effects[k].sum(axis=0), realized[k].sum(axis=0), atol=1e-12
+            )
+            np.testing.assert_allclose(
+                effects[:, k].sum(axis=0), realized[:, k].sum(axis=0), atol=1e-12
+            )
 
     def test_saturating_scenario_margin_zero(self):
         setup = mzi.MZISetup(

@@ -115,7 +115,7 @@ class TestHermitianEig:
                 rho_d=random_pure_detector_state(8, rng),
                 u=random_unitary(8, rng),
             )
-            guess = mzi.guess_operator(setup)
+            guess = mzi.Evaluation(setup).guess[0][0]
             vals, vecs = np.linalg.eigh(guess)
             positive = vecs[:, vals > 1e-12]
             projector = positive @ positive.conj().T

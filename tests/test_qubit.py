@@ -12,7 +12,6 @@ from mzduality.qubit import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BinaryQubitObservable,
     QubitState,
     bloch_to_matrix,
     matrix_to_bloch,
@@ -66,9 +65,9 @@ class TestBlochConversions:
     @given(valid_effects())
     def test_observable_uses_the_bloch_map(self, effect):
         bias, vector = effect
-        obs = BinaryQubitObservable(bias=bias, vector=vector)
-        np.testing.assert_array_equal(obs.effect(0), bloch_to_matrix(vector, bias))
-        np.testing.assert_allclose(obs.effect(0) + obs.effect(1), IDENTITY_2, atol=1e-15)
+        effects = bloch_to_matrix(np.stack([vector, -vector]), np.array([bias, 1.0 - bias]))
+        np.testing.assert_array_equal(effects[0], bloch_to_matrix(vector, bias))
+        np.testing.assert_allclose(effects[0] + effects[1], IDENTITY_2, atol=1e-15)
         back_bias, back_vector = matrix_to_bloch(bloch_to_matrix(vector, bias))
         assert back_bias == pytest.approx(bias, abs=1e-15)
         np.testing.assert_allclose(back_vector, vector, atol=1e-15)
@@ -134,22 +133,51 @@ class TestQubitState:
         with pytest.raises(InvalidState):
             QubitState.from_bloch([np.nan, 0.0, 0.0])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_a_bloch_stack_is_its_rows_one_by_one(self, seed, size):
+        rng = np.random.default_rng(seed)
+        vectors = rng.uniform(-1.0, 1.0, (size, 3))
+        vectors /= np.maximum(np.linalg.norm(vectors, axis=1), 1.0)[:, None]
+        stacked = QubitState.from_bloch(vectors).matrix
+        for k, vector in enumerate(vectors):
+            assert stacked[k].tobytes() == QubitState.from_bloch(vector).matrix.tobytes()
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.5, 0.0], [0.0, 1e300, 0.0], [np.nan, 0.0, 0.0]])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_bloch_stack_with_one_bad_row_raises_as_that_row(self, bad, row):
+        vectors = np.zeros((3, 3))
+        vectors[row] = bad
+        with pytest.raises(InvalidState) as alone:
+            QubitState.from_bloch(bad)
+        with pytest.raises(InvalidState, match=re.escape(str(alone.value))):
+            QubitState.from_bloch(vectors)
+
 
 class TestBinaryQubitObservable:
+    # the two effects {b I + v.sigma, (1 - b) I - v.sigma} of a binary
+    # unsharp observable, as bloch_to_matrix builds them
     def test_effects_sum_to_identity(self):
-        obs = BinaryQubitObservable(bias=0.6, vector=np.array([0.1, 0.2, 0.1]))
-        np.testing.assert_allclose(obs.effect(0) + obs.effect(1), IDENTITY_2, atol=1e-15)
+        vector = np.array([0.1, 0.2, 0.1])
+        effects = bloch_to_matrix(np.stack([vector, -vector]), np.array([0.6, 0.4]))
+        np.testing.assert_allclose(effects[0] + effects[1], IDENTITY_2, atol=1e-15)
 
     def test_invalid_vector_rejected(self):
-        with pytest.raises(InvalidEffect):
-            BinaryQubitObservable(bias=0.9, vector=np.array([0.2, 0.0, 0.0]))
+        # |v| = 0.2 exceeds 1 - b = 0.1, for one effect or in a stack
+        with pytest.raises(InvalidEffect, match="exceeds min"):
+            bloch_to_matrix(np.array([0.2, 0.0, 0.0]), 0.9)
+        with pytest.raises(InvalidEffect, match="exceeds min"):
+            bloch_to_matrix(np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]), np.array([0.5, 0.9]))
+        # and a vector of two components is no Bloch vector
+        with pytest.raises(InvalidEffect, match=re.escape("shape (3,), got (2,)")):
+            bloch_to_matrix(np.zeros(2), 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(InvalidEffect):
-            BinaryQubitObservable(bias=bad, vector=np.zeros(3))
-        with pytest.raises(InvalidEffect):
-            BinaryQubitObservable(bias=0.5, vector=np.array([0.0, bad, 0.0]))
+        with pytest.raises(InvalidEffect, match="finite"):
+            bloch_to_matrix(np.zeros(3), bad)
+        with pytest.raises(InvalidEffect, match="finite"):
+            bloch_to_matrix(np.array([0.0, bad, 0.0]), 0.5)
 
 
 class TestRandomGenerators:

@@ -149,6 +149,24 @@ class TestGapSlope:
             empirical = gap_slope_empirical(rho_d, u, 1e-4)
             assert abs(empirical - predicted) / predicted <= 1e-3
 
+    def test_prediction_validates_each_detector_once(self, monkeypatch):
+        # the fidelity's check is the only one, for one detector or a stack
+        from mzduality import linalg, qubit_detector
+
+        calls, check = [], linalg.require_density
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "require_density", spy)
+        monkeypatch.setattr(qubit_detector, "require_density", spy)
+        stack = np.stack([HALF_RADIUS_Z, random_detector_state(2, 87)])
+        for rho_d, u in ((HALF_RADIUS_Z, QUARTER_TURN_X), (stack, np.stack([QUARTER_TURN_X] * 2))):
+            calls.clear()
+            gap_slope_prediction(rho_d, u)
+            assert len(calls) == 1
+
     def test_degenerate_fidelity_raises(self):
         # pure state flipped to its antipode: the fidelity ratio is undefined
         with pytest.raises(DegenerateFidelity):
