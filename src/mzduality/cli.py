@@ -32,8 +32,7 @@ from .jointmeas import (
     jm_margin,
     require_resolution,
 )
-from .mzi import (DualityReport, Strategy, duality_report, outcome_probabilities,
-                  sample_outcomes, z_scores)
+from .mzi import DualityReport, duality_report, outcome_probabilities, sample_outcomes, z_scores
 from .qubit import require_dim
 from .qubit_detector import P_STEP, gap_slope_empirical, gap_slope_prediction
 from .scenarios import Scenario, load_scenario, random_scenarios
@@ -59,9 +58,9 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _result_row(scenario: Scenario, strategy: Strategy) -> str:
-    report = duality_report(scenario.setup, strategy)
-    margin = jm_margin(instance_from_setup(scenario.setup, strategy))
+def _result_row(scenario: Scenario) -> str:
+    report = duality_report(scenario.setup, scenario.strategy)
+    margin = jm_margin(instance_from_setup(scenario.setup, scenario.strategy))
     numbers = [*vars(report).values(), margin]
     return ",".join([scenario.name, str(scenario.seed), *map(_fmt, numbers)])
 
@@ -77,9 +76,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_report(args) -> int:
-    scenario = load_scenario(args.scenario)
-    strategy = scenario.resolve_strategy()
-    row = _result_row(scenario, strategy)
+    row = _result_row(load_scenario(args.scenario))
     _emit(f"{CSV_SCHEMA_LINE}\n{','.join(CSV_COLUMNS)}\n{row}\n", args.out)
     return 0
 
@@ -88,7 +85,7 @@ def cmd_check_jm(args) -> int:
     require_resolution(args.resolution)
     if args.scenario:
         scenario = load_scenario(args.scenario)
-        inst = instance_from_setup(scenario.setup, scenario.resolve_strategy())
+        inst = instance_from_setup(scenario.setup, scenario.strategy)
     else:
         if None in (args.m0, args.m, args.n):
             raise ScenarioError("either --scenario or all of --m0/--m/--n are required")
@@ -128,10 +125,9 @@ def cmd_sweep(args) -> int:
         indices = range(start, min(start + SWEEP_CHUNK, args.count))
         flags = [index % 2 == 0 for index in indices]
         chunk = random_scenarios(args.seed, indices, args.dim, flags)
-        for index, optimal, scenario in zip(indices, flags, chunk):
-            strategy = scenario.resolve_strategy()
-            lines.append(_result_row(scenario, strategy))
-            for problem in setup_violations(scenario.setup, strategy, optimal):
+        for index, scenario in zip(indices, chunk):
+            lines.append(_result_row(scenario))
+            for problem in setup_violations(scenario.setup, scenario.strategy):
                 violations.append(f"scenario {scenario.name}: {problem}")
             if args.count >= 20 and (index + 1) % (args.count // 10) == 0:
                 log.info("sweep progress: %d/%d", index + 1, args.count)
@@ -145,9 +141,8 @@ def cmd_sample(args) -> int:
     _in_range("--shots", args.shots, low=1)
     _in_range("--seed", args.seed, high=None)
     scenario = load_scenario(args.scenario)
-    strategy = scenario.resolve_strategy()
-    probs = outcome_probabilities(scenario.setup, strategy)
-    counts = sample_outcomes(scenario.setup, strategy, args.shots, args.seed)
+    probs = outcome_probabilities(scenario.setup, scenario.strategy)
+    counts = sample_outcomes(scenario.setup, scenario.strategy, args.shots, args.seed)
     payload = {
         "scenario": scenario.name,
         "shots": args.shots,

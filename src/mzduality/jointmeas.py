@@ -63,8 +63,9 @@ class JMInstance:
             raise InvalidInstance("m_vec and n_vec must be 3-vectors, one pair per m0")
         if not (np.isfinite(m0).all() and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
             raise InvalidInstance("m0, m_vec and n_vec must be finite")
-        if (np.abs(m0 - 0.5) > 0.5 + NORM_SLACK).any():
-            raise InvalidInstance(f"m0 = {self.m0} outside [0, 1]")
+        outside = np.abs(m0 - 0.5) > 0.5 + NORM_SLACK
+        if outside.any():
+            raise InvalidInstance(f"m0 = {float(m0[outside][0])} outside [0, 1]")
         for name, vec in (("m_vec", m_vec), ("n_vec", n_vec)):  # ahead of any product
             large = np.abs(vec) > 0.5 + NORM_SLACK
             if large.any():
@@ -75,8 +76,12 @@ class JMInstance:
         m, n = row_norms(m_vec), row_norms(n_vec)
         if (n > 0.5 + NORM_SLACK).any():
             raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
-        if (m > np.minimum(m0, 1.0 - m0) + NORM_SLACK).any():
-            raise InvalidInstance(f"|m| = {m.max():.6g} exceeds min(m0, 1-m0)")
+        cap = np.minimum(m0, 1.0 - m0)
+        over = m > cap + NORM_SLACK
+        if over.any():
+            raise InvalidInstance(
+                f"|m| = {m[over][0]:.6g} exceeds min(m0, 1-m0) = {cap[over][0]:.6g}"
+            )
         for name, value in zip(("m0", "m_vec", "n_vec", "m", "n"), (m0, m_vec, n_vec, m, n)):
             object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
 
@@ -171,22 +176,25 @@ def construct_joint(inst: JMInstance) -> JointCandidate:
     return build_candidate(inst, 0.0, y_vec)
 
 
-def positivity_check(cand: JointCandidate, inst: JMInstance, tol: float = BALL_CHECK_TOL) -> bool:
+def positivity_check(cand: JointCandidate, inst: JMInstance, tol: float = BALL_CHECK_TOL):
     """Decide positivity of all four candidate effects via the equivalent system
-    of four ball constraints on (x, y)."""
+    of four ball constraints on (x, y), elementwise over a stack."""
     m, n, y = inst.m_vec, inst.n_vec, cand.y_vec
     x, m0 = cand.x, inst.m0
-    return bool(
-        np.linalg.norm(m + n + y) <= m0 + x + tol
-        and np.linalg.norm(m - n + y) <= 1.0 - m0 - x + tol
-        and np.linalg.norm(m - n - y) <= m0 - x + tol
-        and np.linalg.norm(m + n - y) <= 1.0 - m0 + x + tol
+    positive = (
+        (row_norms(m + n + y) <= m0 + x + tol)
+        & (row_norms(m - n + y) <= 1.0 - m0 - x + tol)
+        & (row_norms(m - n - y) <= m0 - x + tol)
+        & (row_norms(m + n - y) <= 1.0 - m0 + x + tol)
     )
+    return bool(positive) if positive.ndim == 0 else positive
 
 
 def jm_criterion(inst: JMInstance) -> JMVerdict:
-    """Closed-form joint-measurability verdict with an explicit witness when
-    the answer is positive."""
+    """Closed-form joint-measurability verdict of one instance, with an
+    explicit witness when the answer is positive."""
+    if np.ndim(inst.m0):
+        raise InvalidInstance(f"jm_criterion reads one pair, got a stack of {len(inst.m0)}")
     margin = float(jm_margin(inst))
     measurable = margin >= -MEASURABLE_TOL
     witness = construct_joint(inst) if measurable else None
@@ -262,7 +270,7 @@ def _block_scan(lengths, resolution: float, y1_vals: np.ndarray, y2_vals: np.nda
 
 def feasibility_oracle(
     inst: JMInstance, resolution: float = ORACLE_RESOLUTION, mode: str = "full"
-) -> bool:
+) -> bool | np.ndarray:
     """Brute-force grid decision of joint measurability, independent of the
     closed-form criterion.
 
@@ -285,12 +293,14 @@ def feasibility_oracle(
     1-Lipschitz in y and ``lo - hi`` changes by at most 2 h inside the block,
     while a grid point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9
     resolution``.  The bound uses only the four ball constraints, never the
-    closed-form criterion.  This picks one verdict of ``feasibility_batch``.
+    closed-form criterion.  This picks one verdict of ``feasibility_batch``:
+    a bool for one instance, a bool array for a stack.
     """
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
-    full, reduced = feasibility_batch(([inst.m0], [inst.m], [inst.n]), resolution)
-    return bool((full if mode == "full" else reduced)[0])
+    full, reduced = feasibility_batch(np.reshape([inst.m0, inst.m, inst.n], (3, -1)), resolution)
+    verdict = full if mode == "full" else reduced
+    return verdict if np.ndim(inst.m0) else bool(verdict[0])
 
 
 def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,11 +353,11 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
     return full, reduced
 
 
-def instance_from_setup(setup: MZISetup, strategy: Strategy) -> JMInstance:
-    """Observable pair realized by a setup and strategy, validated: ``n`` is
-    the vector of the output ports, a smeared interference observable, and
-    ``m0`` and ``m`` are the bias and vector of the guess, a smeared sigma_x.
-    This is the one public reading of ``Evaluation.pair``."""
+def instance_from_setup(setup: MZISetup, strategy: Strategy | None) -> JMInstance:
+    """Observable pair realized by a setup and strategy, None for the optimal
+    one, validated: ``n`` is the vector of the output ports, a smeared
+    interference observable, and ``m0`` and ``m`` are the bias and vector of
+    the guess, a smeared sigma_x.  The one public reading of ``Evaluation.pair``."""
     return JMInstance(*(v[0] for v in evaluate_setup(setup, strategy).pair))
 
 

@@ -10,7 +10,8 @@ guesses path |0> for outcomes in the subset S, path |1> otherwise.
 and ``Strategy`` one strategy or a stack; each validates itself once, and a
 row taken from a stack is not validated again.  Every strategy-dependent
 quantity comes from one batched kernel, ``Evaluation``, which reads one setup
-as a stack of one; the single-setup functions read row 0 of its columns.
+as a stack of one and None as the optimal strategies; the single-setup
+functions take one setup only, refuse a stack, and read row 0 of its columns.
 The observable pair a setup and strategy realize, ``Evaluation.pair``, is
 read as a validated ``jointmeas.JMInstance`` through
 ``jointmeas.instance_from_setup``.
@@ -126,7 +127,7 @@ class Strategy:
         return frozenset(np.flatnonzero(self.in_s).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyStats:
     """Detector-outcome probabilities for S and its complement, before and after U
     (floats, or arrays over a stack)."""
@@ -143,7 +144,7 @@ class StrategyStats:
             raise MZDualityError("eta_s_u + eta_sbar_u must equal 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualityReport:
     """All derived duality quantities for one setup/strategy pair (floats), or
     for a stack of them (arrays).
@@ -366,11 +367,13 @@ class Evaluation:
 
 
 def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> Evaluation:
-    """The kernel on one setup: ``setup`` measured by ``strategy``, or by the
-    optimal strategy when it is None.  The setup keeps the evaluation of
-    the strategy object it was last measured by, so a report row and its
+    """The kernel on one setup, not a stack: ``setup`` measured by ``strategy``,
+    or by the optimal strategy when it is None.  The setup keeps the evaluation
+    of the strategy object it was last measured by, so a report row and its
     checks, which read one pair through several functions below, compute
     each quantity once; setups and strategies are frozen, so it stays valid."""
+    if setup.rho_d.ndim != 2:
+        raise DimensionMismatch(f"a stack of {len(setup.rho_d)} setups; use Evaluation for a stack")
     kept = setup.__dict__.get("_evaluation")
     if kept is not None and kept[0] is strategy:
         return kept[1]
@@ -384,7 +387,7 @@ def _first(record):
     return type(record)(*(float(column[0]) for column in vars(record).values()))
 
 
-def strategy_stats(setup: MZISetup, strategy: Strategy) -> StrategyStats:
+def strategy_stats(setup: MZISetup, strategy: Strategy | None) -> StrategyStats:
     """Probabilities of the detector landing in S / S-bar before and after U."""
     return _first(evaluate_setup(setup, strategy).stats)
 
@@ -392,11 +395,8 @@ def strategy_stats(setup: MZISetup, strategy: Strategy) -> StrategyStats:
 def optimal_strategy(setup: MZISetup) -> Strategy:
     """Best projective which-path strategy: eigenbasis of the guess operator,
     with S collecting the strictly positive eigenvalues (ties go to S-bar).
-    The evaluation that found it is kept as the evaluation of the pair."""
-    result = evaluate_setup(setup)
-    strategy = result.strategies[0]
-    object.__setattr__(setup, "_evaluation", (strategy, result))
-    return strategy
+    The functions below take None for it and need not build it."""
+    return evaluate_setup(setup).strategies[0]
 
 
 def max_distinguishability(setup: MZISetup) -> float:
@@ -404,7 +404,7 @@ def max_distinguishability(setup: MZISetup) -> float:
     return float(evaluate_setup(setup).report.max_distinguishability[0])
 
 
-def joint_observable(setup: MZISetup, strategy: Strategy) -> np.ndarray:
+def joint_observable(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:
     """Four-outcome observable (output port i, guess j) the setup realizes, as
     a (2, 2, 2, 2) array of 2x2 effects in the closed form of ``Evaluation``.
     Its marginals are the effects of the pair ``jointmeas.instance_from_setup``
@@ -412,8 +412,8 @@ def joint_observable(setup: MZISetup, strategy: Strategy) -> np.ndarray:
     return evaluate_setup(setup, strategy).effects[0].copy()
 
 
-def duality_report(setup: MZISetup, strategy: Strategy) -> DualityReport:
-    """Evaluate every duality quantity for the given strategy.
+def duality_report(setup: MZISetup, strategy: Strategy | None) -> DualityReport:
+    """Evaluate every duality quantity for the given strategy, None for the optimal one.
 
     ``duality_lhs`` is computed in the visibility-free form
     ``D_S^2 + (1 - P^2) contrast^2``, which stays well-defined when the
@@ -422,7 +422,7 @@ def duality_report(setup: MZISetup, strategy: Strategy) -> DualityReport:
     return _first(evaluate_setup(setup, strategy).report)
 
 
-def outcome_probabilities(setup: MZISetup, strategy: Strategy) -> np.ndarray:
+def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:
     """Exact 2x2 outcome table ``P(i, j) = tr(rho E_ij)``."""
     effects = joint_observable(setup, strategy)
     probs = np.real(np.einsum("ijkl,lk->ij", effects, setup.rho.matrix))
@@ -430,7 +430,7 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_outcomes(setup: MZISetup, strategy: Strategy, n_shots: int, seed) -> np.ndarray:
+def sample_outcomes(setup: MZISetup, strategy: Strategy | None, n_shots: int, seed) -> np.ndarray:
     """Multinomial sample of the joint outcome table; deterministic per seed."""
     if n_shots < 1:
         raise InvalidArgument(f"n_shots must be >= 1, got {n_shots}")

@@ -75,14 +75,16 @@ def effect_min_eigenvalue(effects) -> np.ndarray:
     return half_sum - np.hypot(np.abs(e[..., 0, 1]), half_diff)
 
 
-def matrix_to_bloch(effect) -> tuple[float, np.ndarray]:
-    """Inverse of ``bloch_to_matrix``: returns (bias, vector)."""
+def matrix_to_bloch(effect) -> tuple:
+    """Inverse of ``bloch_to_matrix``: returns (bias, vector), a float and a
+    3-vector, or (...,) and (..., 3) arrays for a stack (..., 2, 2)."""
     m = require_hermitian(effect)
-    if m.shape[0] != 2:
+    if m.shape[-1] != 2:
         raise NotHermitian("expected a 2x2 matrix")
-    bias = float(np.real(np.trace(m))) / 2.0
-    vector = np.array([float(np.real(np.trace(m @ s))) / 2.0 for s in PAULI])
-    return bias, vector
+    bias = np.real(np.trace(m, axis1=-2, axis2=-1)) / 2.0
+    # tr(m sigma_k); each sums at most two nonzero terms, so any order gives the same bits
+    vector = np.real(np.einsum("...ij,kji->...k", m, PAULI_STACK)) / 2.0
+    return float(bias) if bias.ndim == 0 else bias, vector
 
 
 def unchecked(cls, **fields):
@@ -121,8 +123,7 @@ class QubitState:
         return cls(bloch_to_matrix(v / 2.0, 0.5))
 
     def bloch(self) -> np.ndarray:
-        _, v = matrix_to_bloch(self.matrix)
-        return 2.0 * v
+        return 2.0 * matrix_to_bloch(self.matrix)[1]
 
 
 def require_dim(d: int) -> int:

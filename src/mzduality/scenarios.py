@@ -15,27 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MZDualityError, ScenarioError
-from .mzi import MZISetup, Strategy, optimal_strategy, random_setups, random_strategies
+from .mzi import MZISetup, Strategy, random_setups, random_strategies
 from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, stream
 
-OPTIMAL = "optimal"
+OPTIMAL = "optimal"  # the file's word for the optimal strategy, None in a Scenario
 # a name is the first CSV column, so it may hold no comma, quote or line break
 NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A named, seeded setup plus strategy specification."""
+    """A named, seeded setup plus its strategy, None for the optimal one."""
 
     name: str
     setup: MZISetup
-    strategy_spec: Strategy | str
+    strategy: Strategy | None
     seed: int
-
-    def resolve_strategy(self) -> Strategy:
-        if isinstance(self.strategy_spec, Strategy):
-            return self.strategy_spec
-        return optimal_strategy(self.setup)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -112,9 +107,9 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     raise ScenarioError("unitary must be a preset name, 'x-rotation', or 'matrix'")
 
 
-def _parse_strategy(spec, dim: int) -> Strategy | str:
+def _parse_strategy(spec, dim: int) -> Strategy | None:
     if spec == OPTIMAL:
-        return OPTIMAL
+        return None
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
         basis = matrix_from_json(spec["basis"], "strategy basis")
         try:
@@ -145,26 +140,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         name = data.get("name", "scenario")
         if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
             raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")
-        strategy_spec = _parse_strategy(data.get("strategy", OPTIMAL), dim)
+        strategy = _parse_strategy(data.get("strategy", OPTIMAL), dim)
     except ScenarioError:
         raise
     except MZDualityError as exc:
         raise ScenarioError(f"invalid setup: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
-    if isinstance(strategy_spec, Strategy) and strategy_spec.dim != dim:
+    if strategy is not None and strategy.dim != dim:
         raise ScenarioError("strategy dimension does not match detector dimension")
-    return Scenario(name=name, setup=setup, strategy_spec=strategy_spec, seed=seed)
+    return Scenario(name=name, setup=setup, strategy=strategy, seed=seed)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     strategy = (
         OPTIMAL
-        if not isinstance(s.strategy_spec, Strategy)
-        else {
-            "basis": matrix_to_json(s.strategy_spec.basis),
-            "subset": sorted(s.strategy_spec.subset),
-        }
+        if s.strategy is None
+        else {"basis": matrix_to_json(s.strategy.basis), "subset": sorted(s.strategy.subset)}
     )
     return {
         "name": s.name,
@@ -197,9 +189,9 @@ def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenari
     rngs = [stream(base_seed, index) for index in indices]
     setups = random_setups(dim, rngs)
     drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
-    specs = map(drawn.__getitem__, range(len(drawn.in_s)))
+    strategies = map(drawn.__getitem__, range(len(drawn.in_s)))
     return [
-        Scenario(f"sweep-{base_seed}-{index}", setup, OPTIMAL if flag else next(specs), base_seed)
+        Scenario(f"sweep-{base_seed}-{index}", setup, None if flag else next(strategies), base_seed)
         for index, flag, setup in zip(indices, optimal, map(setups.__getitem__, range(len(rngs))))
     ]
 

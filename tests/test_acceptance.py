@@ -164,6 +164,9 @@ def test_sweep_and_battery_share_the_identity_gate(
     err = capsys.readouterr().err
     assert f"scenario sweep-0-0: {message}" in err
     assert f"scenario sweep-0-1: {message}" in err
+    # the classic bound is gated on the optimal rows, whose strategy is None, alone
+    classic = [line.split(":")[0] for line in err.splitlines() if "classic duality" in line]
+    assert classic == (["scenario sweep-0-0"] if tolerance == "BOUND_TOL" else [])
     for number, criterion in SMALL_BATTERY.items():
         result = criterion()
         assert result.passed == (number not in failing), result.line()

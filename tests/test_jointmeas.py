@@ -399,12 +399,17 @@ class TestStacks:
         scale = rng.integers(0, 2, len(instances)) * rng.uniform(0.0, 0.7, len(instances))
         x = rng.uniform(-0.6, 0.6, len(instances)) * (scale > 0)
         y = rng.standard_normal((len(instances), 3)) * scale[:, None]
-        stacked = build_candidate(stack_of(instances), x, y)
+        stack = stack_of(instances)
+        stacked = build_candidate(stack, x, y)
         assert stacked.effects.shape == (len(instances), 2, 2, 2, 2)
+        positive = []
         for k, inst in enumerate(instances):
             want = reference_candidate_effects(inst, x[k], y[k])
             assert stack_bytes(stacked.effects[k]) == stack_bytes(want)
             assert stack_bytes(build_candidate(inst, x[k], y[k]).effects) == stack_bytes(want)
+            positive.append(positivity_check(build_candidate(inst, x[k], y[k]), inst))
+        assert all(type(verdict) is bool for verdict in positive)
+        assert positivity_check(stacked, stack).tolist() == positive
         # positive and non-positive candidates both occur
         low = effect_min_eigenvalue(stacked.effects).min(axis=(1, 2))
         assert (low < 0.0).any() and (low >= 0.0).any()
@@ -428,6 +433,22 @@ class TestStacks:
             field[position] = value
         with pytest.raises(InvalidInstance):
             JMInstance(*fields)
+
+    def test_messages_name_the_failing_row(self):
+        # the first row out of range, not the stack or its largest value
+        stack = stack_of([axis_instance(0.5, 0.1, 0.1)] * 3)
+        with pytest.raises(InvalidInstance, match=re.escape("m0 = 1.5 outside [0, 1]")):
+            JMInstance([0.5, 1.5, 1.7], stack.m_vec, stack.n_vec)
+        m_vec = stack.m_vec.copy()
+        m_vec[1:, 0] = 0.45, 0.49
+        message = re.escape("|m| = 0.45 exceeds min(m0, 1-m0) = 0.4")
+        with pytest.raises(InvalidInstance, match=message):
+            JMInstance([0.5, 0.4, 0.5], m_vec, stack.n_vec)
+
+    def test_the_criterion_refuses_a_stack(self):
+        stack = stack_of([axis_instance(0.5, 0.1, 0.1)] * 3)
+        with pytest.raises(InvalidInstance, match="stack of 3"):
+            jm_criterion(stack)
 
     @pytest.mark.parametrize(
         "shapes",
@@ -509,6 +530,9 @@ class TestFeasibilityOracle:
         # small array passes, so that most batches span several of them
         with patch.object(jointmeas, "CHUNK", 7):
             full, reduced = jointmeas.feasibility_batch(lengths, resolution)
+        stack = stack_of(instances)
+        assert feasibility_oracle(stack, resolution, mode="full").tolist() == full.tolist()
+        assert feasibility_oracle(stack, resolution, mode="reduced").tolist() == reduced.tolist()
         for k, inst in enumerate(instances):
             assert full[k] == feasibility_oracle(inst, resolution, mode="full")
             assert reduced[k] == feasibility_oracle(inst, resolution, mode="reduced")
@@ -681,7 +705,7 @@ class TestInstanceFromSetup:
         # so its marginals are the interferometer's own two POVMs, the
         # marginals of the joint observable the setup realizes
         scenario = load_scenario(path)
-        setup, strategy = scenario.setup, scenario.resolve_strategy()
+        setup, strategy = scenario.setup, scenario.strategy
         effects = construct_joint(instance_from_setup(setup, strategy)).effects
         realized = mzi.joint_observable(setup, strategy)
         for k in range(2):

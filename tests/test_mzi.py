@@ -123,9 +123,15 @@ class TestSetupConstruction:
         assert setup.phi == swept.phi
 
 
+def three_setups():
+    return mzi.random_setups(2, [np.random.default_rng([61, k]) for k in range(3)])
+
+
 # types that hold arrays, so the field-by-field equality a dataclass writes
 # would ask numpy for the truth of an array
 ARRAY_HOLDERS = {
+    "StrategyStats": lambda: mzi.Evaluation(three_setups()).stats,
+    "DualityReport": lambda: mzi.Evaluation(three_setups()).report,
     "MZISetup": lambda: mzi.random_setup(2, 1),
     "Strategy": lambda: mzi.random_strategy(2, 1),
     "QubitState": lambda: random_qubit_state(1),
@@ -306,7 +312,8 @@ class TestStrategiesAndDistinguishability:
         base = random_setup(rng, 3, phi=0.0)
         strategy = mzi.random_strategy(3, rng)
         shifted = mzi.MZISetup(rho=base.rho, rho_d=base.rho_d, u=base.u, phi=2.1)
-        assert mzi.strategy_stats(base, strategy) == mzi.strategy_stats(shifted, strategy)
+        stats = mzi.strategy_stats(base, strategy), mzi.strategy_stats(shifted, strategy)
+        assert vars(stats[0]) == vars(stats[1])
 
 
 class TestPovms:
@@ -845,6 +852,21 @@ def record_validations(monkeypatch):
     return checked
 
 
+# the functions that read one setup through mzi.evaluate_setup, on a setup and a strategy
+SINGLE_SETUP_CALLS = {
+    "strategy_stats": mzi.strategy_stats,
+    "optimal_strategy": lambda setup, strategy: mzi.optimal_strategy(setup),
+    "max_distinguishability": lambda setup, strategy: mzi.max_distinguishability(setup),
+    "joint_observable": mzi.joint_observable,
+    "duality_report": mzi.duality_report,
+    "outcome_probabilities": mzi.outcome_probabilities,
+    "sample_outcomes": lambda setup, strategy: mzi.sample_outcomes(setup, strategy, 10, 0),
+    "instance_from_setup": instance_from_setup,
+    "joint_observable_residuals": acceptance.joint_observable_residuals,
+    "setup_violations": acceptance.setup_violations,
+}
+
+
 class TestStacksAndRows:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(kernel_stacks())
@@ -897,6 +919,13 @@ class TestStacksAndRows:
             with pytest.raises(NotUnitary):
                 mzi.Strategy(basis[rows], strategies.in_s[rows])
 
+    @pytest.mark.parametrize("name", sorted(SINGLE_SETUP_CALLS))
+    def test_the_single_setup_functions_refuse_a_stack(self, name):
+        # rather than read its row 0
+        strategies = mzi.random_strategies(2, [np.random.default_rng([62, k]) for k in range(3)])
+        with pytest.raises(DimensionMismatch, match="stack of 3 setups.*use Evaluation"):
+            SINGLE_SETUP_CALLS[name](three_setups(), strategies)
+
     def test_taking_rows_does_not_validate(self, monkeypatch):
         checked = record_validations(monkeypatch)
         rngs = [np.random.default_rng([61, k]) for k in range(5)]
@@ -920,7 +949,7 @@ class TestStacksAndRows:
         scenarios = random_scenarios(62, range(4), 3, optimal)
         assert checked == ["QubitState", "MZISetup", "Strategy"]
         for scenario in scenarios:
-            mzi.duality_report(scenario.setup, scenario.resolve_strategy())
+            mzi.duality_report(scenario.setup, scenario.strategy)
         assert len(checked) == 3
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -934,9 +963,9 @@ class TestStacksAndRows:
         scenario = Scenario("round-trip", random_setup(np.random.default_rng(seed), dim),
                             strategy, seed)
         loaded = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
-        assert loaded.strategy_spec.subset == frozenset(subset)
-        assert loaded.strategy_spec.in_s.tobytes() == strategy.in_s.tobytes()
-        assert loaded.strategy_spec.basis.tobytes() == strategy.basis.tobytes()
+        assert loaded.strategy.subset == frozenset(subset)
+        assert loaded.strategy.in_s.tobytes() == strategy.in_s.tobytes()
+        assert loaded.strategy.basis.tobytes() == strategy.basis.tobytes()
 
     @pytest.mark.parametrize("subset", [[3], [-1], [0, 5]])
     def test_from_subset_rejects_outcomes_outside_the_basis(self, subset):

@@ -44,14 +44,21 @@ class TestBlochConversions:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(21)
+        matrices, rows = [], []
         for _ in range(500):
             bias = float(rng.uniform(0.0, 1.0))
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             vector = direction * rng.uniform(0.0, min(bias, 1.0 - bias))
-            back_bias, back_vector = matrix_to_bloch(bloch_to_matrix(vector, bias))
-            assert back_bias == pytest.approx(bias, abs=1e-12)
+            matrices.append(bloch_to_matrix(vector, bias))
+            back_bias, back_vector = matrix_to_bloch(matrices[-1])
+            assert type(back_bias) is float and back_bias == pytest.approx(bias, abs=1e-12)
             np.testing.assert_allclose(back_vector, vector, atol=1e-12)
+            rows.append((back_bias, back_vector))
+        # a stack converts as its rows one by one, bit for bit
+        stack_bias, stack_vector = matrix_to_bloch(np.array(matrices))
+        assert stack_bias.tobytes() == np.array([bias for bias, _ in rows]).tobytes()
+        assert stack_vector.tobytes() == np.array([vector for _, vector in rows]).tobytes()
 
     def test_invalid_effect_rejected(self):
         with pytest.raises(InvalidEffect):
@@ -139,9 +146,12 @@ class TestQubitState:
         rng = np.random.default_rng(seed)
         vectors = rng.uniform(-1.0, 1.0, (size, 3))
         vectors /= np.maximum(np.linalg.norm(vectors, axis=1), 1.0)[:, None]
-        stacked = QubitState.from_bloch(vectors).matrix
+        state = QubitState.from_bloch(vectors)
+        back = state.bloch()
+        np.testing.assert_allclose(back, vectors, atol=1e-14)
         for k, vector in enumerate(vectors):
-            assert stacked[k].tobytes() == QubitState.from_bloch(vector).matrix.tobytes()
+            assert state.matrix[k].tobytes() == QubitState.from_bloch(vector).matrix.tobytes()
+            assert back[k].tobytes() == state[k].bloch().tobytes()
 
     @pytest.mark.parametrize("bad", [[1.0, 0.5, 0.0], [0.0, 1e300, 0.0], [np.nan, 0.0, 0.0]])
     @pytest.mark.parametrize("row", [0, 2])

@@ -42,10 +42,8 @@ class TestScenarioFiles:
         np.testing.assert_array_equal(loaded.setup.rho.matrix, again.setup.rho.matrix)
         np.testing.assert_array_equal(loaded.setup.rho_d, again.setup.rho_d)
         np.testing.assert_array_equal(loaded.setup.u, again.setup.u)
-        np.testing.assert_array_equal(
-            loaded.strategy_spec.basis, again.strategy_spec.basis
-        )
-        assert loaded.strategy_spec.subset == again.strategy_spec.subset
+        np.testing.assert_array_equal(loaded.strategy.basis, again.strategy.basis)
+        assert loaded.strategy.subset == again.strategy.subset
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -68,10 +66,10 @@ class TestScenarioFiles:
 
         assert setup_bytes(again) == setup_bytes(scenario)
         if optimal:
-            assert again.strategy_spec == scenario.strategy_spec == "optimal"
+            assert again.strategy is scenario.strategy is None
         else:
-            assert again.strategy_spec.basis.tobytes() == scenario.strategy_spec.basis.tobytes()
-            assert again.strategy_spec.subset == scenario.strategy_spec.subset
+            assert again.strategy.basis.tobytes() == scenario.strategy.basis.tobytes()
+            assert again.strategy.subset == scenario.strategy.subset
 
     def test_preset_parsing(self):
         scenario = scenario_from_dict(
@@ -135,7 +133,7 @@ class TestScenarioFiles:
                 scenario_from_dict(data)
         # the same fields as JSON numbers load
         loaded = scenario_from_dict({**base, "phi": 0, "strategy": strategy})
-        assert loaded.setup.phi == 0.0 and loaded.strategy_spec.subset == {0}
+        assert loaded.setup.phi == 0.0 and loaded.strategy.subset == {0}
         # the dimension is checked before any preset builds a dim x dim array
         for dim in (0, 1, 9):
             for state in ("maximally-mixed", "ground"):
