@@ -16,7 +16,6 @@ from .errors import (
 )
 from .linalg import (
     EigDecomposition,
-    fidelity_unitary_pair,
     hermitian_eig,
     kron,
     partial_trace_detector,

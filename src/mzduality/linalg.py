@@ -149,22 +149,3 @@ def partial_trace_detector(m) -> np.ndarray:
     d = dim // 2
     blocks = full.reshape(full.shape[:-2] + (2, d, 2, d))
     return np.einsum("...ijkj->...ik", blocks)
-
-
-def fidelity_unitary_pair(rho_d, u):
-    """Fidelity between a qubit state and its conjugation by a unitary, of
-    one pair or of each pair in stacks (..., 2, 2).
-
-    For 2x2 density matrices this has the closed form
-    ``sqrt(tr(rho U rho U^dag) + 2 det(rho))``, which is what is computed
-    here (no matrix square roots needed).
-    """
-    rho = require_density(rho_d, dim=2)
-    uu = require_unitary(u)
-    if uu.shape[-1] != 2:
-        raise NotUnitary("expected a 2x2 unitary")
-    rotated = uu @ rho @ dagger(uu)
-    overlap = np.real(np.trace(rho @ rotated, axis1=-2, axis2=-1))
-    det = np.real(np.linalg.det(rho))
-    value = np.sqrt(np.maximum(overlap + 2.0 * det, 0.0))
-    return np.minimum(value, 1.0)[()]

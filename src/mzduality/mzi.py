@@ -383,8 +383,9 @@ def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> Evaluat
 
 
 def _first(record):
-    """Row 0 of a record of stacked arrays, as the same record of floats."""
-    return type(record)(*(float(column[0]) for column in vars(record).values()))
+    """Row 0 of a record of stacked arrays, as the same record of floats,
+    unchecked: the stack was checked when it was built."""
+    return unchecked(type(record), **{key: float(value[0]) for key, value in vars(record).items()})
 
 
 def strategy_stats(setup: MZISetup, strategy: Strategy | None) -> StrategyStats:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFidelity, InvalidArgument, InvalidInstance
-from .linalg import fidelity_unitary_pair, require_density, require_unitary
+from .errors import DegenerateFidelity, DimensionMismatch, InvalidArgument, InvalidInstance
+from .linalg import dagger, require_density, require_unitary
 from .mzi import Evaluation, MZISetup
 from .qubit import QubitState, matrix_to_bloch
 
@@ -73,12 +73,15 @@ class QubitDetectorAnalysis:
         return 0.5 * (1.0 - self.p)
 
 
-def analysis_from_states(rho_d, u, p: float) -> QubitDetectorAnalysis:
-    """Extract (alpha, beta) from an explicit 2x2 detector state and unitary."""
+def analysis_from_states(rho_d, u, p) -> QubitDetectorAnalysis:
+    """Extract (alpha, beta) from an explicit 2x2 detector state and unitary,
+    or from stacks (N, 2, 2) of them with one p per detector."""
     rho = require_density(rho_d, dim=2)
     uu = require_unitary(u)
+    if uu.shape != rho.shape:
+        raise DimensionMismatch(f"detector unitary is {uu.shape} but state is {rho.shape}")
     _, half_alpha = matrix_to_bloch(rho)
-    _, half_beta = matrix_to_bloch(uu @ rho @ uu.conj().T)
+    _, half_beta = matrix_to_bloch(uu @ rho @ dagger(uu))
     return QubitDetectorAnalysis(alpha=2.0 * half_alpha, beta=2.0 * half_beta, p=p)
 
 
@@ -120,13 +123,14 @@ def purity_identity_residual(analysis: QubitDetectorAnalysis):
 def gap_slope_prediction(rho_d, u):
     """Leading coefficient of the tightness gap in the path bias,
     ``2 (1 - tr rho_D^2) / F(rho_D, U rho_D U^dag)``, of one detector or of
-    each in stacks (N, 2, 2)."""
-    fid = fidelity_unitary_pair(rho_d, u)  # validates both
-    rho = np.asarray(rho_d, dtype=complex)
-    purity = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
+    each in stacks (N, 2, 2).  In the Bloch data at p = 0,
+    ``1 - tr rho_D^2 = (1 - a)/2`` and ``F = sqrt(1 + (b - a)/2)``."""
+    analysis = analysis_from_states(rho_d, u, np.zeros(np.shape(rho_d)[:-2]))
+    a, b = analysis.a, analysis.b
+    fid = np.sqrt(np.maximum(1.0 + 0.5 * (b - a), 0.0))
     if np.any(fid <= 1e-12):
         raise DegenerateFidelity("fidelity vanishes; the slope ratio is undefined")
-    return 2.0 * np.maximum(1.0 - purity, 0.0) / fid
+    return np.maximum(1.0 - a, 0.0) / fid
 
 
 def gap_at_bias(rho_d, u, p):

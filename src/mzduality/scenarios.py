@@ -107,7 +107,7 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     raise ScenarioError("unitary must be a preset name, 'x-rotation', or 'matrix'")
 
 
-def _parse_strategy(spec, dim: int) -> Strategy | None:
+def _parse_strategy(spec) -> Strategy | None:
     if spec == OPTIMAL:
         return None
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
@@ -140,13 +140,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         name = data.get("name", "scenario")
         if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
             raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")
-        strategy = _parse_strategy(data.get("strategy", OPTIMAL), dim)
+        strategy = _parse_strategy(data.get("strategy", OPTIMAL))
     except ScenarioError:
         raise
     except MZDualityError as exc:
         raise ScenarioError(f"invalid setup: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
+    if setup.detector_dim != dim:
+        d = setup.detector_dim
+        raise ScenarioError(f"detector matrices are {d}x{d} but detector dim is {dim}")
     if strategy is not None and strategy.dim != dim:
         raise ScenarioError("strategy dimension does not match detector dimension")
     return Scenario(name=name, setup=setup, strategy=strategy, seed=seed)

@@ -11,7 +11,6 @@ from mzduality import mzi
 from mzduality.errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 from mzduality.linalg import (
     EigDecomposition,
-    fidelity_unitary_pair,
     hermitian_eig,
     kron,
     partial_trace_detector,
@@ -22,8 +21,6 @@ from mzduality.linalg import (
 )
 from mzduality.qubit import (
     SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,
@@ -182,50 +179,6 @@ class TestKronPartialTrace:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             partial_trace_detector(np.eye(5))
-
-
-class TestFidelityUnitaryPair:
-    def test_identity_unitary_gives_one(self):
-        rng = np.random.default_rng(107)
-        for _ in range(20):
-            rho = random_detector_state(2, rng)
-            assert fidelity_unitary_pair(rho, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_half_radius_quarter_turn(self):
-        # Bloch radius 1/2 (a = 0.25) rotated a quarter turn about x (b = 0)
-        rho = (np.eye(2) + 0.5 * SIGMA_Z) / 2
-        u = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * SIGMA_X
-        assert fidelity_unitary_pair(rho, u) == pytest.approx(np.sqrt(0.875), abs=1e-12)
-
-    def test_maximally_mixed_invariant(self):
-        rng = np.random.default_rng(108)
-        for _ in range(20):
-            u = random_unitary(2, rng)
-            assert fidelity_unitary_pair(np.eye(2) / 2, u) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_bloch_closed_form(self):
-        # F = sqrt(1 - (a - b)/2) in terms of the Bloch data
-        rng = np.random.default_rng(109)
-        for _ in range(200):
-            rho = random_detector_state(2, rng)
-            u = random_unitary(2, rng)
-            alpha = np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-            rotated = u @ rho @ u.conj().T
-            beta = np.array([np.trace(rotated @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-            expected = np.sqrt(1.0 - (alpha @ alpha - alpha @ beta) / 2.0)
-            assert fidelity_unitary_pair(rho, u) == pytest.approx(expected, abs=1e-12)
-
-    def test_range_on_random_pairs(self):
-        rng = np.random.default_rng(110)
-        for _ in range(10_000):
-            value = fidelity_unitary_pair(random_detector_state(2, rng), random_unitary(2, rng))
-            assert 0.0 <= value <= 1.0
-
-    def test_input_validation(self):
-        with pytest.raises(InvalidState):
-            fidelity_unitary_pair(np.diag([0.9, 0.3]), np.eye(2))
-        with pytest.raises(NotUnitary):
-            fidelity_unitary_pair(np.eye(2) / 2, np.diag([1.0, 2.0]))
 
 
 def test_empty_stacks_validate_to_empty():

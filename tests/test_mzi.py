@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -951,6 +952,20 @@ class TestStacksAndRows:
         for scenario in scenarios:
             mzi.duality_report(scenario.setup, scenario.strategy)
         assert len(checked) == 3
+
+    def test_a_row_report_checks_its_record_once(self, monkeypatch):
+        # as part of its stack: the float row taken from it is not checked again
+        checked, check = [], mzi.DualityReport.__post_init__
+        monkeypatch.setattr(
+            mzi.DualityReport, "__post_init__", lambda self: checked.append(self) or check(self)
+        )
+        setup = random_setup(np.random.default_rng(63), 3)
+        report = mzi.duality_report(setup, None)
+        assert len(checked) == 1
+        stacked = checked[0]
+        assert list(vars(report)) == [field.name for field in dataclasses.fields(report)]
+        for name, value in vars(report).items():
+            assert type(value) is float and value == getattr(stacked, name)[0], name
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())

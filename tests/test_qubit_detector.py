@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzduality.errors import DegenerateFidelity, InvalidInstance
+from mzduality.errors import (
+    DegenerateFidelity,
+    DimensionMismatch,
+    InvalidInstance,
+    InvalidState,
+    NotUnitary,
+)
 from mzduality import mzi
-from mzduality.linalg import fidelity_unitary_pair
 from mzduality.qubit import (
     SIGMA_X,
     QubitState,
@@ -60,6 +65,29 @@ class TestAnalysis:
         analysis = analysis_from_states(HALF_RADIUS_Z, QUARTER_TURN_X, p=0.0)
         np.testing.assert_allclose(analysis.alpha, [0.0, 0.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(analysis.beta, [0.0, -0.5, 0.0], atol=1e-12)
+
+    def test_a_stack_is_its_rows_one_by_one(self):
+        rng = np.random.default_rng(80)
+        rho_d = np.stack([random_detector_state(2, rng) for _ in range(3)])
+        u = np.stack([random_unitary(2, rng) for _ in range(3)])
+        p = np.array([-0.3, 0.0, 0.8])
+        stacked = analysis_from_states(rho_d, u, p)
+        for k in range(3):
+            alone = analysis_from_states(rho_d[k], u[k], p[k])
+            assert alone.alpha.tobytes() == stacked.alpha[k].tobytes()
+            assert alone.beta.tobytes() == stacked.beta[k].tobytes()
+            assert alone.p == stacked.p[k]
+
+    def test_unitary_must_match_the_state(self):
+        with pytest.raises(DimensionMismatch, match=r"unitary is \(3, 3\) but state is \(2, 2\)"):
+            analysis_from_states(HALF_RADIUS_Z, np.eye(3), 0.0)
+
+    def test_input_validation(self):
+        for extract in (lambda rho_d, u: analysis_from_states(rho_d, u, 0.0), gap_slope_prediction):
+            with pytest.raises(InvalidState):
+                extract(np.diag([0.9, 0.3]), np.eye(2))
+            with pytest.raises(NotUnitary):
+                extract(np.eye(2) / 2, np.diag([1.0, 2.0]))
 
 
 class TestOptimalDirection:
@@ -140,6 +168,21 @@ class TestGapSlope:
         empirical = gap_slope_empirical(HALF_RADIUS_Z, QUARTER_TURN_X, 1e-4)
         assert abs(empirical - REFERENCE_SLOPE) / REFERENCE_SLOPE <= 1e-3
 
+    def test_uncoupled_detector(self):
+        # U = I leaves the state unchanged, F = 1, so the slope is 2 (1 - tr rho_D^2)
+        rng = np.random.default_rng(107)
+        rho_d = np.stack([random_detector_state(2, rng) for _ in range(20)])
+        purity = np.real(np.trace(rho_d @ rho_d, axis1=1, axis2=2))
+        predicted = gap_slope_prediction(rho_d, np.stack([np.eye(2)] * 20))
+        np.testing.assert_allclose(predicted, 2.0 * (1.0 - purity), rtol=0, atol=1e-12)
+
+    def test_maximally_mixed_detector(self):
+        # every U leaves I/2 unchanged, so F = 1 and 2 (1 - tr rho_D^2) = 1
+        rng = np.random.default_rng(108)
+        u = np.stack([random_unitary(2, rng) for _ in range(20)])
+        predicted = gap_slope_prediction(np.stack([np.eye(2) / 2] * 20), u)
+        np.testing.assert_allclose(predicted, 1.0, rtol=0, atol=1e-12)
+
     def test_random_mixed_detectors(self):
         rng = np.random.default_rng(86)
         for _ in range(25):
@@ -150,7 +193,7 @@ class TestGapSlope:
             assert abs(empirical - predicted) / predicted <= 1e-3
 
     def test_prediction_validates_each_detector_once(self, monkeypatch):
-        # the fidelity's check is the only one, for one detector or a stack
+        # analysis_from_states's check is the only one, for one detector or a stack
         from mzduality import linalg, qubit_detector
 
         calls, check = [], linalg.require_density
@@ -281,11 +324,10 @@ class TestStacks:
     @given(detector_stacks())
     def test_detector_stack_matches_per_item_reference(self, case):
         rho_d, u, p = case
-        fidelity = fidelity_unitary_pair(rho_d, u)
+        fidelity = np.array([reference_fidelity(rho_d[k], u[k]) for k in range(len(p))])
         gaps = gap_at_bias(rho_d, u, p)
         slopes = gap_slope_empirical(rho_d, u, 1e-4)
         for k in range(len(p)):
-            assert abs(fidelity[k] - reference_fidelity(rho_d[k], u[k])) <= 1e-12
             assert abs(gaps[k] - reference_gap(rho_d[k], u[k], p[k])) <= 1e-12
             assert abs(slopes[k] - reference_slope(rho_d[k], u[k], 1e-4)) <= 1e-12
         if np.all(fidelity > 1e-12):

@@ -16,6 +16,7 @@ from mzduality.cli import build_parser, main
 from mzduality.qubit_detector import gap_slope_empirical
 from mzduality.scenarios import (
     load_scenario,
+    matrix_to_json,
     random_scenario,
     save_scenario,
     scenario_from_dict,
@@ -237,6 +238,9 @@ class TestCli:
             ["gamma-slope", "--scenario", "DIM_0"],
             ["report", "--scenario", "DIM_1"],
             ["check-jm", "--scenario", "DIM_9"],
+            ["report", "--scenario", "MATRICES_3X3"],
+            ["check-jm", "--scenario", "MATRICES_3X3"],
+            ["sample", "--scenario", "MATRICES_3X3"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys, tmp_path):
@@ -254,6 +258,10 @@ class TestCli:
             "STRING_ANGLE": {**saturating, "detector": {**detector, "unitary": {"x-rotation": "1"}}},
             "BOOL_BLOCH": {**saturating, "detector": {**detector, "state": {"bloch": [0, 0, True]}}},
             **{f"DIM_{dim}": {**saturating, "detector": {**detector, "dim": dim}} for dim in (0, 1, 9)},
+            # explicit 3x3 matrices under "dim": 2
+            "MATRICES_3X3": {**saturating, "detector": {
+                "dim": 2, "state": {"matrix": matrix_to_json(np.eye(3) / 3)},
+                "unitary": {"matrix": matrix_to_json(np.eye(3))}}},
         }
         for placeholder, data in files.items():
             (tmp_path / placeholder).write_text(json.dumps(data))
@@ -265,6 +273,8 @@ class TestCli:
             assert "strategy" in captured.err
         if argv[-1].startswith("DIM_"):
             assert captured.err.startswith("error: invalid setup: detector dimension")
+        if "MATRICES_3X3" in argv:
+            assert captured.err == "error: detector matrices are 3x3 but detector dim is 2\n"
 
     @pytest.mark.parametrize(
         "argv",
