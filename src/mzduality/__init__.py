@@ -35,14 +35,12 @@ from .mzi import (
     MZISetup,
     Strategy,
     StrategyStats,
-    a_priori_visibility,
     distinguishability,
     duality_report,
     joint_observable,
     max_distinguishability,
     optimal_strategy,
     outcome_probabilities,
-    predictability,
     random_strategy,
     sample_outcomes,
     strategy_stats,

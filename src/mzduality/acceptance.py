@@ -363,7 +363,7 @@ def criterion_sampler(seed: int, n_scenarios: int = 10) -> CriterionResult:
         setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         probs = mzi.outcome_probabilities(setup, strategy)
-        counts = mzi.sample_outcomes(setup, strategy, shots, stream(seed, 80, index))
+        counts = mzi.sample_outcomes(probs, shots, stream(seed, 80, index))
         worst_z = max(worst_z, float(np.max(np.abs(mzi.z_scores(probs, counts)))))
     return CriterionResult(
         8,

@@ -83,11 +83,14 @@ def cmd_report(args) -> int:
 
 def cmd_check_jm(args) -> int:
     require_resolution(args.resolution)
-    if args.scenario:
+    raw = (args.m0, args.m, args.n)
+    if args.scenario is not None:
+        if raw != (None, None, None):
+            raise ScenarioError("give --scenario or --m0/--m/--n, not both")
         scenario = load_scenario(args.scenario)
         inst = instance_from_setup(scenario.setup, scenario.strategy)
     else:
-        if None in (args.m0, args.m, args.n):
+        if None in raw:
             raise ScenarioError("either --scenario or all of --m0/--m/--n are required")
         inst = JMInstance(
             m0=args.m0,
@@ -142,7 +145,7 @@ def cmd_sample(args) -> int:
     _in_range("--seed", args.seed, high=None)
     scenario = load_scenario(args.scenario)
     probs = outcome_probabilities(scenario.setup, scenario.strategy)
-    counts = sample_outcomes(scenario.setup, scenario.strategy, args.shots, args.seed)
+    counts = sample_outcomes(probs, args.shots, args.seed)
     payload = {
         "scenario": scenario.name,
         "shots": args.shots,

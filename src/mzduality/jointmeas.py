@@ -344,11 +344,9 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
             k1 = np.floor((rest[1] + rest[2] + 1.0) / resolution + 1e-9)
             steps = np.arange(0, np.max(k1) + 1)
             along_m = np.where(steps <= k1, resolution * steps, np.nan)
-            # each row's axis grid sorted, repeats after the first dropped, NaN last
+            # each row's axis grid sorted, NaN last
             axis_rows = np.sort(axis_vals[open_], axis=1)
-            repeats = axis_rows[:, 1:]
-            repeats[repeats == axis_rows[:, :-1]] = np.nan
-            found[open_] = _block_scan(rest, resolution, along_m, np.sort(axis_rows, axis=1))
+            found[open_] = _block_scan(rest, resolution, along_m, axis_rows)
         full[rows] = found
     return full, reduced
 

@@ -174,32 +174,6 @@ class DualityReport:
             raise MZDualityError("strategy distinguishability exceeds the optimum")
 
 
-def _quanton_terms(rho) -> tuple:
-    """``(V0, phi0, P, w+, w-)`` of quanton matrices, (2, 2) or (N, 2, 2)."""
-    # rho in the sigma_x eigenbasis |+>, |-> (the columns of HADAMARD)
-    in_pm = HADAMARD @ rho @ HADAMARD
-    overlap = in_pm[..., 1, 0]
-    w_plus, w_minus = in_pm[..., 0, 0].real, in_pm[..., 1, 1].real
-    v0 = 2.0 * np.abs(overlap)
-    phi0 = np.where(v0 >= DEGENERATE_PHASE_TOL, np.angle(overlap), 0.0)[()] + 0.0
-    return v0, phi0, np.abs(w_plus - w_minus), w_plus, w_minus
-
-
-def a_priori_visibility(rho):
-    """Interference contrast without the detector and the phase that attains it.
-
-    Returns ``(2 |<+|rho|->|, arg <-|rho|+>)``; the phase defaults to 0 when
-    the visibility vanishes.  ``rho`` is a QubitState of one state or a stack.
-    """
-    return _quanton_terms(rho.matrix)[:2]
-
-
-def predictability(rho):
-    """Path bias of the input state: ``(|w+ - w-|, w+, w-)`` in the sigma_x
-    eigenbasis, of a QubitState of one state or a stack."""
-    return _quanton_terms(rho.matrix)[2:]
-
-
 def phase_shifter(phi) -> np.ndarray:
     """``diag(exp(i phi/2), exp(-i phi/2))``, stacked as (..., 2, 2) for stacked phases."""
     phi = np.asarray(phi, dtype=float)
@@ -253,7 +227,17 @@ class Evaluation:
 
     @cached_property
     def _quanton(self) -> tuple:
-        return _quanton_terms(self.setups.rho.matrix)
+        """``(V0, phi0, P, w+, w-)`` of each quanton: the a priori visibility
+        ``2 |<+|rho|->|`` and the phase ``arg <-|rho|+>`` that attains it (0
+        when the visibility vanishes), and the predictability ``|w+ - w-|``
+        of the path weights in the sigma_x eigenbasis."""
+        # rho in the sigma_x eigenbasis |+>, |-> (the columns of HADAMARD)
+        in_pm = HADAMARD @ self.setups.rho.matrix @ HADAMARD
+        overlap = in_pm[..., 1, 0]
+        w_plus, w_minus = in_pm[..., 0, 0].real, in_pm[..., 1, 1].real
+        v0 = 2.0 * np.abs(overlap)
+        phi0 = np.where(v0 >= DEGENERATE_PHASE_TOL, np.angle(overlap), 0.0) + 0.0
+        return v0, phi0, np.abs(w_plus - w_minus), w_plus, w_minus
 
     @cached_property
     def _detector(self) -> tuple:
@@ -431,11 +415,11 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndar
     return probs / probs.sum()
 
 
-def sample_outcomes(setup: MZISetup, strategy: Strategy | None, n_shots: int, seed) -> np.ndarray:
-    """Multinomial sample of the joint outcome table; deterministic per seed."""
+def sample_outcomes(probs: np.ndarray, n_shots: int, seed) -> np.ndarray:
+    """Multinomial sample of a 2x2 outcome table such as
+    ``outcome_probabilities`` returns; deterministic per seed."""
     if n_shots < 1:
         raise InvalidArgument(f"n_shots must be >= 1, got {n_shots}")
-    probs = outcome_probabilities(setup, strategy)
     rng = as_generator(seed)
     return rng.multinomial(int(n_shots), probs.ravel()).reshape(2, 2)
 

@@ -22,6 +22,7 @@ from mzduality.qubit import (
     SIGMA_Y,
     SIGMA_Z,
     QubitState,
+    as_generator,
     bloch_to_matrix,
     random_detector_state,
     random_pure_detector_state,
@@ -53,6 +54,18 @@ def fringes(setup):
     """``(V, delta, contrast)`` of a setup, from its report at the optimum."""
     report = mzi.duality_report(setup, mzi.optimal_strategy(setup))
     return report.visibility, report.delta, report.contrast
+
+
+def quanton_terms(rho):
+    """``(V0, phi0, P)`` of a quanton, read from its report at the optimum."""
+    report = mzi.duality_report(mzi.MZISetup(rho, GROUND, np.eye(2)), None)
+    return report.a_priori_visibility, report.phi0, report.predictability
+
+
+def path_weights(rho):
+    """``(w+, w-) = ((1 + r_x) / 2, (1 - r_x) / 2)`` from the Bloch vector."""
+    r_x = rho.bloch()[0]
+    return 0.5 * (1.0 + r_x), 0.5 * (1.0 - r_x)
 
 
 def random_setup(rng, dim, phi=None):
@@ -153,11 +166,11 @@ def test_array_holders_compare_and_hash_by_identity(name):
 
 class TestVisibilityAndPredictability:
     def test_equal_superposition_of_paths(self):
-        v0, _ = mzi.a_priori_visibility(QubitState(GROUND))
+        v0, _, _ = quanton_terms(QubitState(GROUND))
         assert v0 == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed(self):
-        v0, phi0 = mzi.a_priori_visibility(QubitState(np.eye(2) / 2))
+        v0, phi0, _ = quanton_terms(QubitState(np.eye(2) / 2))
         assert v0 == pytest.approx(0.0, abs=1e-14)
         assert phi0 == 0.0
 
@@ -167,7 +180,7 @@ class TestVisibilityAndPredictability:
         phases = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
         for _ in range(10):
             rho = random_qubit_state(rng)
-            v0, phi0 = mzi.a_priori_visibility(rho)
+            v0, phi0, _ = quanton_terms(rho)
             # tr(rho sigma_phi), with sigma_phi = cos(phi) sigma_z - sin(phi) sigma_y
             values = [np.trace(rho.matrix @ (np.cos(p) * SIGMA_Z - np.sin(p) * SIGMA_Y)).real
                       for p in phases]
@@ -177,21 +190,43 @@ class TestVisibilityAndPredictability:
 
     def test_single_path(self):
         plus = QubitState.from_bloch([1.0, 0.0, 0.0])
-        p, w_plus, w_minus = mzi.predictability(plus)
-        assert (p, w_plus, w_minus) == pytest.approx((1.0, 1.0, 0.0), abs=1e-14)
-        assert mzi.a_priori_visibility(plus)[0] == pytest.approx(0.0, abs=1e-14)
+        v0, _, p = quanton_terms(plus)
+        assert p == pytest.approx(1.0, abs=1e-14)
+        assert v0 == pytest.approx(0.0, abs=1e-14)
 
     def test_no_bias(self):
-        assert mzi.predictability(QubitState(GROUND))[0] == pytest.approx(0.0, abs=1e-14)
+        assert quanton_terms(QubitState(GROUND))[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_duality_of_preparation(self):
         rng = np.random.default_rng(32)
         for _ in range(500):
             rho = random_qubit_state(rng)
-            v0, _ = mzi.a_priori_visibility(rho)
-            p, w_plus, w_minus = mzi.predictability(rho)
-            assert w_plus + w_minus == pytest.approx(1.0, abs=1e-12)
+            v0, _, p = quanton_terms(rho)
+            w_plus, w_minus = path_weights(rho)
+            assert p == pytest.approx(abs(w_plus - w_minus), abs=1e-12)
             assert p * p + v0 * v0 <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=8))
+    @example([(0.0, 0.0, 0.0), (0.6, 0.0, 0.0), (0.0, 0.0, -1.0), (0.3, 1e-13, 0.0)])
+    def test_stack_matches_bloch_closed_forms(self, vectors):
+        # V0 = sqrt(r_y^2 + r_z^2), phi0 = atan2(-r_y, r_z) and P = |r_x|
+        r = np.array(vectors)
+        r /= np.maximum(np.linalg.norm(r, axis=1), 1.0)[:, None]
+        n = len(r)
+        setups = mzi.MZISetup(
+            QubitState.from_bloch(r), np.tile(GROUND, (n, 1, 1)), np.tile(np.eye(2), (n, 1, 1)),
+            np.zeros(n),
+        )
+        report = mzi.Evaluation(setups).report
+        v0 = np.hypot(r[:, 1], r[:, 2])
+        assert np.abs(report.a_priori_visibility - v0).max() <= 1e-12
+        assert np.abs(report.predictability - np.abs(r[:, 0])).max() <= 1e-12
+        # the phase as far as V0 resolves it, so atan2's branch cut at pi does not matter
+        resolved = v0 >= 1e-12
+        phase = v0 * np.exp(1j * report.phi0) - (r[:, 2] - 1j * r[:, 1])
+        assert np.abs(phase[resolved]).max(initial=0.0) <= 1e-12
+        assert (report.phi0[~resolved] == 0.0).all()
 
 
 class TestVisibilityWithDetector:
@@ -203,7 +238,7 @@ class TestVisibilityWithDetector:
         v, delta, contrast = fringes(setup)
         assert contrast == pytest.approx(1.0, abs=1e-12)
         assert delta == 0.0
-        assert v == pytest.approx(mzi.a_priori_visibility(setup.rho)[0], abs=1e-12)
+        assert v == pytest.approx(np.hypot(*setup.rho.bloch()[1:]), abs=1e-12)
 
     def test_orthogonal_flip_kills_visibility(self):
         setup = mzi.MZISetup(
@@ -245,7 +280,7 @@ class TestStrategiesAndDistinguishability:
         rng = np.random.default_rng(37)
         rho = random_qubit_state(rng)
         setup = mzi.MZISetup(rho=rho, rho_d=random_detector_state(2, rng), u=np.eye(2), phi=0.0)
-        _, w_plus, _ = mzi.predictability(rho)
+        w_plus, _ = path_weights(rho)
         stats = mzi.strategy_stats(
             setup, mzi.Strategy.from_subset(np.eye(2), [0, 1])
         )
@@ -269,7 +304,7 @@ class TestStrategiesAndDistinguishability:
                 rho=rho, rho_d=random_detector_state(3, rng), u=np.eye(3), phi=0.0
             )
             assert mzi.max_distinguishability(setup) == pytest.approx(
-                mzi.predictability(rho)[0], abs=1e-10
+                abs(rho.bloch()[0]), abs=1e-10
             )
 
     def test_identity_coupling_optimal_subset_is_support(self):
@@ -288,7 +323,7 @@ class TestStrategiesAndDistinguishability:
         for _ in range(12):
             dim = int(rng.integers(2, 4))
             setup = random_setup(rng, dim)
-            _, w_plus, w_minus = mzi.predictability(setup.rho)
+            w_plus, w_minus = path_weights(setup.rho)
             d_max = mzi.max_distinguishability(setup)
             vals, vecs = hermitian_eig(mzi.Evaluation(setup).guess[0][0])
             best = max(
@@ -453,16 +488,25 @@ class TestSampling:
     def test_deterministic_outcomes(self):
         setup = mzi.MZISetup(rho=QubitState(GROUND), rho_d=GROUND, u=np.eye(2), phi=0.0)
         strategy = mzi.Strategy.from_subset(np.eye(2), [0, 1])
-        counts = mzi.sample_outcomes(setup, strategy, 5000, seed=2)
-        assert np.array_equal(counts, mzi.sample_outcomes(setup, strategy, 5000, seed=2))
+        probs = mzi.outcome_probabilities(setup, strategy)
+        counts = mzi.sample_outcomes(probs, 5000, seed=2)
+        assert np.array_equal(counts, mzi.sample_outcomes(probs, 5000, seed=2))
         # deterministic physics: quanton exits port 0 and the guess is always S
         assert counts[0, 0] == 5000
 
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(49)
         setup = random_setup(rng, 2)
-        strategy = mzi.random_strategy(2, rng)
-        assert mzi.sample_outcomes(setup, strategy, 12345, seed=3).sum() == 12345
+        probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2, rng))
+        assert mzi.sample_outcomes(probs, 12345, seed=3).sum() == 12345
+
+    def test_draws_one_multinomial_of_the_table(self):
+        rng = np.random.default_rng(52)
+        for seed in range(4):
+            setup = random_setup(rng, 2 + seed)
+            probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2 + seed, rng))
+            expected = as_generator(seed).multinomial(1000, probs.ravel()).reshape(2, 2)
+            assert np.array_equal(mzi.sample_outcomes(probs, 1000, seed), expected)
 
     def test_binomial_concentration(self):
         rng = np.random.default_rng(50)
@@ -471,7 +515,7 @@ class TestSampling:
             setup = random_setup(rng, 2)
             strategy = mzi.random_strategy(2, rng)
             probs = mzi.outcome_probabilities(setup, strategy)
-            counts = mzi.sample_outcomes(setup, strategy, shots, seed=rng)
+            counts = mzi.sample_outcomes(probs, shots, seed=rng)
             for i in range(2):
                 for j in range(2):
                     sigma = np.sqrt(probs[i, j] * (1 - probs[i, j]) / shots)
@@ -480,8 +524,9 @@ class TestSampling:
     def test_rejects_zero_shots(self):
         rng = np.random.default_rng(51)
         setup = random_setup(rng, 2)
+        probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2, rng))
         with pytest.raises(ValueError):
-            mzi.sample_outcomes(setup, mzi.random_strategy(2, rng), 0, seed=0)
+            mzi.sample_outcomes(probs, 0, seed=0)
 
 
 # The per-entry z-score loops that mzi.z_scores replaces, copied from before:
@@ -584,7 +629,7 @@ class TestTightnessGapAndReport:
                 phi=0.4,
             )
             stats = mzi.strategy_stats(setup, mzi.optimal_strategy(setup))
-            _, w_plus, w_minus = mzi.predictability(setup.rho)
+            w_plus, w_minus = path_weights(setup.rho)
             assert mzi.tightness_gap(stats, w_plus, w_minus) <= 1e-10
 
     def test_saturation_case(self):
@@ -861,7 +906,6 @@ SINGLE_SETUP_CALLS = {
     "joint_observable": mzi.joint_observable,
     "duality_report": mzi.duality_report,
     "outcome_probabilities": mzi.outcome_probabilities,
-    "sample_outcomes": lambda setup, strategy: mzi.sample_outcomes(setup, strategy, 10, 0),
     "instance_from_setup": instance_from_setup,
     "joint_observable_residuals": acceptance.joint_observable_residuals,
     "setup_violations": acceptance.setup_violations,

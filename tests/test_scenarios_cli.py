@@ -232,6 +232,9 @@ class TestCli:
             ["report", "--scenario", "BOOL_PHI"],
             ["sample", "--scenario", "STRING_ANGLE"],
             ["check-jm", "--scenario", "BOOL_BLOCH"],
+            ["check-jm", "--scenario", str(BIASED), "--m0", "0.9", "--m", "0", "--n", "0"],
+            ["check-jm", "--scenario", str(SATURATING), "--n", "0.1", "--oracle", "full"],
+            ["check-jm", "--scenario", "", "--m0", "0.5", "--m", "0.1", "--n", "0.1"],
             ["report", "--scenario", "DIM_0"],
             ["sample", "--scenario", "DIM_0"],
             ["check-jm", "--scenario", "DIM_0"],
@@ -273,6 +276,8 @@ class TestCli:
             assert "strategy" in captured.err
         if argv[-1].startswith("DIM_"):
             assert captured.err.startswith("error: invalid setup: detector dimension")
+        if "--scenario" in argv and "--n" in argv:
+            assert captured.err == "error: give --scenario or --m0/--m/--n, not both\n"
         if "MATRICES_3X3" in argv:
             assert captured.err == "error: detector matrices are 3x3 but detector dim is 2\n"
 
