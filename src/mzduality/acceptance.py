@@ -123,7 +123,8 @@ def joint_observable_residuals(
     setup: mzi.MZISetup, strategy: mzi.Strategy | None
 ) -> tuple[float, float, float]:
     """(most negative effect eigenvalue, completeness residual, marginal residual)."""
-    return tuple(float(residual[0]) for residual in mzi.evaluate_setup(setup, strategy).residuals)
+    evaluation, k = mzi.evaluate_setup(setup, strategy)
+    return tuple(float(residual[k]) for residual in evaluation.residuals)
 
 
 # The six per-setup gates, elementwise over one setup's records or a stack's:

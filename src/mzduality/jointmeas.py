@@ -356,7 +356,8 @@ def instance_from_setup(setup: MZISetup, strategy: Strategy | None) -> JMInstanc
     one, validated: ``n`` is the vector of the output ports, a smeared
     interference observable, and ``m0`` and ``m`` are the bias and vector of
     the guess, a smeared sigma_x.  The one public reading of ``Evaluation.pair``."""
-    return JMInstance(*(v[0] for v in evaluate_setup(setup, strategy).pair))
+    evaluation, k = evaluate_setup(setup, strategy)
+    return JMInstance(*(v[k] for v in evaluation.pair))
 
 
 def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

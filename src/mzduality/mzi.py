@@ -11,7 +11,8 @@ and ``Strategy`` one strategy or a stack; each validates itself once, and a
 row taken from a stack is not validated again.  Every strategy-dependent
 quantity comes from one batched kernel, ``Evaluation``, which reads one setup
 as a stack of one and None as the optimal strategies; the single-setup
-functions take one setup only, refuse a stack, and read row 0 of its columns.
+functions take one setup only, refuse a stack, and read its row of the
+``Evaluation`` it is bound to (see ``evaluated_rows``), or row 0 of its own.
 The observable pair a setup and strategy realize, ``Evaluation.pair``, is
 read as a validated ``jointmeas.JMInstance`` through
 ``jointmeas.instance_from_setup``.
@@ -350,43 +351,56 @@ class Evaluation:
         return effect_min_eigenvalue(effects).min(axis=(1, 2)), completeness, marginal
 
 
-def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> Evaluation:
-    """The kernel on one setup, not a stack: ``setup`` measured by ``strategy``,
-    or by the optimal strategy when it is None.  The setup keeps the evaluation
-    of the strategy object it was last measured by, so a report row and its
-    checks, which read one pair through several functions below, compute
-    each quantity once; setups and strategies are frozen, so it stays valid."""
+def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> tuple[Evaluation, int]:
+    """The kernel on one setup, not a stack, measured by ``strategy`` (None
+    for the optimal one), and the setup's row in it: the row it is bound to
+    under this very strategy object, else row 0 of a fresh evaluation it is
+    then bound to.  So a report row and its checks compute each quantity
+    once; setups and strategies are frozen, so a binding stays valid."""
     if setup.rho_d.ndim != 2:
         raise DimensionMismatch(f"a stack of {len(setup.rho_d)} setups; use Evaluation for a stack")
     kept = setup.__dict__.get("_evaluation")
-    if kept is not None and kept[0] is strategy:
-        return kept[1]
-    result = Evaluation(setup, strategy)
-    object.__setattr__(setup, "_evaluation", (strategy, result))
-    return result
+    if kept is None or kept[0] is not strategy:
+        kept = (strategy, Evaluation(setup, strategy), 0)
+        object.__setattr__(setup, "_evaluation", kept)
+    return kept[1:]
 
 
-def _first(record):
-    """Row 0 of a record of stacked arrays, as the same record of floats,
+def evaluated_rows(setups: MZISetup, strategies: Strategy | None) -> list[tuple]:
+    """The rows of a stack of setups, each with its row of ``strategies`` (None
+    for the optimal ones), not validated again, and bound to its row of one
+    ``Evaluation`` of the stack, whose first read of a quantity computes every row's."""
+    evaluation, n = Evaluation(setups, strategies), len(setups.phi)
+    rows = [(setups[k], None if strategies is None else strategies[k]) for k in range(n)]
+    for k, (setup, strategy) in enumerate(rows):
+        object.__setattr__(setup, "_evaluation", (strategy, evaluation, k))
+    return rows
+
+
+def _row(record, k: int):
+    """Row k of a record of stacked arrays, as the same record of floats,
     unchecked: the stack was checked when it was built."""
-    return unchecked(type(record), **{key: float(value[0]) for key, value in vars(record).items()})
+    return unchecked(type(record), **{key: float(value[k]) for key, value in vars(record).items()})
 
 
 def strategy_stats(setup: MZISetup, strategy: Strategy | None) -> StrategyStats:
     """Probabilities of the detector landing in S / S-bar before and after U."""
-    return _first(evaluate_setup(setup, strategy).stats)
+    evaluation, k = evaluate_setup(setup, strategy)
+    return _row(evaluation.stats, k)
 
 
 def optimal_strategy(setup: MZISetup) -> Strategy:
     """Best projective which-path strategy: eigenbasis of the guess operator,
     with S collecting the strictly positive eigenvalues (ties go to S-bar).
     The functions below take None for it and need not build it."""
-    return evaluate_setup(setup).strategies[0]
+    evaluation, k = evaluate_setup(setup)
+    return evaluation.strategies[k]
 
 
 def max_distinguishability(setup: MZISetup) -> float:
     """Optimal path distinguishability: trace norm of the guess operator."""
-    return float(evaluate_setup(setup).report.max_distinguishability[0])
+    evaluation, k = evaluate_setup(setup)
+    return float(evaluation.report.max_distinguishability[k])
 
 
 def joint_observable(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:
@@ -394,7 +408,8 @@ def joint_observable(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:
     a (2, 2, 2, 2) array of 2x2 effects in the closed form of ``Evaluation``.
     Its marginals are the effects of the pair ``jointmeas.instance_from_setup``
     returns."""
-    return evaluate_setup(setup, strategy).effects[0].copy()
+    evaluation, k = evaluate_setup(setup, strategy)
+    return evaluation.effects[k].copy()
 
 
 def duality_report(setup: MZISetup, strategy: Strategy | None) -> DualityReport:
@@ -404,7 +419,8 @@ def duality_report(setup: MZISetup, strategy: Strategy | None) -> DualityReport:
     ``D_S^2 + (1 - P^2) contrast^2``, which stays well-defined when the
     a priori visibility vanishes.
     """
-    return _first(evaluate_setup(setup, strategy).report)
+    evaluation, k = evaluate_setup(setup, strategy)
+    return _row(evaluation.report, k)
 
 
 def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MZDualityError, ScenarioError
-from .mzi import MZISetup, Strategy, random_setups, random_strategies
+from .errors import DimensionMismatch, MZDualityError, ScenarioError
+from .mzi import MZISetup, Strategy, evaluated_rows, random_setups, random_strategies
 from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, stream
 
 OPTIMAL = "optimal"  # the file's word for the optimal strategy, None in a Scenario
@@ -188,14 +188,16 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenario]:
-    """``random_scenario`` at each index and flag of the sequences given, from two bulk draws."""
-    rngs = [stream(base_seed, index) for index in indices]
+    """``random_scenario`` at each index and flag given: two bulk draws, evaluated as two stacks."""
+    if len(optimal) != len(indices):
+        raise DimensionMismatch(f"{len(optimal)} strategy flags for {len(indices)} indices")
+    rngs, flags = [stream(base_seed, index) for index in indices], np.array(optimal, dtype=bool)
     setups = random_setups(dim, rngs)
-    drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
-    strategies = map(drawn.__getitem__, range(len(drawn.in_s)))
+    drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, flags) if not flag])
+    by_flag = iter(evaluated_rows(setups[~flags], drawn)), iter(evaluated_rows(setups[flags], None))
     return [
-        Scenario(f"sweep-{base_seed}-{index}", setup, None if flag else next(strategies), base_seed)
-        for index, flag, setup in zip(indices, optimal, map(setups.__getitem__, range(len(rngs))))
+        Scenario(f"sweep-{base_seed}-{index}", *next(by_flag[flag]), base_seed)
+        for index, flag in zip(indices, flags.tolist())
     ]
 
 

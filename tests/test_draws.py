@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzduality import jointmeas, mzi
+from mzduality.errors import DimensionMismatch
 from mzduality.qubit import bloch_to_matrix, haar_unitary, stream
 from mzduality.scenarios import random_scenario, random_scenarios
 
@@ -225,6 +226,15 @@ def test_bulk_scenarios_are_the_scenarios_one_by_one(dim, seed, start, optimal):
         for scenario in (got, one):
             assert np.array_equal(scenario.strategy.basis, haar_unitary(basis))
             assert scenario.strategy.subset == frozenset(np.flatnonzero(in_s).tolist())
+
+
+@pytest.mark.parametrize(
+    "indices, optimal", [(range(3), [True]), (range(2), []), (range(1), [True, False])]
+)
+def test_bulk_scenarios_refuse_flags_that_do_not_match_the_indices(indices, optimal):
+    message = f"^{len(optimal)} strategy flags for {len(indices)} indices$"
+    with pytest.raises(DimensionMismatch, match=message):
+        random_scenarios(1, indices, 2, optimal)
 
 
 EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 20260810)

@@ -912,6 +912,31 @@ SINGLE_SETUP_CALLS = {
 }
 
 
+def as_bytes(value):
+    """A single-setup function's result, bit for bit: records and pairs field
+    by field, arrays and floats as their bytes."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [as_bytes(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: as_bytes(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return np.asarray(value).tobytes()
+
+
+def rebuilt(setup, strategy):
+    """A fresh setup and strategy, validated, from the arrays of a row."""
+    fresh = mzi.MZISetup(QubitState(setup.rho.matrix), setup.rho_d, setup.u, setup.phi)
+    return fresh, None if strategy is None else mzi.Strategy(strategy.basis, strategy.in_s)
+
+
+def spy_eig(patch):
+    """A list that gets the shape of each stack ``mzi`` eigendecomposes from now on."""
+    shapes = []
+    patch.setattr(mzi, "hermitian_eig", lambda a: shapes.append(a.shape) or hermitian_eig(a))
+    return shapes
+
+
 class TestStacksAndRows:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(kernel_stacks())
@@ -996,6 +1021,59 @@ class TestStacksAndRows:
         for scenario in scenarios:
             mzi.duality_report(scenario.setup, scenario.strategy)
         assert len(checked) == 3
+
+    def test_a_sweep_chunk_runs_the_kernel_once_per_stack(self, monkeypatch):
+        # one stack of the optimal rows, one of the drawn-strategy rows
+        shapes = spy_eig(monkeypatch)
+        for scenario in random_scenarios(62, range(6), 3, [True, False] * 3):
+            mzi.duality_report(scenario.setup, scenario.strategy)
+            acceptance.setup_violations(scenario.setup, scenario.strategy)
+            instance_from_setup(scenario.setup, scenario.strategy)
+        assert shapes == [(3, 3, 3)] * 2
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        optimal=st.lists(st.booleans(), min_size=1, max_size=8),
+    )
+    def test_a_bound_row_reads_what_a_fresh_setup_reads(self, dim, seed, optimal):
+        for name, call in SINGLE_SETUP_CALLS.items():
+            # a new chunk for each function, so that each reads rows still bound
+            for scenario in random_scenarios(seed, range(len(optimal)), dim, optimal):
+                fresh = rebuilt(scenario.setup, scenario.strategy)
+                got = call(scenario.setup, scenario.strategy)
+                assert as_bytes(got) == as_bytes(call(*fresh)), (name, scenario.name)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        optimal=st.lists(st.booleans(), min_size=1, max_size=8),
+    )
+    def test_a_row_read_under_another_strategy_object_is_evaluated_afresh(
+        self, dim, seed, optimal
+    ):
+        # the binding is keyed by the strategy object, not by its values
+        reads = {
+            "optimal_strategy": lambda setup, twin: mzi.optimal_strategy(setup),
+            "duality_report under None": lambda setup, twin: mzi.duality_report(setup, None),
+            "duality_report under an equal strategy": mzi.duality_report,
+        }
+        for name, read in reads.items():
+            scenarios = random_scenarios(seed, range(len(optimal)), dim, optimal)
+            drawn = [scenario for scenario in scenarios if scenario.strategy is not None]
+            for scenario in drawn:  # the shared stack is eigendecomposed now
+                mzi.duality_report(scenario.setup, scenario.strategy)
+            with pytest.MonkeyPatch.context() as patch:
+                shapes = spy_eig(patch)
+                for scenario in drawn:
+                    fresh, twin = rebuilt(scenario.setup, scenario.strategy)
+                    got = read(scenario.setup, twin)
+                    assert as_bytes(got) == as_bytes(read(fresh, twin)), (name, scenario.name)
+            # one evaluation of one row for the fresh setup and one for the
+            # bound row: the shared stack, already decomposed, is not read
+            assert shapes == [(1, dim, dim)] * 2 * len(drawn), name
 
     def test_a_row_report_checks_its_record_once(self, monkeypatch):
         # as part of its stack: the float row taken from it is not checked again
