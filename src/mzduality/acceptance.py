@@ -204,7 +204,7 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
         deviation = np.abs(result.effects - reference).max(axis=(1, 2, 3, 4))
         eigs.append(eigenvalue_gate(min_eig))
         residuals.append(povm_gate(completeness, marginal, deviation))
-        margins.append(margin_gate(jointmeas.jm_margin(jointmeas.JMInstance(*result.pair))))
+        margins.append(margin_gate(jointmeas.jm_margin(result.pair)))
     (eig, eig_ok), (residual, residual_ok), (margin, margin_ok) = map(_pooled, gates)
     return CriterionResult(
         3,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI_STACK, as_generator
+from .qubit import IDENTITY_2, PAULI_STACK, as_generator, unchecked
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -47,6 +47,7 @@ class JMInstance:
     of ``m_vec`` and ``n_vec``, floats or (N,) arrays as ``m0`` is.  Raises
     InvalidInstance unless every pair is finite and orthogonal with
     ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
+    ``pairs[rows]`` takes rows unchecked, as ``MZISetup`` does; one row holds floats.
     """
 
     m0: float | np.ndarray
@@ -84,6 +85,13 @@ class JMInstance:
             )
         for name, value in zip(("m0", "m_vec", "n_vec", "m", "n"), (m0, m_vec, n_vec, m, n)):
             object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
+
+    def __getitem__(self, rows) -> "JMInstance":
+        row = unchecked(JMInstance)
+        for name, value in vars(self).items():
+            value = np.asarray(value)[rows]
+            vars(row)[name] = float(value) if value.ndim == 0 else value
+        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,11 +361,11 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
 
 def instance_from_setup(setup: MZISetup, strategy: Strategy | None) -> JMInstance:
     """Observable pair realized by a setup and strategy, None for the optimal
-    one, validated: ``n`` is the vector of the output ports, a smeared
-    interference observable, and ``m0`` and ``m`` are the bias and vector of
-    the guess, a smeared sigma_x.  The one public reading of ``Evaluation.pair``."""
+    one: ``n`` is the vector of the output ports, a smeared interference
+    observable, and ``m0`` and ``m`` are the bias and vector of the guess, a
+    smeared sigma_x.  The setup's row of ``Evaluation.pair``, checked once per stack."""
     evaluation, k = evaluate_setup(setup, strategy)
-    return JMInstance(*(v[k] for v in evaluation.pair))
+    return evaluation.pair[k]
 
 
 def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

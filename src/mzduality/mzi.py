@@ -13,9 +13,9 @@ quantity comes from one batched kernel, ``Evaluation``, which reads one setup
 as a stack of one and None as the optimal strategies; the single-setup
 functions take one setup only, refuse a stack, and read its row of the
 ``Evaluation`` it is bound to (see ``evaluated_rows``), or row 0 of its own.
-The observable pair a setup and strategy realize, ``Evaluation.pair``, is
-read as a validated ``jointmeas.JMInstance`` through
-``jointmeas.instance_from_setup``.
+The observable pairs a stack of setups and strategies realize,
+``Evaluation.pair``, are validated once as one stacked
+``jointmeas.JMInstance``; ``jointmeas.instance_from_setup`` reads a row of it.
 """
 
 from __future__ import annotations
@@ -308,10 +308,11 @@ class Evaluation:
         )
 
     @cached_property
-    def pair(self) -> tuple:
-        """The realized observable pair ``(m0, m_vec, n_vec)``: the guess is a
-        smeared sigma_x with bias m0, the ports a smeared interference
-        observable at phase ``delta + phi`` with sharpness ``contrast / 2``."""
+    def pair(self):
+        """The realized observable pairs, one validated ``jointmeas.JMInstance``:
+        the guess is a smeared sigma_x with bias m0, the ports a smeared
+        interference observable at phase ``delta + phi``, sharpness ``contrast / 2``."""
+        from .jointmeas import JMInstance  # jointmeas reads setups through this module
         stats, (_, delta, contrast) = self.stats, self.fringes
         m_vec = np.zeros((len(delta), 3))
         m_vec[:, 0] = 0.5 * (stats.eta_s - stats.eta_s_u)
@@ -319,7 +320,7 @@ class Evaluation:
         sharp = np.stack([np.zeros_like(angle), -np.sin(angle), np.cos(angle)], -1)
         n_vec = (0.5 * contrast)[:, None] * sharp
         n_vec[contrast < DEGENERATE_PHASE_TOL] = 0.0
-        return 0.5 * (stats.eta_s + stats.eta_s_u), m_vec, n_vec
+        return JMInstance(0.5 * (stats.eta_s + stats.eta_s_u), m_vec, n_vec)
 
     @cached_property
     def effects(self) -> np.ndarray:
@@ -340,7 +341,8 @@ class Evaluation:
         """Per row: the smallest eigenvalue of the four effects (``b - |v|`` of
         each ``b I + v . sigma``), ``max |sum E_ij - I|``, and the largest
         distance of a marginal from the realized pair."""
-        effects, (m0, m_vec, n_vec) = self.effects, self.pair
+        effects, pair = self.effects, self.pair
+        m0, m_vec, n_vec = pair.m0, pair.m_vec, pair.n_vec
         ports = bloch_to_matrix(np.stack([n_vec, -n_vec], 1), 0.5)
         guesses = bloch_to_matrix(np.stack([m_vec, -m_vec], 1), np.stack([m0, 1.0 - m0], 1))
         marginal = np.maximum(

@@ -30,6 +30,7 @@ from mzduality.qubit import (
     random_detector_state,
     random_qubit_state,
     random_unitary,
+    unchecked,
 )
 from mzduality.scenarios import load_scenario
 
@@ -431,8 +432,57 @@ class TestStacks:
         fields = [stack.m0.copy(), stack.m_vec.copy(), stack.n_vec.copy()]
         for field, value in zip(fields, self.BAD_ROWS[row]):
             field[position] = value
-        with pytest.raises(InvalidInstance):
+        # with the message of that row checked alone
+        with pytest.raises(InvalidInstance) as alone:
+            JMInstance(*(field[position] for field in fields))
+        with pytest.raises(InvalidInstance) as stacked:
             JMInstance(*fields)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_a_bad_realized_pair_fails_every_row_of_its_stack(self):
+        # the stack's pairs are checked on the first read of any row, with the
+        # message of the bad row checked alone
+        rngs = [np.random.default_rng([86, k]) for k in range(4)]
+        rows = mzi.evaluated_rows(mzi.random_setups(3, rngs), None)
+        evaluation, _ = mzi.evaluate_setup(*rows[0])
+        eta_s, eta_s_u = evaluation.stats.eta_s.copy(), evaluation.stats.eta_s_u.copy()
+        eta_s[2] = eta_s_u[2] = 1.5  # m0 = 1.5 at row 2
+        evaluation.stats = unchecked(
+            mzi.StrategyStats, eta_s=eta_s, eta_sbar=1.0 - eta_s, eta_s_u=eta_s_u,
+            eta_sbar_u=1.0 - eta_s_u,
+        )
+        alone = mzi.Evaluation(*rows[2])
+        alone.stats = unchecked(
+            mzi.StrategyStats, **{name: v[2:3] for name, v in vars(evaluation.stats).items()}
+        )
+        with pytest.raises(InvalidInstance) as wanted:
+            alone.pair
+        assert str(wanted.value) == "m0 = 1.5 outside [0, 1]"
+        for setup, strategy in rows:
+            with pytest.raises(InvalidInstance) as caught:
+                instance_from_setup(setup, strategy)
+            assert str(caught.value) == str(wanted.value)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 8),
+        optimal=st.booleans(),
+    )
+    def test_a_row_of_realized_pairs_is_that_pair_checked_alone(self, dim, seed, size, optimal):
+        rngs = [np.random.default_rng([seed, k]) for k in range(size)]
+        strategies = None if optimal else mzi.random_strategies(dim, rngs)
+        pairs = mzi.Evaluation(mzi.random_setups(dim, rngs), strategies).pair
+        for k in range(size):
+            row, alone = pairs[k], JMInstance(pairs.m0[k], pairs.m_vec[k], pairs.n_vec[k])
+            assert list(vars(row)) == list(vars(alone))
+            for name, value in vars(alone).items():
+                got = getattr(row, name)
+                assert type(got) is type(value), name
+                assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (k, name)
+            assert all(type(getattr(row, name)) is float for name in ("m0", "m", "n"))
+            assert np.asarray(jm_margin(row)).tobytes() == np.asarray(jm_margin(alone)).tobytes()
 
     def test_messages_name_the_failing_row(self):
         # the first row out of range, not the stack or its largest value
@@ -801,5 +851,5 @@ class TestDualityEquivalence:
         result = mzi.Evaluation(setups, None if optimal else mzi.random_strategies(dim, rngs))
         report = result.report
         assert np.max(report.predictability) <= 1e-15
-        rhs = equivalence_rhs(JMInstance(*result.pair))
+        rhs = equivalence_rhs(result.pair)
         assert np.max(np.abs(report.duality_rhs - report.duality_lhs - rhs)) <= 1e-13

@@ -16,7 +16,8 @@ from mzduality.errors import (
 )
 from mzduality.linalg import hermitian_eig
 from mzduality import acceptance, mzi
-from mzduality.jointmeas import build_candidate, instance_from_setup, random_instance
+from mzduality.cli import _result_row
+from mzduality.jointmeas import JMInstance, build_candidate, instance_from_setup, random_instance
 from mzduality.qubit import (
     SIGMA_X,
     SIGMA_Y,
@@ -831,7 +832,8 @@ class TestBatchedKernel:
             np.testing.assert_allclose(stats[:, k], eta, atol=1e-12)
             joint = reference_joint(setup, basis, subset)
             np.testing.assert_allclose(result.effects[k], joint, atol=1e-12)
-            m0, m_vec, n_vec = (part[k] for part in result.pair)
+            pair = result.pair[k]
+            m0, m_vec, n_vec = pair.m0, pair.m_vec, pair.n_vec
             eta_s, _, eta_s_u, _ = eta
             assert m0 == pytest.approx(0.5 * (eta_s + eta_s_u), abs=1e-12)
             np.testing.assert_allclose(m_vec, [0.5 * (eta_s - eta_s_u), 0.0, 0.0], atol=1e-12)
@@ -865,7 +867,7 @@ def evaluation_columns(result):
     for record in ("report", "stats"):
         for name, column in vars(getattr(result, record)).items():
             yield f"{record}.{name}", column
-    for name, column in zip(("m0", "m_vec", "n_vec"), result.pair):
+    for name, column in vars(result.pair).items():
         yield f"pair.{name}", column
     yield "effects", result.effects
     for name, column in zip(("min_eig", "completeness", "marginal"), result.residuals):
@@ -1030,6 +1032,18 @@ class TestStacksAndRows:
             acceptance.setup_violations(scenario.setup, scenario.strategy)
             instance_from_setup(scenario.setup, scenario.strategy)
         assert shapes == [(3, 3, 3)] * 2
+
+    def test_a_sweep_chunk_validates_each_realized_pair_stack_once(self, monkeypatch):
+        # the pairs of the optimal rows and those of the drawn-strategy rows,
+        # each as one stack: no row's pair is checked again
+        checked, check = [], JMInstance.__post_init__
+        monkeypatch.setattr(
+            JMInstance, "__post_init__", lambda self: checked.append(self) or check(self)
+        )
+        for scenario in random_scenarios(62, range(6), 3, [True, False] * 3):
+            _result_row(scenario)
+            acceptance.setup_violations(scenario.setup, scenario.strategy)
+        assert [np.shape(inst.m0) for inst in checked] == [(3,)] * 2
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzduality import acceptance, cli
+from mzduality import acceptance, cli, mzi
 from mzduality.cli import build_parser, main
+from mzduality.jointmeas import JMInstance
 from mzduality.qubit_detector import gap_slope_empirical
 from mzduality.scenarios import (
     load_scenario,
@@ -280,6 +281,31 @@ class TestCli:
             assert captured.err == "error: give --scenario or --m0/--m/--n, not both\n"
         if "MATRICES_3X3" in argv:
             assert captured.err == "error: detector matrices are 3x3 but detector dim is 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--count", "4", "--dim", "3", "--seed", "5"],
+            ["report", "--scenario", str(BIASED)],
+            ["check-jm", "--scenario", str(BIASED), "--oracle", "full"],
+        ],
+        ids=["sweep", "report", "check-jm"],
+    )
+    def test_a_bad_realized_pair_exits_2(self, argv, capsys, monkeypatch):
+        # the last realized pair of each stack pushed outside [0, 1]
+        realized = mzi.Evaluation.pair.func
+
+        def pushed(evaluation):
+            pairs = realized(evaluation)
+            m0 = pairs.m0.copy()
+            m0[-1] = 1.5
+            return JMInstance(m0, pairs.m_vec, pairs.n_vec)
+
+        monkeypatch.setattr(mzi.Evaluation, "pair", property(pushed))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: m0 = 1.5 outside [0, 1]\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
