@@ -10,7 +10,8 @@ guesses path |0> for outcomes in the subset S, path |1> otherwise.
 and ``Strategy`` one strategy or a stack; each validates itself once, and a
 row taken from a stack is not validated again.  Every strategy-dependent
 quantity comes from one batched kernel, ``Evaluation``, which reads one setup
-as a stack of one and None as the optimal strategies; the single-setup
+as a stack of one, None as the optimal strategies, and an ``optimal`` row
+mask as one stack of both kinds, as a ``sweep`` chunk is; the single-setup
 functions take one setup only, refuse a stack, and read its row of the
 ``Evaluation`` it is bound to (see ``evaluated_rows``), or row 0 of its own.
 The observable pairs a stack of setups and strategies realize,
@@ -201,9 +202,11 @@ class Evaluation:
     """The batched kernel: a stack of N setups, or one setup read as a stack
     of one, measured by as many strategies of the same dimension or, when
     None, by the optimal ones (the guess operator's eigenbasis, S its
-    strictly positive eigenvalues, ties to S-bar).  Each quantity is an
-    array with leading axis N, computed on first use and kept, so a caller
-    pays only for what it reads.
+    strictly positive eigenvalues, ties to S-bar).  A row mask ``optimal``
+    mixes both: its marked rows take the optimal strategy, the given
+    strategies the others in order.  Each quantity is an array with leading
+    axis N, computed on first use and kept, so a caller pays only for what
+    it reads.
 
     The joint observable is ``E_ij = A^dag M_ij A`` with
     ``A = phase_shifter(phi) @ HADAMARD`` and
@@ -215,16 +218,23 @@ class Evaluation:
     ``<b_k|U rho_D|b_k>`` over that set.
     """
 
-    def __init__(self, setups: MZISetup, strategies: Strategy | None = None):
+    def __init__(self, setups: MZISetup, strategies: Strategy | None = None, optimal=None):
         setups = setups[None] if setups.rho_d.ndim == 2 else setups
+        n, dim = len(setups.phi), setups.detector_dim
+        if optimal is not None and np.shape(optimal) != (n,):
+            raise DimensionMismatch(f"optimal mask of {np.size(optimal)} rows for {n} setups")
+        drawn = n * (strategies is not None) if optimal is None else n - np.count_nonzero(optimal)
         if strategies is not None:
             strategies = strategies[None] if strategies.in_s.ndim == 1 else strategies
-            if strategies.in_s.shape != setups.rho_d.shape[:-1]:
-                raise DimensionMismatch(
-                    f"{len(strategies.in_s)} strategies of dimension {strategies.dim} for "
-                    f"{len(setups.phi)} setups of detector dimension {setups.detector_dim}"
-                )
-        self.setups, self._given = setups, strategies
+        given = (0, dim) if strategies is None else strategies.in_s.shape
+        if given != (drawn, dim):
+            raise DimensionMismatch(
+                f"{given[0]} strategies of dimension {given[-1]} for {drawn} non-optimal "
+                f"setups of detector dimension {dim}"
+            )
+        # a mask of one kind reads as the stack of that kind without a mask
+        self.setups, self._given = setups, strategies if drawn else None
+        self._optimal = np.asarray(optimal, dtype=bool) if 0 < drawn < n else None
 
     @cached_property
     def _quanton(self) -> tuple:
@@ -267,10 +277,14 @@ class Evaluation:
 
     @cached_property
     def strategies(self) -> Strategy:
-        if self._given is not None:
+        if self._optimal is None and self._given is not None:
             return self._given
         vals, vecs = self.guess[1]
-        return unchecked(Strategy, basis=vecs, in_s=vals > ZERO_EIGENVALUE_TOL)
+        basis, in_s = vecs, vals > ZERO_EIGENVALUE_TOL
+        if self._optimal is not None:
+            basis, drawn = vecs.copy(), ~self._optimal
+            basis[drawn], in_s[drawn] = self._given.basis, self._given.in_s
+        return unchecked(Strategy, basis=basis, in_s=in_s)
 
     @cached_property
     def _sums(self) -> tuple:
@@ -368,12 +382,14 @@ def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> tuple[E
     return kept[1:]
 
 
-def evaluated_rows(setups: MZISetup, strategies: Strategy | None) -> list[tuple]:
-    """The rows of a stack of setups, each with its row of ``strategies`` (None
-    for the optimal ones), not validated again, and bound to its row of one
-    ``Evaluation`` of the stack, whose first read of a quantity computes every row's."""
-    evaluation, n = Evaluation(setups, strategies), len(setups.phi)
-    rows = [(setups[k], None if strategies is None else strategies[k]) for k in range(n)]
+def evaluated_rows(setups: MZISetup, strategies: Strategy | None, optimal=None) -> list[tuple]:
+    """The rows of a stack of setups, not validated again, each with its
+    strategy (None where the mask ``optimal`` marks a row, else the next row
+    of ``strategies``) and bound to its row of one ``Evaluation`` of the
+    stack, whose first read of a quantity computes every row's."""
+    evaluation, drawn = Evaluation(setups, strategies, optimal), iter(range(len(setups.phi)))
+    flags = [strategies is None] * len(setups.phi) if optimal is None else optimal
+    rows = [(setups[k], None if flag else strategies[next(drawn)]) for k, flag in enumerate(flags)]
     for k, (setup, strategy) in enumerate(rows):
         object.__setattr__(setup, "_evaluation", (strategy, evaluation, k))
     return rows

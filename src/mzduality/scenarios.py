@@ -188,17 +188,14 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenario]:
-    """``random_scenario`` at each index and flag given: two bulk draws, evaluated as two stacks."""
+    """``random_scenario`` at each index and flag given: two bulk draws, evaluated as one stack."""
     if len(optimal) != len(indices):
         raise DimensionMismatch(f"{len(optimal)} strategy flags for {len(indices)} indices")
-    rngs, flags = [stream(base_seed, index) for index in indices], np.array(optimal, dtype=bool)
+    rngs = [stream(base_seed, index) for index in indices]
     setups = random_setups(dim, rngs)
-    drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, flags) if not flag])
-    by_flag = iter(evaluated_rows(setups[~flags], drawn)), iter(evaluated_rows(setups[flags], None))
-    return [
-        Scenario(f"sweep-{base_seed}-{index}", *next(by_flag[flag]), base_seed)
-        for index, flag in zip(indices, flags.tolist())
-    ]
+    drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
+    rows = zip(indices, evaluated_rows(setups, drawn, optimal))
+    return [Scenario(f"sweep-{base_seed}-{index}", *row, base_seed) for index, row in rows]
 
 
 def random_scenario(base_seed: int, index: int, dim: int, optimal: bool) -> Scenario:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzduality import acceptance, mzi
+from mzduality import acceptance, mzi, qubit
 from mzduality.acceptance import (
     criteria_oracle_agreement,
     criterion_duality_inequality,
@@ -60,6 +60,39 @@ def test_criterion_3_physical_realizability():
 
 def test_criterion_4_duality_inequality():
     _report(criterion_duality_inequality(SEED, count=1000))
+
+
+def per_residue_duality_inequality(seed, count):
+    """Criterion 4 as it stood with one stack per index residue mod 6: the
+    reference its one stack per dimension must print alike."""
+    gaps, identities, classics = gates = [], [], []
+    strict_found = False
+    for residue in range(min(count, 6)):
+        dim, optimal = 2 + residue % 3, residue % 2 == 0
+        rngs = [qubit.stream(seed, 4, index) for index in range(residue, count, 6)]
+        setups = mzi.random_setups(dim, rngs)
+        result = mzi.Evaluation(setups, None if optimal else mzi.random_strategies(dim, rngs))
+        report = result.report
+        gaps.append(acceptance.duality_gate(report))
+        identities.append(acceptance.identity_gate(result.stats, report))
+        classics.append(acceptance.classic_gate(report, optimal))
+        strict_found = strict_found or bool(np.any(report.duality_rhs < 1.0 - 1e-4))
+    (gap, gap_ok), (identity, identity_ok), (classic, classic_ok) = map(acceptance._pooled, gates)
+    return acceptance.CriterionResult(
+        4,
+        "duality inequality, identity, and strictness",
+        gap_ok and identity_ok and classic_ok and strict_found,
+        f"{count} configurations, max lhs-rhs {np.max(gap, initial=-np.inf):.2e}, max identity "
+        f"residual {np.max(np.abs(identity), initial=0.0):.2e}, max classic lhs "
+        f"{np.max(classic, initial=-np.inf):.6f}, strict case found: {strict_found}",
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 50])
+def test_criterion_4_prints_what_its_per_residue_stacks_printed(count):
+    # counts below 6 leave residues without an index
+    got = criterion_duality_inequality(SEED, count=count)
+    assert got.line() == per_residue_duality_inequality(SEED, count).line()
 
 
 def test_criterion_5_optimum_is_max():

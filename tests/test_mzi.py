@@ -1024,18 +1024,18 @@ class TestStacksAndRows:
             mzi.duality_report(scenario.setup, scenario.strategy)
         assert len(checked) == 3
 
-    def test_a_sweep_chunk_runs_the_kernel_once_per_stack(self, monkeypatch):
-        # one stack of the optimal rows, one of the drawn-strategy rows
+    def test_a_sweep_chunk_is_one_kernel_stack(self, monkeypatch):
+        # the optimal rows and the drawn-strategy rows share one stack
         shapes = spy_eig(monkeypatch)
         for scenario in random_scenarios(62, range(6), 3, [True, False] * 3):
             mzi.duality_report(scenario.setup, scenario.strategy)
             acceptance.setup_violations(scenario.setup, scenario.strategy)
             instance_from_setup(scenario.setup, scenario.strategy)
-        assert shapes == [(3, 3, 3)] * 2
+        assert shapes == [(6, 3, 3)]
 
-    def test_a_sweep_chunk_validates_each_realized_pair_stack_once(self, monkeypatch):
-        # the pairs of the optimal rows and those of the drawn-strategy rows,
-        # each as one stack: no row's pair is checked again
+    def test_a_sweep_chunk_validates_its_realized_pairs_as_one_stack(self, monkeypatch):
+        # the pairs of the optimal and of the drawn-strategy rows, checked
+        # together once: no row's pair is checked again
         checked, check = [], JMInstance.__post_init__
         monkeypatch.setattr(
             JMInstance, "__post_init__", lambda self: checked.append(self) or check(self)
@@ -1043,7 +1043,54 @@ class TestStacksAndRows:
         for scenario in random_scenarios(62, range(6), 3, [True, False] * 3):
             _result_row(scenario)
             acceptance.setup_violations(scenario.setup, scenario.strategy)
-        assert [np.shape(inst.m0) for inst in checked] == [(3,)] * 2
+        assert [np.shape(inst.m0) for inst in checked] == [(6,)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        pure=st.booleans(),
+        optimal=st.lists(st.booleans(), min_size=1, max_size=8),
+    )
+    @example(dim=3, seed=64, pure=False, optimal=[True] * 5)
+    @example(dim=3, seed=64, pure=False, optimal=[False] * 5)
+    def test_a_mixed_stack_is_its_split_stacks(self, dim, seed, pure, optimal):
+        # every column sweep reads, bit for bit, against one evaluation of the
+        # optimal rows and one of the drawn-strategy rows
+        rngs = [np.random.default_rng([seed, k]) for k in range(len(optimal))]
+        setups, flags = mzi.random_setups(dim, rngs, pure=pure), np.array(optimal)
+        drawn = mzi.random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
+        mixed = mzi.Evaluation(setups, drawn, optimal)
+        columns = dict(evaluation_columns(mixed))
+        for flag, split in ((True, None), (False, drawn)):
+            rows = np.flatnonzero(flags == flag)
+            if len(rows) == 0:
+                continue
+            for name, column in evaluation_columns(mzi.Evaluation(setups[rows], split)):
+                assert column.shape == columns[name][rows].shape, (flag, name)
+                assert column.tobytes() == columns[name][rows].tobytes(), (flag, name)
+        if not any(optimal):
+            # given strategies alone still need no eigendecomposition
+            given = mzi.Evaluation(setups, drawn, optimal)
+            for name in ("distinguishability", "stats", "pair", "effects", "residuals"):
+                getattr(given, name)
+            assert "guess" not in given.__dict__
+
+    @pytest.mark.parametrize("read", [mzi.Evaluation, mzi.evaluated_rows])
+    @pytest.mark.parametrize(
+        "optimal, strategies, message",
+        [
+            ([True, False, True], 1, "optimal mask of 3 rows for 4 setups"),
+            ([True, False, False, True], 1, "1 strategies of dimension 3 for 2 non-optimal setups"),
+        ],
+        ids=["mask length", "drawn rows"],
+    )
+    def test_a_mask_that_does_not_fit_raises(self, read, optimal, strategies, message):
+        rngs = [np.random.default_rng([65, k]) for k in range(4)]
+        setups = mzi.random_setups(3, rngs)
+        drawn = mzi.random_strategies(3, rngs[:strategies])
+        with pytest.raises(DimensionMismatch, match=message):
+            read(setups, drawn, optimal)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(

@@ -371,6 +371,30 @@ class TestCli:
         named = [line.split(":")[0] for line in err.splitlines()]
         assert named == ([f"scenario sweep-6-{i}" for i in range(11)] if failing_gate else [])
 
+    def test_failing_gates_are_named_in_row_then_gate_order(self, capsys, monkeypatch):
+        # a negative bound tolerance fails four gates on every row, and the
+        # classic bound on the optimal rows, the even ones; more rows than a chunk
+        monkeypatch.setattr(acceptance, "BOUND_TOL", -1.0)
+        assert main(["sweep", "--count", "2100", "--seed", "4", "--dim", "2"]) == 1
+        named = []
+        for line in capsys.readouterr().err.splitlines():
+            scenario, problem = line.split(": ", 1)
+            before, _, *after = problem.rsplit(" ", 3)  # drop the number
+            named.append((scenario, " ".join([before, *after])))
+        every_row = [
+            "effect eigenvalue below tolerance",
+            "POVM residual above tolerance",
+            "derived instance infeasible: margin below tolerance",
+            "duality violated: lhs - rhs above tolerance",
+        ]
+        classic = ["classic duality bound violated: lhs above 1"]
+        assert named == [
+            (f"scenario sweep-4-{row}", gate)
+            for row in range(2100)
+            for gate in every_row + (classic if row % 2 == 0 else [])
+        ]
+        assert len(named) == 9450
+
     def test_reused_parser_leaks_no_state(self, capsys, tmp_path):
         assert build_parser() is build_parser()
         # an --out of one call does not reach the next call's namespace
