@@ -2,8 +2,8 @@
 
 Each criterion function returns a CriterionResult; ``run_all`` executes the
 whole battery.  All randomness is derived from an explicit base seed as the
-stream ``qubit.stream(seed, criterion_tag, index)``, so a failure report
-pinpoints the offending instance.
+stream ``qubit.stream(seed, tag, index)``, its tag read from ``STREAM_TAGS``,
+so a failure report pinpoints the offending instance.
 """
 
 from __future__ import annotations
@@ -24,11 +24,14 @@ from .qubit import (
     haar_unitary,
     hilbert_schmidt_states,
     random_pure_detector_state,
-    stream,
+    streams,
 )
 
 log = logging.getLogger(__name__)
 
+# the stream tag of each kind of draw below; criterion 2 reads criterion 1's instances
+STREAM_TAGS = dict(oracle=1, realizability=3, duality=4, optimum=5, pure=6, identity=60,
+                   slope=7, sampler=8, shots=80, saturation=9, boundary=90)
 # tolerances of every bound and identity checked below, read at call time so patches reach them
 BOUND_TOL = 1e-10
 IDENTITY_TOL = 1e-12
@@ -49,6 +52,11 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name} - {self.detail}"
 
 
+def _streams(seed: int, draw: str, indices):
+    """The streams of one kind of draw at the given indices, made in one batch."""
+    return streams((seed, STREAM_TAGS[draw], index) for index in indices)
+
+
 def criteria_oracle_agreement(
     seed: int, count: int = 10_000
 ) -> tuple[CriterionResult, CriterionResult]:
@@ -62,7 +70,7 @@ def criteria_oracle_agreement(
     kept = [np.zeros((4, 0))]  # rows m0, m, n, margin
     drawn = checked = 0
     while checked < count:
-        rngs = [stream(seed, 1, drawn + k) for k in range(count - checked)]
+        rngs = list(_streams(seed, "oracle", range(drawn, drawn + count - checked)))
         drawn += len(rngs)
         inst = jointmeas.JMInstance(*jointmeas.draw_instances(rngs))
         margin = jointmeas.jm_margin(inst)
@@ -195,7 +203,7 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
     derived instance is never infeasible."""
     eigs, residuals, margins = gates = [], [], []
     for dim in (2, 3, 4)[:count]:
-        rngs = [stream(seed, 3, index) for index in range(dim - 2, count, 3)]
+        rngs = list(_streams(seed, "realizability", range(dim - 2, count, 3)))
         setups = mzi.random_setups(dim, rngs)
         strategies = mzi.random_strategies(dim, rngs)
         result = mzi.Evaluation(setups, strategies)
@@ -225,7 +233,7 @@ def criterion_duality_inequality(seed: int, count: int = 1000) -> CriterionResul
     for residue in range(min(count, 3)):
         dim, indices = 2 + residue, range(residue, count, 3)
         optimal = [index % 2 == 0 for index in indices]
-        rngs = [stream(seed, 4, index) for index in indices]
+        rngs = list(_streams(seed, "duality", indices))
         setups = mzi.random_setups(dim, rngs)
         drawn = mzi.random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
         result = mzi.Evaluation(setups, drawn, optimal)
@@ -257,7 +265,7 @@ def criterion_optimum_is_max(
     worst_random = -np.inf
     # index % 2 fixes the dimension, 2 + index % 2
     for dim in (2, 3)[:n_setups]:
-        rngs = [stream(seed, 5, index) for index in range(dim - 2, n_setups, 2)]
+        rngs = list(_streams(seed, "optimum", range(dim - 2, n_setups, 2)))
         setups = mzi.random_setups(dim, rngs)
         optimum = mzi.Evaluation(setups)
         d_max = optimum.report.max_distinguishability
@@ -297,7 +305,7 @@ def criterion_pure_gap_and_identity(
     closed-form product identity holds for mixed qubit analyses."""
     worst_gap = 0.0
     if n_pure:
-        rngs = [stream(seed, 6, index) for index in range(n_pure)]
+        rngs = list(_streams(seed, "pure", range(n_pure)))
         setups = mzi.random_setups(2, rngs, pure=True)
         worst_gap = float(np.max(mzi.Evaluation(setups).report.tightness_gap))
     worst_residual = 0.0
@@ -305,8 +313,7 @@ def criterion_pure_gap_and_identity(
         radius, p = np.empty(n_identity), np.empty(n_identity)
         directions = np.empty((n_identity, 2, 3))
         # per stream: a radius, two directions, a bias; one stream alive at a time
-        for index in range(n_identity):
-            rng = stream(seed, 60, index)
+        for index, rng in enumerate(_streams(seed, "identity", range(n_identity))):
             radius[index] = rng.random()
             rng.standard_normal(out=directions[index])
             p[index] = rng.uniform(-0.99, 0.99)
@@ -331,7 +338,7 @@ def criterion_gap_slope(seed: int, count: int = 100) -> CriterionResult:
     """Criterion 7: the predicted small-bias slope of the tightness gap matches
     finite differences, including the closed-form reference case."""
     # per stream the Gaussians of a Hilbert-Schmidt detector state, then of a coupling
-    normals = np.array([stream(seed, 7, index).standard_normal(16) for index in range(count)])
+    normals = np.array([rng.standard_normal(16) for rng in _streams(seed, "slope", range(count))])
     parts = normals.reshape(-1, 2, 2, 2, 2)
     gaussians = parts[:, :, 0] + 1j * parts[:, :, 1]
     # Bloch radius 1/2 along z, quarter-turn about x: slope = 0.75 / sqrt(0.875)
@@ -361,12 +368,12 @@ def criterion_sampler(seed: int, n_scenarios: int = 10) -> CriterionResult:
     """Criterion 8: empirical outcome frequencies stay within five binomial
     standard deviations of the exact probabilities."""
     worst_z, shots = 0.0, 10**6
-    for index in range(n_scenarios):
-        rng = stream(seed, 8, index)
+    shot_rngs = _streams(seed, "shots", range(n_scenarios))
+    for index, rng in enumerate(_streams(seed, "sampler", range(n_scenarios))):
         setup = mzi.random_setup(2 + index % 3, rng)
         strategy = mzi.random_strategy(setup.detector_dim, rng)
         probs = mzi.outcome_probabilities(setup, strategy)
-        counts = mzi.sample_outcomes(probs, shots, stream(seed, 80, index))
+        counts = mzi.sample_outcomes(probs, shots, next(shot_rngs))
         worst_z = max(worst_z, float(np.max(np.abs(mzi.z_scores(probs, counts)))))
     return CriterionResult(
         8,
@@ -379,7 +386,7 @@ def criterion_sampler(seed: int, n_scenarios: int = 10) -> CriterionResult:
 def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     """Criterion 9: a pure detector with identity coupling saturates the
     duality bound, and boundary instances yield witnesses with a zero mode."""
-    rng = stream(seed, 9, 0)
+    rng = next(_streams(seed, "saturation", [0]))
     setup = mzi.MZISetup(
         rho=QubitState.from_bloch([0.3, 0.0, 0.4]),
         rho_d=random_pure_detector_state(3, rng),
@@ -390,7 +397,7 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     saturation_gap = abs(report.duality_lhs - report.duality_rhs)
 
     # per stream a bias, then the share of its cap that the length of m takes
-    rngs = (stream(seed, 90, index) for index in range(n_boundary))
+    rngs = _streams(seed, "boundary", range(n_boundary))
     m0, share = np.array([(rng.uniform(0.1, 0.9), rng.random()) for rng in rngs]).reshape(-1, 2).T
     m_len = share * 0.95 * np.minimum(m0, 1.0 - m0)
     s, t = jointmeas.criterion_roots(m0, m_len)

@@ -1,8 +1,9 @@
 """Bloch-vector algebra, qubit states, and the effects of binary unsharp observables.
 
 Randomized generators use numpy's PCG64 via ``default_rng``; every draw takes
-an explicit seed (or Generator), and ``stream(seed, index, ...)`` derives the
-independent stream ``default_rng([seed, index, ...])`` of one item.  The bulk
+an explicit seed (or Generator).  ``streams(keys)`` makes each item's stream
+``default_rng(list(key))``, bit for bit, hashing numpy's ``SeedSequence``
+pools into PCG64 seeds in one array pass; ``stream(*key)`` makes one.  The bulk
 draws (``bloch_vectors`` here, ``mzi.random_setups``,
 ``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
 generator per item, make the fewest generator calls that give each stream's
@@ -37,16 +38,43 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# SeedSequence.generate_state's hash: word i is x ^ (x >> 16), x = (pool[i % 4] ^ c_i) * c_(i+1)
+_HASH_CONSTANTS = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], np.uint32)
+
+
+class SeedWords:
+    """One key's four uint64 PCG64 seed words, as the seed sequence PCG64 reads."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words serve 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def streams(keys):
+    """The generators ``default_rng(list(key))`` of keys of non-negative
+    integers, bit for bit, yielded lazily; every key is checked, and raises
+    what ``default_rng`` raises, at the call."""
+    random, pools = np.random, []  # loaded on first use, not by ``import mzduality.cli``
+    random.bit_generator.ISeedSequence.register(SeedWords)  # a no-op once registered
+    for key in keys:
+        key = tuple(map(operator.index, key))
+        # parts all in [0, 2**32) go in as the uint32 array numpy would build from the list
+        entropy = list(key) if any(part >> 32 for part in key) else np.array(key, np.uint32)
+        pools.append(random.SeedSequence(entropy).pool)
+    words = np.array(pools, np.uint32).reshape(-1, 1, 4) ^ _HASH_CONSTANTS[:-1].reshape(2, 4)
+    words *= _HASH_CONSTANTS[1:].reshape(2, 4)
+    words ^= words >> 16
+    seeds = words.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return (random.Generator(random.PCG64(SeedWords(row))) for row in seeds)
+
+
 def stream(*key: int) -> np.random.Generator:
-    """The generator ``default_rng(list(key))`` of a key of non-negative
-    integers.  A key whose parts all fit in uint32 goes in as one uint32
-    array: the entropy numpy builds from the list, without its per-int
-    conversion."""
-    key = tuple(map(operator.index, key))
-    try:
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
-    except OverflowError:  # a part of 2**32 or more, or a negative one
-        return np.random.default_rng(list(key))
+    """The generator ``default_rng(list(key))``: ``streams`` of one key."""
+    return next(streams([key]))
 
 
 def bloch_to_matrix(vector, bias) -> np.ndarray:

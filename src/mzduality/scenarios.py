@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MZDualityError, ScenarioError
 from .mzi import MZISetup, Strategy, evaluated_rows, random_setups, random_strategies
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, stream
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, streams
 
 OPTIMAL = "optimal"  # the file's word for the optimal strategy, None in a Scenario
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -191,7 +191,7 @@ def random_scenarios(base_seed: int, indices, dim: int, optimal) -> list[Scenari
     """``random_scenario`` at each index and flag given: two bulk draws, evaluated as one stack."""
     if len(optimal) != len(indices):
         raise DimensionMismatch(f"{len(optimal)} strategy flags for {len(indices)} indices")
-    rngs = [stream(base_seed, index) for index in indices]
+    rngs = list(streams((base_seed, index) for index in indices))
     setups = random_setups(dim, rngs)
     drawn = random_strategies(dim, [rng for rng, flag in zip(rngs, optimal) if not flag])
     rows = zip(indices, evaluated_rows(setups, drawn, optimal))

@@ -6,6 +6,10 @@ for bit and leave every stream at the same point.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from mzduality import jointmeas, mzi
 from mzduality.errors import DimensionMismatch
-from mzduality.qubit import bloch_to_matrix, haar_unitary, stream
+from mzduality.qubit import SeedWords, bloch_to_matrix, haar_unitary, stream, streams
 from mzduality.scenarios import random_scenario, random_scenarios
 
 
@@ -238,18 +242,43 @@ def test_bulk_scenarios_refuse_flags_that_do_not_match_the_indices(indices, opti
 
 
 EDGE_PARTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 20260810)
-
-
-@pytest.mark.parametrize(
-    "key",
+EDGE_KEYS = (
     [(part,) for part in EDGE_PARTS]
     + list(itertools.product(EDGE_PARTS[:5], repeat=2))
-    + [(20260810, 1, 11068), (2**63 - 1, 60, 2**32), (2**64 + 5, 0, 3)],
+    + [(20260810, 1, 11068), (2**63 - 1, 60, 2**32), (2**64 + 5, 0, 3)]
 )
-def test_stream_key_draws_what_default_rng_of_the_list_draws(key):
-    ours, numpy_s = stream(*key), np.random.default_rng(list(key))
+
+
+def assert_draws_what_default_rng_draws(ours, key):
+    numpy_s = np.random.default_rng(list(key))
     assert ours.bit_generator.state == numpy_s.bit_generator.state
     assert np.array_equal(ours.random(8), numpy_s.random(8))
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_stream_key_draws_what_default_rng_of_the_list_draws(key):
+    assert_draws_what_default_rng_draws(stream(*key), key)
+
+
+def test_streams_of_one_batch_draw_what_default_rng_of_each_list_draws():
+    # uint32 keys and keys through the list branch, interleaved in one batch
+    rngs = list(streams(EDGE_KEYS))
+    assert len(rngs) == len(EDGE_KEYS)
+    for rng, key in zip(rngs, EDGE_KEYS):
+        assert_draws_what_default_rng_draws(rng, key)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    keys=st.lists(
+        st.lists(st.integers(0, 2**70), min_size=1, max_size=5).map(tuple), max_size=40
+    )
+)
+def test_streams_draw_what_default_rng_of_each_list_draws(keys):
+    rngs = list(streams(keys))
+    assert len(rngs) == len(keys)
+    for rng, key in zip(rngs, keys):
+        assert_draws_what_default_rng_draws(rng, key)
 
 
 def test_stream_key_rejects_what_default_rng_rejects():
@@ -258,4 +287,33 @@ def test_stream_key_rejects_what_default_rng_rejects():
             np.random.default_rng(list(key))
         with pytest.raises(error):
             stream(*key)
+        # at the call, not when the bad key's generator is reached
+        with pytest.raises(error):
+            streams([(1, 2), key, (3, 4)])
     assert stream(np.int64(5), 2).random() == np.random.default_rng([5, 2]).random()
+
+
+def test_streams_seed_words_serve_only_the_pcg64_request():
+    # the seed sequence the generator holds (numpy 1.25 on also names it seed_seq)
+    words = next(streams([(20260810, 4, 7)])).bit_generator._seed_seq
+    assert isinstance(words, SeedWords)
+    assert isinstance(words, np.random.bit_generator.ISeedSequence)
+    assert words.generate_state(4, np.uint64) is words.words
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="^seed words serve 4 uint64 words, not "):
+            words.generate_state(n_words, dtype)
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.random with numpy"
+)
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # streams load numpy.random on first use, so setting up the CLI does not pay for it
+    src = Path(mzi.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, mzduality.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
