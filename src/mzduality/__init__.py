@@ -41,7 +41,6 @@ from .mzi import (
     max_distinguishability,
     optimal_strategy,
     outcome_probabilities,
-    random_strategy,
     sample_outcomes,
     strategy_stats,
     tightness_gap,

@@ -368,13 +368,15 @@ def criterion_sampler(seed: int, n_scenarios: int = 10) -> CriterionResult:
     """Criterion 8: empirical outcome frequencies stay within five binomial
     standard deviations of the exact probabilities."""
     worst_z, shots = 0.0, 10**6
-    shot_rngs = _streams(seed, "shots", range(n_scenarios))
-    for index, rng in enumerate(_streams(seed, "sampler", range(n_scenarios))):
-        setup = mzi.random_setup(2 + index % 3, rng)
-        strategy = mzi.random_strategy(setup.detector_dim, rng)
-        probs = mzi.outcome_probabilities(setup, strategy)
-        counts = mzi.sample_outcomes(probs, shots, next(shot_rngs))
-        worst_z = max(worst_z, float(np.max(np.abs(mzi.z_scores(probs, counts)))))
+    # index % 3 fixes the dimension, 2 + index % 3; each stream draws its setup, then its strategy
+    for residue in range(min(n_scenarios, 3)):
+        dim, indices = 2 + residue, range(residue, n_scenarios, 3)
+        rngs = list(_streams(seed, "sampler", indices))
+        rows = mzi.evaluated_rows(mzi.random_setups(dim, rngs), mzi.random_strategies(dim, rngs))
+        for (setup, strategy), rng in zip(rows, _streams(seed, "shots", indices)):
+            probs = mzi.outcome_probabilities(setup, strategy)
+            counts = mzi.sample_outcomes(probs, shots, rng)
+            worst_z = max(worst_z, float(np.max(np.abs(mzi.z_scores(probs, counts)))))
     return CriterionResult(
         8,
         "sampler matches exact probabilities",

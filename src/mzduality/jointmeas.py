@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI_STACK, as_generator, unchecked
+from .qubit import IDENTITY_2, PAULI_STACK, Stacked, held
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -39,15 +39,14 @@ SIGNS = np.array([1.0, -1.0])  # (-1)^i for i = 0, 1
 
 
 @dataclass(frozen=True, eq=False)
-class JMInstance:
+class JMInstance(Stacked):
     """Parameters (m0, m, n) of the observable pair, with m orthogonal to n.
 
-    One pair has ``m0`` a float and 3-vectors; N pairs stacked have ``m0`` of
-    shape (N,) and vectors of shape (N, 3).  ``m`` and ``n`` are the lengths
-    of ``m_vec`` and ``n_vec``, floats or (N,) arrays as ``m0`` is.  Raises
-    InvalidInstance unless every pair is finite and orthogonal with
-    ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
-    ``pairs[rows]`` takes rows unchecked, as ``MZISetup`` does; one row holds floats.
+    One pair, or a row of a stack, has ``m0`` a float and 3-vectors; N pairs
+    stacked have ``m0`` of shape (N,) and vectors of shape (N, 3).  ``m`` and
+    ``n`` are the lengths of ``m_vec`` and ``n_vec``, floats or (N,) arrays as
+    ``m0`` is.  Raises InvalidInstance unless every pair is finite and
+    orthogonal with ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
     """
 
     m0: float | np.ndarray
@@ -83,15 +82,7 @@ class JMInstance:
             raise InvalidInstance(
                 f"|m| = {m[over][0]:.6g} exceeds min(m0, 1-m0) = {cap[over][0]:.6g}"
             )
-        for name, value in zip(("m0", "m_vec", "n_vec", "m", "n"), (m0, m_vec, n_vec, m, n)):
-            object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
-
-    def __getitem__(self, rows) -> "JMInstance":
-        row = unchecked(JMInstance)
-        for name, value in vars(self).items():
-            value = np.asarray(value)[rows]
-            vars(row)[name] = float(value) if value.ndim == 0 else value
-        return row
+        vars(self).update(m0=held(m0), m_vec=m_vec, n_vec=n_vec, m=held(m), n=held(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +154,7 @@ def build_candidate(inst: JMInstance, x, y_vec) -> JointCandidate:
     vec = 0.5 * (s_j * m_vec + s_i * n_vec + s_i * s_j * y_row)
     # each entry sums at most two nonzero Pauli terms, so any order gives the same bits
     effects = weight[..., None, None] * IDENTITY_2 + np.einsum("...k,kab->...ab", vec, PAULI_STACK)
-    return JointCandidate(x=float(x) if x.ndim == 0 else x, y_vec=y, effects=effects)
+    return JointCandidate(x=held(x), y_vec=y, effects=effects)
 
 
 def construct_joint(inst: JMInstance) -> JointCandidate:
@@ -399,4 +390,4 @@ def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def random_instance(seed) -> JMInstance:
     """One ``draw_instances`` draw from one stream, as a validated instance."""
-    return JMInstance(*(v[0] for v in draw_instances([as_generator(seed)])))
+    return JMInstance(*(v[0] for v in draw_instances([np.random.default_rng(seed)])))

@@ -7,20 +7,22 @@ second Hadamard.  A strategy measures the detector in an orthonormal basis and
 guesses path |0> for outcomes in the subset S, path |1> otherwise.
 
 ``MZISetup`` holds one setup or a stack of setups of one detector dimension,
-and ``Strategy`` one strategy or a stack; each validates itself once, and a
-row taken from a stack is not validated again.  Every strategy-dependent
-quantity comes from one batched kernel, ``Evaluation``, which reads one setup
-as a stack of one, None as the optimal strategies, and an ``optimal`` row
-mask as one stack of both kinds, as a ``sweep`` chunk is; the single-setup
-functions take one setup only, refuse a stack, and read its row of the
-``Evaluation`` it is bound to (see ``evaluated_rows``), or row 0 of its own.
-The observable pairs a stack of setups and strategies realize,
-``Evaluation.pair``, are validated once as one stacked
-``jointmeas.JMInstance``; ``jointmeas.instance_from_setup`` reads a row of it.
+and ``Strategy`` one strategy or a stack; each validates itself once, and
+``qubit.Stacked`` takes their rows, and the report records', unchecked.
+Every strategy-dependent quantity comes from one batched kernel,
+``Evaluation``, which reads one setup as a stack of one, None as the optimal
+strategies, and an ``optimal`` row mask as one stack of both kinds, as a
+``sweep`` chunk is; the single-setup functions take one setup only, refuse a
+stack, and read its row of the ``Evaluation`` it is bound to (see
+``evaluated_rows``), or row 0 of its own.  The observable pairs a stack of
+setups and strategies realize, ``Evaluation.pair``, are validated once as one
+stacked ``jointmeas.JMInstance``; ``jointmeas.instance_from_setup`` reads a
+row of it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,11 +35,12 @@ from .qubit import (
     SIGMA_X,
     SIGMA_Z,
     QubitState,
-    as_generator,
+    Stacked,
     bloch_to_matrix,
     bloch_vectors,
     effect_min_eigenvalue,
     haar_unitary,
+    held,
     hilbert_schmidt_states,
     pure_states,
     require_dim,
@@ -50,13 +53,20 @@ ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
 
 
+def _index(value, what: str) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"{what} {value!r} is not an integer")
+
+
 @dataclass(frozen=True, eq=False)
-class MZISetup:
+class MZISetup(Stacked):
     """Quanton state, detector state, detector unitary and phase-shifter
     angle of one setup, (2, 2), (d, d), (d, d) and a float, or of N setups
-    of one detector dimension, each with a leading axis N.  ``setups[rows]``
-    takes an index, slice or index array, or None to read one setup as a
-    stack of one, without validating again what the constructor did."""
+    of one detector dimension, each with a leading axis N."""
 
     rho: QubitState
     rho_d: np.ndarray
@@ -77,13 +87,7 @@ class MZISetup:
                 f"quanton {self.rho.matrix.shape}, detector {rho_d.shape} and phase "
                 f"{phi.shape} do not stack alike"
             )
-        vars(self).update(rho_d=rho_d, u=u, phi=float(phi) if phi.ndim == 0 else phi)
-
-    def __getitem__(self, rows) -> "MZISetup":
-        return unchecked(
-            MZISetup, rho=self.rho[rows], rho_d=self.rho_d[rows], u=self.u[rows],
-            phi=np.asarray(self.phi)[rows],
-        )
+        vars(self).update(rho_d=rho_d, u=u, phi=held(phi))
 
     @property
     def detector_dim(self) -> int:
@@ -91,7 +95,7 @@ class MZISetup:
 
 
 @dataclass(frozen=True, eq=False)
-class Strategy:
+class Strategy(Stacked):
     """Orthonormal detector basis and the mask ``in_s`` of its columns, the
     outcomes S that vote for path |0>: one strategy as (d, d) and (d,), or N
     stacked as (N, d, d) and (N, d).  Validated and indexed as ``MZISetup``."""
@@ -109,15 +113,12 @@ class Strategy:
     def from_subset(cls, basis, subset) -> "Strategy":
         """One strategy that guesses path |0> on the outcome indices in ``subset``."""
         d = np.shape(basis)[-1]
-        subset = frozenset(int(k) for k in subset)
+        subset = frozenset(_index(k, "outcome index") for k in subset)
         if not subset <= set(range(d)):
             raise DimensionMismatch(f"subset {sorted(subset)} not within 0..{d - 1}")
         in_s = np.zeros(d, dtype=bool)
         in_s[list(subset)] = True
         return cls(basis, in_s)
-
-    def __getitem__(self, rows) -> "Strategy":
-        return unchecked(Strategy, basis=self.basis[rows], in_s=self.in_s[rows])
 
     @property
     def dim(self) -> int:
@@ -130,7 +131,7 @@ class Strategy:
 
 
 @dataclass(frozen=True, eq=False)
-class StrategyStats:
+class StrategyStats(Stacked):
     """Detector-outcome probabilities for S and its complement, before and after U
     (floats, or arrays over a stack)."""
 
@@ -147,7 +148,7 @@ class StrategyStats:
 
 
 @dataclass(frozen=True, eq=False)
-class DualityReport:
+class DualityReport(Stacked):
     """All derived duality quantities for one setup/strategy pair (floats), or
     for a stack of them (arrays).
 
@@ -395,16 +396,10 @@ def evaluated_rows(setups: MZISetup, strategies: Strategy | None, optimal=None) 
     return rows
 
 
-def _row(record, k: int):
-    """Row k of a record of stacked arrays, as the same record of floats,
-    unchecked: the stack was checked when it was built."""
-    return unchecked(type(record), **{key: float(value[k]) for key, value in vars(record).items()})
-
-
 def strategy_stats(setup: MZISetup, strategy: Strategy | None) -> StrategyStats:
     """Probabilities of the detector landing in S / S-bar before and after U."""
     evaluation, k = evaluate_setup(setup, strategy)
-    return _row(evaluation.stats, k)
+    return evaluation.stats[k]
 
 
 def optimal_strategy(setup: MZISetup) -> Strategy:
@@ -438,7 +433,7 @@ def duality_report(setup: MZISetup, strategy: Strategy | None) -> DualityReport:
     a priori visibility vanishes.
     """
     evaluation, k = evaluate_setup(setup, strategy)
-    return _row(evaluation.report, k)
+    return evaluation.report[k]
 
 
 def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:
@@ -450,12 +445,11 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndar
 
 
 def sample_outcomes(probs: np.ndarray, n_shots: int, seed) -> np.ndarray:
-    """Multinomial sample of a 2x2 outcome table such as
-    ``outcome_probabilities`` returns; deterministic per seed."""
-    if n_shots < 1:
-        raise InvalidArgument(f"n_shots must be >= 1, got {n_shots}")
-    rng = as_generator(seed)
-    return rng.multinomial(int(n_shots), probs.ravel()).reshape(2, 2)
+    """``n_shots`` outcomes, an integer in [1, 2**63 - 1], sampled from a 2x2 table such
+    as ``outcome_probabilities`` returns; deterministic per seed (or Generator)."""
+    if not 1 <= _index(n_shots, "n_shots") <= 2**63 - 1:
+        raise InvalidArgument(f"n_shots must lie in [1, {2**63 - 1}], got {n_shots}")
+    return np.random.default_rng(seed).multinomial(n_shots, probs.ravel()).reshape(2, 2)
 
 
 def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -489,11 +483,6 @@ def random_setups(d: int, rngs, pure: bool = False) -> MZISetup:
     return MZISetup(rho, rho_d, haar_unitary(coupling[:, 0] + 1j * coupling[:, 1]), phi)
 
 
-def random_setup(d: int, seed) -> MZISetup:
-    """Random setup drawn from one stream, as ``random_setups`` draws it."""
-    return random_setups(d, [as_generator(seed)])[0]
-
-
 def random_strategies(d: int, rngs) -> Strategy:
     """One strategy drawn from each generator, in turn: the Gaussians of a
     Haar basis in one call, then one fair coin per outcome for the subset."""
@@ -503,8 +492,3 @@ def random_strategies(d: int, rngs) -> Strategy:
         rng.standard_normal(out=gaussian[row])
         rng.random(out=coins[row])
     return Strategy(haar_unitary(gaussian[:, 0] + 1j * gaussian[:, 1]), coins < 0.5)
-
-
-def random_strategy(d: int, seed) -> Strategy:
-    """Haar-random basis with a uniformly random guess subset."""
-    return random_strategies(d, [as_generator(seed)])[0]

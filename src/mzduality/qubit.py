@@ -7,7 +7,9 @@ pools into PCG64 seeds in one array pass; ``stream(*key)`` makes one.  The bulk
 draws (``bloch_vectors`` here, ``mzi.random_setups``,
 ``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
 generator per item, make the fewest generator calls that give each stream's
-values, and shape the whole stack at once; a single draw is a batch of one.
+values, and shape the whole stack at once; one item is a batch of one.
+``Stacked`` is the base of every record that holds one item or a stack, and
+its ``record[rows]`` the one way rows are taken from such a record.
 """
 
 from __future__ import annotations
@@ -29,13 +31,6 @@ PAULI_STACK = np.array(PAULI)
 
 MIN_DETECTOR_DIM = 2
 MAX_DETECTOR_DIM = 8
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed, a seed sequence, or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # SeedSequence.generate_state's hash: word i is x ^ (x >> 16), x = (pool[i % 4] ^ c_i) * c_(i+1)
@@ -112,7 +107,12 @@ def matrix_to_bloch(effect) -> tuple:
     bias = np.real(np.trace(m, axis1=-2, axis2=-1)) / 2.0
     # tr(m sigma_k); each sums at most two nonzero terms, so any order gives the same bits
     vector = np.real(np.einsum("...ij,kji->...k", m, PAULI_STACK)) / 2.0
-    return float(bias) if bias.ndim == 0 else bias, vector
+    return held(bias), vector
+
+
+def held(value):
+    """A 0-d array or numpy scalar as a float; any other array as it is."""
+    return float(value) if value.ndim == 0 else value
 
 
 def unchecked(cls, **fields):
@@ -122,17 +122,28 @@ def unchecked(cls, **fields):
     return item
 
 
+class Stacked:
+    """Base of the dataclass records of one item or a stack of N.  ``record[rows]``
+    takes an index, slice or index array of every field, or None for one item as a
+    stack of one, unchecked; a ``Stacked`` field takes its own rows."""
+
+    def __getitem__(self, rows):
+        item = object.__new__(type(self))
+        for name in self.__dataclass_fields__:  # the records declare no ClassVar or InitVar
+            value = getattr(self, name)
+            value = value[rows] if isinstance(value, Stacked) else held(np.asarray(value)[rows])
+            vars(item)[name] = value
+        return item
+
+
 @dataclass(frozen=True, eq=False)
-class QubitState:
+class QubitState(Stacked):
     """Validated density matrix of the quanton, (2, 2), or a stack (N, 2, 2)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", require_density(self.matrix, dim=2))
-
-    def __getitem__(self, rows) -> "QubitState":
-        return unchecked(QubitState, matrix=self.matrix[rows])
 
     @classmethod
     def from_bloch(cls, vector) -> "QubitState":
@@ -181,13 +192,13 @@ def bloch_vectors(rngs) -> np.ndarray:
 
 def random_qubit_state(seed) -> QubitState:
     """Qubit state drawn uniformly from the Bloch ball."""
-    return QubitState.from_bloch(bloch_vectors([as_generator(seed)])[0])
+    return QubitState.from_bloch(bloch_vectors([np.random.default_rng(seed)])[0])
 
 
 def complex_gaussian(d: int, seed) -> np.ndarray:
     """d x d matrix of independent standard complex Gaussians (real part drawn first)."""
     d = require_dim(d)
-    parts = as_generator(seed).standard_normal((2, d, d))
+    parts = np.random.default_rng(seed).standard_normal((2, d, d))
     return parts[0] + 1j * parts[1]
 
 
@@ -216,7 +227,7 @@ def random_detector_state(d: int, seed) -> np.ndarray:
 
 def random_pure_detector_state(d: int, seed) -> np.ndarray:
     """Haar-random pure d x d detector state."""
-    parts = as_generator(seed).standard_normal((2, require_dim(d)))
+    parts = np.random.default_rng(seed).standard_normal((2, require_dim(d)))
     return pure_states(parts[0] + 1j * parts[1])
 
 

@@ -159,7 +159,40 @@ def test_criterion_7_gap_slope():
 
 
 def test_criterion_8_sampler():
-    _report(criterion_sampler(SEED, n_scenarios=10))
+    result = criterion_sampler(SEED, n_scenarios=10)
+    _report(result)
+    # the draws at this seed, pinned: stacks of three and four rows per dimension
+    assert result.detail == "10 scenarios x 1000000 shots, worst z-score 2.07"
+
+
+@pytest.mark.parametrize("seed", [SEED, 7, 11])
+def test_criterion_8_reads_each_row_as_its_batch_of_one(seed, monkeypatch):
+    # each stacked row's table, bit for bit, is the table of its stream's
+    # setup and strategy drawn as a batch of one, sampled with the shot
+    # stream of its own index; the rows come one dimension's stack at a time
+    tables, samples = [], []
+    probabilities, sample = mzi.outcome_probabilities, mzi.sample_outcomes
+
+    def spy_probabilities(setup, strategy):
+        tables.append(probabilities(setup, strategy))
+        return tables[-1]
+
+    def spy_sample(probs, n_shots, rng):
+        samples.append(sample(probs, n_shots, rng))
+        return samples[-1]
+
+    monkeypatch.setattr(mzi, "outcome_probabilities", spy_probabilities)
+    monkeypatch.setattr(mzi, "sample_outcomes", spy_sample)
+    criterion_sampler(seed, n_scenarios=10)
+    indices = [index for residue in range(3) for index in range(residue, 10, 3)]
+    assert len(tables) == len(samples) == len(indices)
+    tags = acceptance.STREAM_TAGS
+    for index, table, counts in zip(indices, tables, samples):
+        dim, rng = 2 + index % 3, qubit.stream(seed, tags["sampler"], index)
+        setups, strategies = mzi.random_setups(dim, [rng]), mzi.random_strategies(dim, [rng])
+        assert table.tobytes() == probabilities(setups[0], strategies[0]).tobytes(), index
+        shots = qubit.stream(seed, tags["shots"], index)
+        assert np.array_equal(counts, sample(table, 10**6, shots)), index
 
 
 def test_criterion_9_saturation():

@@ -183,17 +183,6 @@ def test_scripts_force_the_redraws():
 
 
 def test_single_draws_are_batches_of_one():
-    for dim in (2, 5, 8):
-        setup = mzi.random_setup(dim, stream(11, dim))
-        setups = mzi.random_setups(dim, [stream(11, dim)])
-        assert np.array_equal(setup.rho.matrix, setups.rho.matrix[0])
-        assert np.array_equal(setup.rho_d, setups.rho_d[0])
-        assert np.array_equal(setup.u, setups.u[0])
-        assert setup.phi == setups.phi[0]
-        strategy = mzi.random_strategy(dim, stream(12, dim))
-        strategies = mzi.random_strategies(dim, [stream(12, dim)])
-        assert np.array_equal(strategy.basis, strategies.basis[0])
-        assert np.array_equal(strategy.in_s, strategies.in_s[0])
     inst = jointmeas.random_instance(stream(13))
     want_m0, want_m, want_n = ref_draw_instance(np.random.default_rng([13]))
     assert inst.m0 == want_m0

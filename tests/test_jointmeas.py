@@ -711,7 +711,7 @@ class TestInstanceFromSetup:
         setup = mzi.MZISetup(
             rho=random_qubit_state(rng), rho_d=random_detector_state(3, rng), u=np.eye(3), phi=0.0
         )
-        inst = instance_from_setup(setup, mzi.random_strategy(3, rng))
+        inst = instance_from_setup(setup, mzi.random_strategies(3, [rng])[0])
         assert inst.m == pytest.approx(0.0, abs=1e-12)
         assert jm_criterion(inst).measurable
 
@@ -725,7 +725,7 @@ class TestInstanceFromSetup:
                 u=random_unitary(dim, rng),
                 phi=float(rng.uniform(0, 2 * np.pi)),
             )
-            strategy = mzi.random_strategy(dim, rng)
+            strategy = mzi.random_strategies(dim, [rng])[0]
             assert jm_margin(instance_from_setup(setup, strategy)) >= -1e-10
 
     def test_margin_equals_stats_expression(self):
@@ -739,7 +739,7 @@ class TestInstanceFromSetup:
                 u=random_unitary(dim, rng),
                 phi=0.1,
             )
-            strategy = mzi.random_strategy(dim, rng)
+            strategy = mzi.random_strategies(dim, [rng])[0]
             stats = mzi.strategy_stats(setup, strategy)
             contrast = mzi.duality_report(setup, strategy).contrast
             expected = (

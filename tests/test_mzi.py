@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,6 @@ from mzduality.qubit import (
     SIGMA_Y,
     SIGMA_Z,
     QubitState,
-    as_generator,
     bloch_to_matrix,
     random_detector_state,
     random_pure_detector_state,
@@ -130,7 +130,7 @@ class TestSetupConstruction:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.integers(0, 10**4), st.integers(2, 8), st.booleans())
     def test_random_setup_is_the_sweep_setup(self, seed, index, dim, optimal):
-        setup = mzi.random_setup(dim, np.random.default_rng([seed, index]))
+        setup = mzi.random_setups(dim, [np.random.default_rng([seed, index])])[0]
         swept = random_scenario(seed, index, dim, optimal).setup
         np.testing.assert_array_equal(setup.rho.matrix, swept.rho.matrix)
         np.testing.assert_array_equal(setup.rho_d, swept.rho_d)
@@ -147,8 +147,8 @@ def three_setups():
 ARRAY_HOLDERS = {
     "StrategyStats": lambda: mzi.Evaluation(three_setups()).stats,
     "DualityReport": lambda: mzi.Evaluation(three_setups()).report,
-    "MZISetup": lambda: mzi.random_setup(2, 1),
-    "Strategy": lambda: mzi.random_strategy(2, 1),
+    "MZISetup": lambda: mzi.random_setups(2, [np.random.default_rng(1)])[0],
+    "Strategy": lambda: mzi.random_strategies(2, [np.random.default_rng(1)])[0],
     "QubitState": lambda: random_qubit_state(1),
     "JMInstance": lambda: random_instance(1),
     "JointCandidate": lambda: build_candidate(random_instance(1), 0.0, np.zeros(3)),
@@ -273,7 +273,7 @@ class TestStrategiesAndDistinguishability:
         rng = np.random.default_rng(36)
         for _ in range(100):
             setup = random_setup(rng, int(rng.integers(2, 5)))
-            stats = mzi.strategy_stats(setup, mzi.random_strategy(setup.detector_dim, rng))
+            stats = mzi.strategy_stats(setup, mzi.random_strategies(setup.detector_dim, [rng])[0])
             for value in (stats.eta_s, stats.eta_sbar, stats.eta_s_u, stats.eta_sbar_u):
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
@@ -341,13 +341,13 @@ class TestStrategiesAndDistinguishability:
             d_opt = mzi.distinguishability(mzi.strategy_stats(setup, opt), w_plus, w_minus)
             assert d_opt == pytest.approx(d_max, abs=1e-10)
             for _ in range(100):
-                stats = mzi.strategy_stats(setup, mzi.random_strategy(dim, rng))
+                stats = mzi.strategy_stats(setup, mzi.random_strategies(dim, [rng])[0])
                 assert mzi.distinguishability(stats, w_plus, w_minus) <= d_max + 1e-10
 
     def test_stats_do_not_depend_on_phase(self):
         rng = np.random.default_rng(41)
         base = random_setup(rng, 3, phi=0.0)
-        strategy = mzi.random_strategy(3, rng)
+        strategy = mzi.random_strategies(3, [rng])[0]
         shifted = mzi.MZISetup(rho=base.rho, rho_d=base.rho_d, u=base.u, phi=2.1)
         stats = mzi.strategy_stats(base, strategy), mzi.strategy_stats(shifted, strategy)
         assert vars(stats[0]) == vars(stats[1])
@@ -414,7 +414,7 @@ class TestPovms:
         rng = np.random.default_rng(44)
         for _ in range(20):
             setup = random_setup(rng, 2)
-            strategy = mzi.random_strategy(2, rng)
+            strategy = mzi.random_strategies(2, [rng])[0]
             _, guesses = realized_effects(setup, strategy)
             value = np.trace(setup.rho.matrix @ guesses[0]).real
             assert -1e-12 <= value <= 1.0 + 1e-12
@@ -436,7 +436,7 @@ class TestJointObservable:
         setup = mzi.MZISetup(
             rho=random_qubit_state(rng), rho_d=random_detector_state(3, rng), u=np.eye(3), phi=0.0
         )
-        strategy = mzi.random_strategy(3, rng)
+        strategy = mzi.random_strategies(3, [rng])[0]
         stats = mzi.strategy_stats(setup, strategy)
         effects = mzi.joint_observable(setup, strategy)
         ports = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -449,7 +449,7 @@ class TestJointObservable:
         for _ in range(60):
             dim = int(rng.integers(2, 5))
             setup = random_setup(rng, dim)
-            strategy = mzi.random_strategy(dim, rng)
+            strategy = mzi.random_strategies(dim, [rng])[0]
             effects = mzi.joint_observable(setup, strategy)
             ports, guesses = realized_effects(setup, strategy)
             for i in range(2):
@@ -465,7 +465,7 @@ class TestJointObservable:
         rng = np.random.default_rng(48)
         setup = random_setup(rng, 3)
         with pytest.raises(DimensionMismatch):
-            mzi.joint_observable(setup, mzi.random_strategy(2, rng))
+            mzi.joint_observable(setup, mzi.random_strategies(2, [rng])[0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -477,7 +477,7 @@ class TestJointObservable:
     def test_closed_form_matches_full_interferometer(self, dim, seed, phi, kind):
         rng = np.random.default_rng(seed)
         setup = random_setup(rng, dim, phi=phi)
-        strategy = mzi.random_strategy(dim, rng)
+        strategy = mzi.random_strategies(dim, [rng])[0]
         if kind != "random":
             strategy = mzi.Strategy(strategy.basis, np.full(dim, kind == "full"))
         effects = mzi.joint_observable(setup, strategy)
@@ -498,15 +498,15 @@ class TestSampling:
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(49)
         setup = random_setup(rng, 2)
-        probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2, rng))
+        probs = mzi.outcome_probabilities(setup, mzi.random_strategies(2, [rng])[0])
         assert mzi.sample_outcomes(probs, 12345, seed=3).sum() == 12345
 
     def test_draws_one_multinomial_of_the_table(self):
         rng = np.random.default_rng(52)
         for seed in range(4):
             setup = random_setup(rng, 2 + seed)
-            probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2 + seed, rng))
-            expected = as_generator(seed).multinomial(1000, probs.ravel()).reshape(2, 2)
+            probs = mzi.outcome_probabilities(setup, mzi.random_strategies(2 + seed, [rng])[0])
+            expected = np.random.default_rng(seed).multinomial(1000, probs.ravel()).reshape(2, 2)
             assert np.array_equal(mzi.sample_outcomes(probs, 1000, seed), expected)
 
     def test_binomial_concentration(self):
@@ -514,7 +514,7 @@ class TestSampling:
         shots = 200_000
         for _ in range(3):
             setup = random_setup(rng, 2)
-            strategy = mzi.random_strategy(2, rng)
+            strategy = mzi.random_strategies(2, [rng])[0]
             probs = mzi.outcome_probabilities(setup, strategy)
             counts = mzi.sample_outcomes(probs, shots, seed=rng)
             for i in range(2):
@@ -525,9 +525,21 @@ class TestSampling:
     def test_rejects_zero_shots(self):
         rng = np.random.default_rng(51)
         setup = random_setup(rng, 2)
-        probs = mzi.outcome_probabilities(setup, mzi.random_strategy(2, rng))
+        probs = mzi.outcome_probabilities(setup, mzi.random_strategies(2, [rng])[0])
         with pytest.raises(ValueError):
             mzi.sample_outcomes(probs, 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2.7, np.nan, np.inf, "5", True, 0, -3, 10**30, 2**63])
+    def test_rejects_shot_counts_that_are_not_counts(self, shots):
+        # a float is not truncated, and a count numpy cannot take is refused as invalid input
+        probs = np.full((2, 2), 0.25)
+        with pytest.raises(InvalidArgument, match=re.escape(str(shots))):
+            mzi.sample_outcomes(probs, shots, seed=0)
+
+    def test_takes_any_integer_count_numpy_takes(self):
+        probs = np.full((2, 2), 0.25)
+        assert mzi.sample_outcomes(probs, np.int64(7), seed=0).sum() == 7
+        assert mzi.sample_outcomes(probs, 2**63 - 1, seed=0).sum() == 2**63 - 1
 
 
 # The per-entry z-score loops that mzi.z_scores replaces, copied from before:
@@ -650,7 +662,7 @@ class TestTightnessGapAndReport:
             dim = int(rng.integers(2, 5))
             setup = random_setup(rng, dim)
             if trial % 2:
-                strategy = mzi.random_strategy(dim, rng)
+                strategy = mzi.random_strategies(dim, [rng])[0]
             else:
                 strategy = mzi.optimal_strategy(setup)
                 report = mzi.duality_report(setup, strategy)
@@ -673,7 +685,7 @@ class TestTightnessGapAndReport:
         if pure:
             setup = mzi.MZISetup(rho=setup.rho, rho_d=random_pure_detector_state(dim, rng),
                                  u=setup.u, phi=setup.phi)
-        strategy = mzi.random_strategy(dim, rng)
+        strategy = mzi.random_strategies(dim, [rng])[0]
         if kind != "random":
             strategy = mzi.Strategy(strategy.basis, np.full(dim, kind == "full"))
         r = mzi.duality_report(setup, strategy)
@@ -693,7 +705,7 @@ class TestTightnessGapAndReport:
         rng = np.random.default_rng(55)
         setup = random_setup(rng, 3)
         reports = {
-            round(mzi.duality_report(setup, mzi.random_strategy(3, rng)).visibility, 14)
+            round(mzi.duality_report(setup, mzi.random_strategies(3, [rng])[0]).visibility, 14)
             for _ in range(5)
         }
         assert len(reports) == 1
@@ -1169,3 +1181,66 @@ class TestStacksAndRows:
     def test_from_subset_rejects_outcomes_outside_the_basis(self, subset):
         with pytest.raises(DimensionMismatch, match=r"subset \[.*\] not within 0..2"):
             mzi.Strategy.from_subset(np.eye(3), subset)
+
+    @pytest.mark.parametrize("bad", [0.9, 1.5, 1.0, np.float64(1.0), "1", True, np.True_, None])
+    def test_from_subset_refuses_indices_that_are_not_integers(self, bad):
+        # rather than truncate 0.9 to outcome 0, or read "1" as outcome 1
+        with pytest.raises(InvalidArgument, match=f"outcome index {re.escape(repr(bad))} is not"):
+            mzi.Strategy.from_subset(np.eye(2), [bad, 0])
+
+    def test_from_subset_takes_numpy_integers(self):
+        assert mzi.Strategy.from_subset(np.eye(3), [np.int64(2), np.uint8(0)]).subset == {0, 2}
+
+
+def record_fields(record, prefix=""):
+    """Every field of a record by dotted name, through the records it holds."""
+    found = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if dataclasses.is_dataclass(value):
+            found.update(record_fields(value, f"{prefix}{field.name}."))
+        else:
+            found[prefix + field.name] = value
+    return found
+
+
+def stacked_records():
+    """One stack of three rows of each record type that holds one item or a stack."""
+    rngs = [np.random.default_rng([64, k]) for k in range(3)]
+    setups, strategies = mzi.random_setups(3, rngs), mzi.random_strategies(3, rngs)
+    result = mzi.Evaluation(setups, strategies)
+    return {"QubitState": setups.rho, "MZISetup": setups, "Strategy": strategies,
+            "JMInstance": result.pair, "StrategyStats": result.stats, "DualityReport": result.report}
+
+
+class TestRowAccessor:
+    @pytest.mark.parametrize("name", sorted(stacked_records()))
+    def test_every_record_takes_its_rows_one_way(self, name):
+        stack = stacked_records()[name]
+        assert type(stack).__name__ == name
+        columns = record_fields(stack)
+        for rows in (0, 1, 2, [2, 0], slice(1, None)):
+            taken = stack[rows]
+            assert type(taken) is type(stack)
+            fields = record_fields(taken)
+            assert list(fields) == list(columns)
+            for field, value in fields.items():
+                expected = columns[field][rows]
+                if np.ndim(expected) == 0:  # the one-row read of a column of numbers
+                    assert type(value) is float, (rows, field)
+                assert np.asarray(value).dtype == expected.dtype, (rows, field)
+                assert np.asarray(value).tobytes() == expected.tobytes(), (rows, field)
+
+    @pytest.mark.parametrize("name", sorted(stacked_records()))
+    def test_one_item_reads_as_a_stack_of_one(self, name):
+        one = stacked_records()[name][1]
+        fields = record_fields(one)
+        for field, value in record_fields(one[None]).items():
+            assert np.shape(value) == (1,) + np.shape(fields[field]), field
+            assert np.asarray(value)[0].tobytes() == np.asarray(fields[field]).tobytes(), field
+
+    def test_a_bound_row_reads_as_a_stack_of_one_without_its_binding(self):
+        setup, _ = mzi.evaluated_rows(three_setups(), None)[1]
+        assert "_evaluation" in vars(setup)
+        assert list(vars(setup[None])) == ["rho", "rho_d", "u", "phi"]
+        assert mzi.Evaluation(setup).setups.rho_d.shape == (1, 2, 2)
