@@ -17,8 +17,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .acceptance import run_all, setup_violations
 from .errors import InvalidArgument, MZDualityError, ScenarioError
@@ -33,7 +31,7 @@ from .jointmeas import (
     require_resolution,
 )
 from .mzi import DualityReport, duality_report, outcome_probabilities, sample_outcomes, z_scores
-from .qubit import require_dim
+from .qubit import integer, require_dim
 from .qubit_detector import P_STEP, gap_slope_empirical, gap_slope_prediction
 from .scenarios import Scenario, load_scenario, random_scenarios
 
@@ -42,16 +40,6 @@ log = logging.getLogger("mzduality")
 CSV_SCHEMA_LINE = "# schema=1"
 CSV_COLUMNS = ("scenario", "seed", *(f.name for f in fields(DualityReport)), "jm_margin")
 SWEEP_CHUNK = 1024  # sweep rows drawn at once; the output does not depend on it
-
-
-def _in_range(option: str, value: int, low: int = 0, high: int | None = 2**63 - 1) -> int:
-    """Reject a seed or count outside ``[low, high]`` (no upper end when
-    ``high`` is None) as invalid input; the default ``high`` is the largest
-    count numpy's samplers accept."""
-    if value < low or (high is not None and value > high):
-        bound = "inf" if high is None else high
-        raise InvalidArgument(f"{option} must lie in [{low}, {bound}], got {value}")
-    return value
 
 
 def _fmt(value: float) -> str:
@@ -92,11 +80,7 @@ def cmd_check_jm(args) -> int:
     else:
         if None in raw:
             raise ScenarioError("either --scenario or all of --m0/--m/--n are required")
-        inst = JMInstance(
-            m0=args.m0,
-            m_vec=np.array([args.m, 0.0, 0.0]),
-            n_vec=np.array([0.0, 0.0, args.n]),
-        )
+        inst = JMInstance(args.m0, [args.m, 0.0, 0.0], [0.0, 0.0, args.n])
     verdict = jm_criterion(inst)
     payload = {
         "m0": inst.m0,
@@ -119,8 +103,8 @@ def cmd_check_jm(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _in_range("--count", args.count)
-    _in_range("--seed", args.seed, high=None)
+    integer(args.count, "--count")
+    integer(args.seed, "--seed", high=None)
     require_dim(args.dim)
     lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
     violations = []
@@ -141,8 +125,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _in_range("--shots", args.shots, low=1)
-    _in_range("--seed", args.seed, high=None)
+    integer(args.shots, "--shots", low=1)
+    integer(args.seed, "--seed", high=None)
     scenario = load_scenario(args.scenario)
     probs = outcome_probabilities(scenario.setup, scenario.strategy)
     counts = sample_outcomes(probs, args.shots, args.seed)
@@ -176,8 +160,8 @@ def cmd_gamma_slope(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _in_range("--count", args.count, low=1)
-    _in_range("--seed", args.seed, high=None)
+    integer(args.count, "--count", low=1)
+    integer(args.seed, "--seed", high=None)
     results = run_all(seed=args.seed, oracle_count=args.count)
     for result in results:
         print(result.line())

@@ -192,7 +192,7 @@ def positivity_check(cand: JointCandidate, inst: JMInstance, tol: float = BALL_C
 def jm_criterion(inst: JMInstance) -> JMVerdict:
     """Closed-form joint-measurability verdict of one instance, with an
     explicit witness when the answer is positive."""
-    if np.ndim(inst.m0):
+    if not inst.one:
         raise InvalidInstance(f"jm_criterion reads one pair, got a stack of {len(inst.m0)}")
     margin = float(jm_margin(inst))
     measurable = margin >= -MEASURABLE_TOL
@@ -299,7 +299,7 @@ def feasibility_oracle(
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
     full, reduced = feasibility_batch(np.reshape([inst.m0, inst.m, inst.n], (3, -1)), resolution)
     verdict = full if mode == "full" else reduced
-    return verdict if np.ndim(inst.m0) else bool(verdict[0])
+    return bool(verdict[0]) if inst.one else verdict
 
 
 def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarray]:

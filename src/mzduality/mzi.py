@@ -22,7 +22,6 @@ row of it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +41,7 @@ from .qubit import (
     haar_unitary,
     held,
     hilbert_schmidt_states,
+    integer,
     pure_states,
     require_dim,
     unchecked,
@@ -51,15 +51,7 @@ HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
 
 ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
-
-
-def _index(value, what: str) -> int:
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidArgument(f"{what} {value!r} is not an integer")
+TABLE_SUM_TOL = 1e-12  # how far an outcome table's sum may stray from 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +92,7 @@ class Strategy(Stacked):
     outcomes S that vote for path |0>: one strategy as (d, d) and (d,), or N
     stacked as (N, d, d) and (N, d).  Validated and indexed as ``MZISetup``."""
 
+    ITEM_NDIM = 2
     basis: np.ndarray
     in_s: np.ndarray
 
@@ -113,12 +106,10 @@ class Strategy(Stacked):
     def from_subset(cls, basis, subset) -> "Strategy":
         """One strategy that guesses path |0> on the outcome indices in ``subset``."""
         d = np.shape(basis)[-1]
-        subset = frozenset(_index(k, "outcome index") for k in subset)
+        subset = frozenset(integer(k, "outcome index", None, None) for k in subset)
         if not subset <= set(range(d)):
             raise DimensionMismatch(f"subset {sorted(subset)} not within 0..{d - 1}")
-        in_s = np.zeros(d, dtype=bool)
-        in_s[list(subset)] = True
-        return cls(basis, in_s)
+        return cls(basis, [k in subset for k in range(d)])
 
     @property
     def dim(self) -> int:
@@ -220,13 +211,12 @@ class Evaluation:
     """
 
     def __init__(self, setups: MZISetup, strategies: Strategy | None = None, optimal=None):
-        setups = setups[None] if setups.rho_d.ndim == 2 else setups
+        setups = setups[None] if setups.one else setups
         n, dim = len(setups.phi), setups.detector_dim
         if optimal is not None and np.shape(optimal) != (n,):
             raise DimensionMismatch(f"optimal mask of {np.size(optimal)} rows for {n} setups")
         drawn = n * (strategies is not None) if optimal is None else n - np.count_nonzero(optimal)
-        if strategies is not None:
-            strategies = strategies[None] if strategies.in_s.ndim == 1 else strategies
+        strategies = strategies[None] if strategies is not None and strategies.one else strategies
         given = (0, dim) if strategies is None else strategies.in_s.shape
         if given != (drawn, dim):
             raise DimensionMismatch(
@@ -374,7 +364,7 @@ def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> tuple[E
     under this very strategy object, else row 0 of a fresh evaluation it is
     then bound to.  So a report row and its checks compute each quantity
     once; setups and strategies are frozen, so a binding stays valid."""
-    if setup.rho_d.ndim != 2:
+    if not setup.one:
         raise DimensionMismatch(f"a stack of {len(setup.rho_d)} setups; use Evaluation for a stack")
     kept = setup.__dict__.get("_evaluation")
     if kept is None or kept[0] is not strategy:
@@ -445,11 +435,12 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndar
 
 
 def sample_outcomes(probs: np.ndarray, n_shots: int, seed) -> np.ndarray:
-    """``n_shots`` outcomes, an integer in [1, 2**63 - 1], sampled from a 2x2 table such
-    as ``outcome_probabilities`` returns; deterministic per seed (or Generator)."""
-    if not 1 <= _index(n_shots, "n_shots") <= 2**63 - 1:
-        raise InvalidArgument(f"n_shots must lie in [1, {2**63 - 1}], got {n_shots}")
-    return np.random.default_rng(seed).multinomial(n_shots, probs.ravel()).reshape(2, 2)
+    """``n_shots`` outcomes, an integer in [1, ``qubit.MAX_COUNT``], sampled from a 2x2
+    table of probabilities summing to 1 within ``TABLE_SUM_TOL``, per seed (or Generator)."""
+    n_shots, table = integer(n_shots, "n_shots", 1), np.asarray(probs, dtype=float)
+    if table.shape != (2, 2) or not (table.min() >= 0 and abs(table.sum() - 1) <= TABLE_SUM_TOL):
+        raise InvalidArgument(f"outcome table {table.tolist()} is not a 2x2 probability table")
+    return np.random.default_rng(seed).multinomial(n_shots, table.ravel()).reshape(2, 2)
 
 
 def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ draws (``bloch_vectors`` here, ``mzi.random_setups``,
 ``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
 generator per item, make the fewest generator calls that give each stream's
 values, and shape the whole stack at once; one item is a batch of one.
-``Stacked`` is the base of every record that holds one item or a stack, and
-its ``record[rows]`` the one way rows are taken from such a record.
+``Stacked`` is the base of every record of one item or a stack (``record.one``
+tells which, ``record[rows]`` takes rows).  ``integer`` is the one rule for an
+integer argument and its range, by default [0, ``MAX_COUNT``].
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, InvalidEffect, InvalidState, NotHermitian
+from .errors import (BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect,
+                     InvalidState, NotHermitian)
 from .linalg import PSD_TOL, dagger, require_density, require_hermitian, row_dots, row_norms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,6 +33,7 @@ PAULI_STACK = np.array(PAULI)
 
 MIN_DETECTOR_DIM = 2
 MAX_DETECTOR_DIM = 8
+MAX_COUNT = 2**63 - 1  # the largest count numpy's samplers take
 
 
 # SeedSequence.generate_state's hash: word i is x ^ (x >> 16), x = (pool[i % 4] ^ c_i) * c_(i+1)
@@ -123,11 +126,20 @@ def unchecked(cls, **fields):
 
 
 class Stacked:
-    """Base of the dataclass records of one item or a stack of N.  ``record[rows]``
-    takes an index, slice or index array of every field, or None for one item as a
-    stack of one, unchecked; a ``Stacked`` field takes its own rows."""
+    """Base of the dataclass records of one item or a stack of N; ``one`` tells which (one
+    item's first field has ``ITEM_NDIM`` axes, or is one item).  ``record[rows]`` takes an
+    index, slice or index array of a stack, ``[None]`` one item as a stack of one, unchecked."""
+
+    ITEM_NDIM = 0
+
+    @property
+    def one(self) -> bool:
+        lead = getattr(self, next(iter(self.__dataclass_fields__)))  # 0-d is held as a float
+        return lead.one if isinstance(lead, Stacked) else getattr(lead, "ndim", 0) == self.ITEM_NDIM
 
     def __getitem__(self, rows):
+        if rows is not None and self.one:
+            raise DimensionMismatch(f"one {type(self).__name__} has no row {rows!r}, only [None]")
         item = object.__new__(type(self))
         for name in self.__dataclass_fields__:  # the records declare no ClassVar or InitVar
             value = getattr(self, name)
@@ -140,6 +152,7 @@ class Stacked:
 class QubitState(Stacked):
     """Validated density matrix of the quanton, (2, 2), or a stack (N, 2, 2)."""
 
+    ITEM_NDIM = 2
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -165,13 +178,22 @@ class QubitState(Stacked):
         return 2.0 * matrix_to_bloch(self.matrix)[1]
 
 
-def require_dim(d: int) -> int:
-    """The detector dimension as an int; raises BadDimension outside the supported range."""
-    if not (MIN_DETECTOR_DIM <= int(d) <= MAX_DETECTOR_DIM):
-        raise BadDimension(
-            f"detector dimension must lie in [{MIN_DETECTOR_DIM}, {MAX_DETECTOR_DIM}], got {d}"
-        )
-    return int(d)
+def integer(value, what: str, low=0, high=MAX_COUNT, error=InvalidArgument) -> int:
+    """``value`` as a Python int, taken by ``operator.index`` (no float, string or
+    bool), in ``[low, high]`` with None an open end; else raises ``error``."""
+    try:  # a bool, numpy's too, is refused as None is
+        number = operator.index(None if isinstance(value, (bool, np.bool_)) else value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    low, high = -np.inf if low is None else low, np.inf if high is None else high
+    if not low <= number <= high:
+        raise error(f"{what} must lie in [{low}, {high}], got {number}")
+    return number
+
+
+def require_dim(d) -> int:
+    """The detector dimension as an int; raises BadDimension unless an integer in range."""
+    return integer(d, "detector dimension", MIN_DETECTOR_DIM, MAX_DETECTOR_DIM, BadDimension)
 
 
 def bloch_vectors(rngs) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MZDualityError, ScenarioError
 from .mzi import MZISetup, Strategy, evaluated_rows, random_setups, random_strategies
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, require_dim, streams
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, integer, require_dim, streams
 
 OPTIMAL = "optimal"  # the file's word for the optimal strategy, None in a Scenario
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -59,10 +59,6 @@ def matrix_from_json(data, what: str) -> np.ndarray:
     return m
 
 
-def _x_rotation(angle: float) -> np.ndarray:
-    return np.cos(angle / 2.0) * IDENTITY_2 - 1j * np.sin(angle / 2.0) * SIGMA_X
-
-
 def _parse_quanton(spec) -> QubitState:
     if isinstance(spec, dict) and "bloch" in spec:
         return QubitState.from_bloch(_vector(spec["bloch"], "quanton Bloch vector"))
@@ -101,7 +97,8 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "x-rotation" in spec:
         if dim != 2:
             raise ScenarioError("preset 'x-rotation' requires dim = 2")
-        return _x_rotation(_number(spec["x-rotation"], "x-rotation angle"))
+        half = _number(spec["x-rotation"], "x-rotation angle") / 2.0
+        return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * SIGMA_X
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector unitary")
     raise ScenarioError("unitary must be a preset name, 'x-rotation', or 'matrix'")
@@ -113,30 +110,25 @@ def _parse_strategy(spec) -> Strategy | None:
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
         basis = matrix_from_json(spec["basis"], "strategy basis")
         try:
-            subset = (_integer(k, "strategy subset index") for k in spec["subset"])
+            subset = (integer(k, "strategy subset index", None, None, ScenarioError)
+                      for k in spec["subset"])
             return Strategy.from_subset(basis, subset)
         except MZDualityError as exc:
             raise ScenarioError(f"invalid strategy: {exc}") from None
     raise ScenarioError("strategy must be 'optimal' or {'basis': ..., 'subset': [...]}")
 
 
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         detector = data["detector"]
-        dim = require_dim(_integer(detector["dim"], "detector dim"))
+        dim = require_dim(integer(detector["dim"], "detector dim", None, None, ScenarioError))
         setup = MZISetup(
             rho=_parse_quanton(data["quanton"]),
             rho_d=_parse_detector_state(detector["state"], dim),
             u=_parse_unitary(detector["unitary"], dim),
             phi=_number(data.get("phi", 0.0), "phi"),
         )
-        seed = _integer(data.get("seed", 0), "seed")
+        seed = integer(data.get("seed", 0), "seed", None, None, ScenarioError)
         name = data.get("name", "scenario")
         if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
             raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")

@@ -536,6 +536,21 @@ class TestSampling:
         with pytest.raises(InvalidArgument, match=re.escape(str(shots))):
             mzi.sample_outcomes(probs, shots, seed=0)
 
+    @pytest.mark.parametrize("table", [
+        np.full((2, 2), 0.5),
+        [[0.5, 0.5], [np.nan, 0.0]],
+        [[0.5, 0.5], [np.inf, -np.inf]],
+        [[1.5, -0.5], [0.0, 0.0]],
+        [[0.5, 0.5], [0.0, 1e-9]],
+        np.full(4, 0.25),
+        np.full((3, 3), 1 / 9),
+    ])
+    def test_refuses_tables_that_are_not_probability_tables(self, table):
+        # rather than pass numpy's bare ValueError through, or let numpy give the last
+        # outcome whatever probability the others leave
+        with pytest.raises(InvalidArgument, match="not a 2x2 probability table"):
+            mzi.sample_outcomes(table, 10, seed=0)
+
     def test_takes_any_integer_count_numpy_takes(self):
         probs = np.full((2, 2), 0.25)
         assert mzi.sample_outcomes(probs, np.int64(7), seed=0).sum() == 7
@@ -1185,7 +1200,8 @@ class TestStacksAndRows:
     @pytest.mark.parametrize("bad", [0.9, 1.5, 1.0, np.float64(1.0), "1", True, np.True_, None])
     def test_from_subset_refuses_indices_that_are_not_integers(self, bad):
         # rather than truncate 0.9 to outcome 0, or read "1" as outcome 1
-        with pytest.raises(InvalidArgument, match=f"outcome index {re.escape(repr(bad))} is not"):
+        match = f"outcome index must be an integer, got {re.escape(repr(bad))}"
+        with pytest.raises(InvalidArgument, match=match):
             mzi.Strategy.from_subset(np.eye(2), [bad, 0])
 
     def test_from_subset_takes_numpy_integers(self):
@@ -1238,6 +1254,24 @@ class TestRowAccessor:
         for field, value in record_fields(one[None]).items():
             assert np.shape(value) == (1,) + np.shape(fields[field]), field
             assert np.asarray(value)[0].tobytes() == np.asarray(fields[field]).tobytes(), field
+
+    @pytest.mark.parametrize("name", sorted(stacked_records()))
+    @pytest.mark.parametrize("rows", [0, 1, -1, slice(None), [0], np.array([0])])
+    def test_one_item_has_no_rows_but_none(self, name, rows):
+        stack = stacked_records()[name]
+        one = stack[1]
+        assert (stack.one, one.one, one[None].one) == (False, True, False)
+        with pytest.raises(DimensionMismatch, match=f"one {name} has no row"):
+            one[rows]
+
+    def test_single_items_built_alone_have_no_rows(self):
+        setup = mzi.MZISetup(QubitState.from_bloch([0.1, 0.0, 0.2]), GROUND, np.eye(2), 0.3)
+        for one in (mzi.random_strategies(3, [np.random.default_rng(5)])[0],
+                    QubitState.from_bloch([0.1, 0.0, 0.0]), setup,
+                    JMInstance(0.5, [0.1, 0.0, 0.0], [0.0, 0.0, 0.2])):
+            with pytest.raises(DimensionMismatch):
+                one[0]
+            assert not one[None].one
 
     def test_a_bound_row_reads_as_a_stack_of_one_without_its_binding(self):
         setup, _ = mzi.evaluated_rows(three_setups(), None)[1]

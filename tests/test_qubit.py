@@ -1,3 +1,4 @@
+import operator
 import re
 
 import numpy as np
@@ -5,21 +6,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mzduality.errors import BadDimension, InvalidEffect, InvalidState
+from mzduality.errors import (
+    BadDimension,
+    DimensionMismatch,
+    InvalidArgument,
+    InvalidEffect,
+    InvalidState,
+    ScenarioError,
+)
 from mzduality.linalg import hermitian_eig
+from mzduality.mzi import Strategy, random_setups, random_strategies, sample_outcomes
 from mzduality.qubit import (
     IDENTITY_2,
+    MAX_COUNT,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     QubitState,
     bloch_to_matrix,
+    integer,
     matrix_to_bloch,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,
     random_unitary,
+    require_dim,
+    stream,
 )
+from mzduality.scenarios import scenario_from_dict
 
 
 @st.composite
@@ -229,3 +243,88 @@ class TestRandomGenerators:
             random_unitary(dim, 0)
         with pytest.raises(BadDimension):
             random_detector_state(dim, 0)
+
+
+SCENARIO = {"quanton": {"bloch": [0.3, 0.0, 0.4]},
+            "detector": {"dim": 2, "state": "maximally-mixed", "unitary": "identity"}}
+EYE_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def only(items):
+    (item,) = items
+    return item
+
+
+# Every caller of the one integer rule: what it returns of an accepted value, its
+# range, and the error it raises for a value that is not an integer and for one
+# outside its range.
+INTEGER_CALLERS = {
+    "integer": (lambda v: integer(v, "count"), 0, MAX_COUNT, InvalidArgument, InvalidArgument),
+    "require_dim": (require_dim, 2, 8, BadDimension, BadDimension),
+    "random_setups": (lambda v: random_setups(v, [stream(3)]).detector_dim,
+                      2, 8, BadDimension, BadDimension),
+    "random_strategies": (lambda v: random_strategies(v, [stream(3)]).dim,
+                          2, 8, BadDimension, BadDimension),
+    "Strategy.from_subset": (lambda v: only(Strategy.from_subset(np.eye(3), [v]).subset),
+                             0, 2, InvalidArgument, DimensionMismatch),
+    "sample_outcomes": (lambda v: sample_outcomes(np.full((2, 2), 0.25), v, 0).sum(),
+                        1, MAX_COUNT, InvalidArgument, InvalidArgument),
+    "scenario dim": (lambda v: scenario_from_dict(
+        {**SCENARIO, "detector": {**SCENARIO["detector"], "dim": v}}).setup.detector_dim,
+        2, 8, ScenarioError, ScenarioError),
+    "scenario seed": (lambda v: scenario_from_dict({**SCENARIO, "seed": v}).seed,
+                      None, None, ScenarioError, ScenarioError),
+    "scenario subset": (lambda v: only(scenario_from_dict(
+        {**SCENARIO, "strategy": {"basis": EYE_2, "subset": [v]}}).strategy.subset),
+        0, 1, ScenarioError, ScenarioError),
+}
+NUMPY_INTEGERS = (np.int8, np.int64, np.uint8, np.uint64)
+INTEGER_ARGUMENTS = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, None]),
+    st.integers(-3, 12),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([MAX_COUNT, MAX_COUNT + 1]),
+    st.tuples(st.sampled_from(NUMPY_INTEGERS), st.integers(0, 12)).map(lambda t: t[0](t[1])),
+    st.integers(-3, 12).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["2.0", " 3", "1e3"]),
+)
+
+
+class TestIntegerRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(INTEGER_ARGUMENTS)
+    def test_every_caller_takes_integers_and_refuses_the_rest(self, value):
+        is_integer = not isinstance(value, (bool, np.bool_)) and isinstance(
+            value, (int, np.integer))
+        for name, (call, low, high, not_integer, out_of_range) in INTEGER_CALLERS.items():
+            inside = is_integer and (low is None or low <= value) and (high is None or value <= high)
+            if inside:
+                taken = call(value)
+                assert taken == value, name
+                if name in ("integer", "require_dim", "scenario seed"):
+                    assert type(taken) is int, name
+                continue
+            error, named = (out_of_range, str(operator.index(value))) if is_integer else (
+                not_integer, repr(value))
+            with pytest.raises(error) as caught:
+                call(value)
+            assert named in str(caught.value), (name, str(caught.value))
+
+    @pytest.mark.parametrize("value", [2.7, "3", 3.0, True, np.True_, None])
+    def test_a_dimension_is_never_truncated_or_parsed(self, value):
+        with pytest.raises(BadDimension, match="detector dimension must be an integer"):
+            require_dim(value)
+        with pytest.raises(BadDimension):
+            random_setups(value, [stream(3)])
+
+    def test_open_ends_and_wordings(self):
+        assert integer(-(2**80), "index", None, None) == -(2**80)
+        with pytest.raises(InvalidArgument, match=r"^--seed must lie in \[0, inf\], got -1$"):
+            integer(-1, "--seed", high=None)
+        with pytest.raises(InvalidArgument, match=r"^k must lie in \[-inf, 2\], got 3$"):
+            integer(np.int64(3), "k", None, 2)
+        with pytest.raises(ScenarioError, match=r"^seed must be an integer, got 1\.5$"):
+            integer(1.5, "seed", None, None, ScenarioError)
