@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI_STACK, Stacked, held
+from .qubit import IDENTITY_2, PAULI_STACK, Stacked, held, real
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
@@ -56,13 +56,10 @@ class JMInstance(Stacked):
     n: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m0 = np.asarray(self.m0, dtype=float)
-        m_vec = np.asarray(self.m_vec, dtype=float)
-        n_vec = np.asarray(self.n_vec, dtype=float)
+        m0, m_vec, n_vec = (np.asarray(real(vars(self)[name], name, InvalidInstance))
+                            for name in ("m0", "m_vec", "n_vec"))
         if m0.ndim > 1 or m_vec.shape != m0.shape + (3,) or n_vec.shape != m_vec.shape:
             raise InvalidInstance("m_vec and n_vec must be 3-vectors, one pair per m0")
-        if not (np.isfinite(m0).all() and np.isfinite(m_vec).all() and np.isfinite(n_vec).all()):
-            raise InvalidInstance("m0, m_vec and n_vec must be finite")
         outside = np.abs(m0 - 0.5) > 0.5 + NORM_SLACK
         if outside.any():
             raise InvalidInstance(f"m0 = {float(m0[outside][0])} outside [0, 1]")
@@ -142,19 +139,19 @@ def jm_margin(inst: JMInstance):
 def build_candidate(inst: JMInstance, x, y_vec) -> JointCandidate:
     """Assemble the four candidate effects for given free parameters (x, y),
     of one instance or of each in a stack, x a float or one per instance."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y_vec, dtype=float)
-    if y.shape != inst.m_vec.shape:
+    x, y = real(x, "x", InvalidInstance), real(y_vec, "y_vec", InvalidInstance)
+    if np.shape(y) != inst.m_vec.shape:
         raise InvalidInstance("y_vec must be a 3-vector per instance")
     # (-1)^i down the rows and (-1)^j along the columns of the (2, 2) outcome grid
     s_i, s_j = SIGNS[:, None], SIGNS
     m0 = np.asarray(inst.m0)[..., None, None]
-    weight = 0.25 + 0.25 * s_j * (2.0 * m0 - 1.0) + s_i * s_j * 0.5 * x[..., None, None]
+    weight = 0.25 + 0.25 * s_j * (2.0 * m0 - 1.0) + s_i * s_j * 0.5 * np.asarray(x)[..., None, None]
     m_vec, n_vec, y_row = (v[..., None, None, :] for v in (inst.m_vec, inst.n_vec, y))
     s_i, s_j = s_i[..., None], s_j[..., None]
     vec = 0.5 * (s_j * m_vec + s_i * n_vec + s_i * s_j * y_row)
     # each entry sums at most two nonzero Pauli terms, so any order gives the same bits
     effects = weight[..., None, None] * IDENTITY_2 + np.einsum("...k,kab->...ab", vec, PAULI_STACK)
-    return JointCandidate(x=held(x), y_vec=y, effects=effects)
+    return JointCandidate(x=x, y_vec=y, effects=effects)
 
 
 def construct_joint(inst: JMInstance) -> JointCandidate:

@@ -28,14 +28,41 @@ class EigDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _entries(value) -> list:
+    """The entries of nested lists, tuples and numpy values as Python objects, depth first."""
+    value = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    if not isinstance(value, (list, tuple)):
+        return [value]
+    return [entry for part in value for entry in _entries(part)]
+
+
+def as_numbers(value, what: str, kinds: str, error) -> np.ndarray:
+    """``value`` as an array of numpy dtype kinds ``kinds``, "iuf" for real or "iufc" for
+    complex numbers, with finite entries; else raises ``error`` naming the first entry
+    that is a bool, string, None or other object, complex for "iuf", NaN or an infinity,
+    or naming a ragged list whole."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    listed = isinstance(value, (list, tuple))  # where numpy reads a bool among numbers as one
+    if array.dtype.kind not in kinds or listed and bool in map(type, _entries(value)):
+        numbers = (int, float, complex) if "c" in kinds else (int, float)
+        bad = [x for x in _entries(value) if type(x) is bool or not isinstance(x, numbers)]
+        kind = "numbers" if "c" in kinds else "real"
+        raise error(f"{what} must be {kind}, got {(bad + [value])[0]!r}")
+    finite = np.isfinite(array)
+    if np.count_nonzero(finite) < array.size:  # faster than finite.all() on small arrays
+        raise error(f"{what} must be finite, got {array[~finite][0]}")
+    return array
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a square complex ndarray, or a stack (..., d, d) of them,
-    with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    with finite entries (see ``as_numbers``)."""
+    m = as_numbers(a, "matrix entries", "iufc", DimensionMismatch).astype(complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DimensionMismatch("matrix entries must be finite")
     return m
 
 

@@ -39,10 +39,10 @@ from .qubit import (
     bloch_vectors,
     effect_min_eigenvalue,
     haar_unitary,
-    held,
     hilbert_schmidt_states,
     integer,
     pure_states,
+    real,
     require_dim,
     unchecked,
 )
@@ -70,16 +70,13 @@ class MZISetup(Stacked):
         require_dim(rho_d.shape[-1])
         if u.shape != rho_d.shape:
             raise DimensionMismatch(f"detector unitary is {u.shape} but state is {rho_d.shape}")
-        phi = np.asarray(self.phi, dtype=float)
-        if not np.isfinite(phi).all():
-            raise InvalidArgument(f"phase phi must be finite, got {phi}")
-        rows = rho_d.shape[:-2]
-        if len(rows) > 1 or self.rho.matrix.shape[:-2] != rows or phi.shape != rows:
+        phi, rows = real(self.phi, "phase phi"), rho_d.shape[:-2]
+        if len(rows) > 1 or self.rho.matrix.shape[:-2] != rows or np.shape(phi) != rows:
             raise DimensionMismatch(
                 f"quanton {self.rho.matrix.shape}, detector {rho_d.shape} and phase "
-                f"{phi.shape} do not stack alike"
+                f"{np.shape(phi)} do not stack alike"
             )
-        vars(self).update(rho_d=rho_d, u=u, phi=held(phi))
+        vars(self).update(rho_d=rho_d, u=u, phi=phi)
 
     @property
     def detector_dim(self) -> int:
@@ -170,8 +167,8 @@ class DualityReport(Stacked):
 
 def phase_shifter(phi) -> np.ndarray:
     """``diag(exp(i phi/2), exp(-i phi/2))``, stacked as (..., 2, 2) for stacked phases."""
-    phi = np.asarray(phi, dtype=float)
-    shifter = np.zeros(phi.shape + (2, 2), dtype=complex)
+    phi = real(phi, "phase phi")
+    shifter = np.zeros(np.shape(phi) + (2, 2), dtype=complex)
     shifter[..., 0, 0] = np.exp(0.5j * phi)
     shifter[..., 1, 1] = np.exp(-0.5j * phi)
     return shifter
@@ -437,7 +434,7 @@ def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndar
 def sample_outcomes(probs: np.ndarray, n_shots: int, seed) -> np.ndarray:
     """``n_shots`` outcomes, an integer in [1, ``qubit.MAX_COUNT``], sampled from a 2x2
     table of probabilities summing to 1 within ``TABLE_SUM_TOL``, per seed (or Generator)."""
-    n_shots, table = integer(n_shots, "n_shots", 1), np.asarray(probs, dtype=float)
+    n_shots, table = integer(n_shots, "n_shots", 1), np.asarray(real(probs, "outcome table"))
     if table.shape != (2, 2) or not (table.min() >= 0 and abs(table.sum() - 1) <= TABLE_SUM_TOL):
         raise InvalidArgument(f"outcome table {table.tolist()} is not a 2x2 probability table")
     return np.random.default_rng(seed).multinomial(n_shots, table.ravel()).reshape(2, 2)

@@ -9,8 +9,8 @@ draws (``bloch_vectors`` here, ``mzi.random_setups``,
 generator per item, make the fewest generator calls that give each stream's
 values, and shape the whole stack at once; one item is a batch of one.
 ``Stacked`` is the base of every record of one item or a stack (``record.one``
-tells which, ``record[rows]`` takes rows).  ``integer`` is the one rule for an
-integer argument and its range, by default [0, ``MAX_COUNT``].
+tells which, ``record[rows]`` takes rows).  ``integer`` is the one rule for an integer
+argument and its range, by default [0, ``MAX_COUNT``]; ``real`` is the one for real ones.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect,
                      InvalidState, NotHermitian)
-from .linalg import PSD_TOL, dagger, require_density, require_hermitian, row_dots, row_norms
+from .linalg import (PSD_TOL, as_numbers, dagger, require_density, require_hermitian, row_dots,
+                     row_norms)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -79,17 +80,15 @@ def bloch_to_matrix(vector, bias) -> np.ndarray:
     """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for a
     stack (..., 3) of vectors with matching biases; raises InvalidEffect
     unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``."""
-    v = np.asarray(vector, dtype=float)
-    if v.shape[-1:] != (3,):
-        raise InvalidEffect(f"Bloch vector must have shape (3,), got {v.shape}")
-    if not (np.isfinite(bias).all() and np.isfinite(v).all()):
-        raise InvalidEffect("bias and vector must be finite")
+    v, bias = real(vector, "Bloch vector", InvalidEffect), real(bias, "bias", InvalidEffect)
+    if np.shape(v)[-1:] != (3,):
+        raise InvalidEffect(f"Bloch vector must have shape (3,), got {np.shape(v)}")
     excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
     if (excess > PSD_TOL).any():
         raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
     # each entry sums at most two nonzero terms, so any order gives the same bits
     vector_part = np.einsum("...k,kij->...ij", v, PAULI_STACK)
-    return np.asarray(bias, dtype=float)[..., None, None] * IDENTITY_2 + vector_part
+    return np.asarray(bias)[..., None, None] * IDENTITY_2 + vector_part
 
 
 def effect_min_eigenvalue(effects) -> np.ndarray:
@@ -162,9 +161,9 @@ class QubitState(Stacked):
     def from_bloch(cls, vector) -> "QubitState":
         """The state of one Bloch vector, (3,), or the stack of N, (N, 3),
         each within the unit ball."""
-        v = np.asarray(vector, dtype=float)
-        if v.shape[-1:] != (3,) or v.ndim > 2:
-            raise InvalidState(f"Bloch vector must have shape (3,), got {v.shape}")
+        v = real(vector, "Bloch vector", InvalidState)
+        if np.shape(v)[-1:] != (3,) or v.ndim > 2:
+            raise InvalidState(f"Bloch vector must have shape (3,), got {np.shape(v)}")
         large = np.abs(v) > 1.0 + PSD_TOL  # ahead of the norm, which a huge one overflows
         if large.any():
             raise InvalidState(f"Bloch component {v[large][0]:.6g} exceeds 1 in absolute value")
@@ -189,6 +188,12 @@ def integer(value, what: str, low=0, high=MAX_COUNT, error=InvalidArgument) -> i
     if not low <= number <= high:
         raise error(f"{what} must lie in [{low}, {high}], got {number}")
     return number
+
+
+def real(value, what: str, error=InvalidArgument):
+    """``value``, numpy's or Python's integers and floats, as a float array, or a float when
+    0-d; raises ``error`` naming its first other entry, NaN or infinity (``linalg.as_numbers``)."""
+    return held(as_numbers(value, what, "iuf", error).astype(float, copy=False))
 
 
 def require_dim(d) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateFidelity, DimensionMismatch, InvalidArgument, InvalidInstance
 from .linalg import dagger, require_density, require_unitary
 from .mzi import Evaluation, MZISetup
-from .qubit import QubitState, matrix_to_bloch
+from .qubit import QubitState, matrix_to_bloch, real
 
 BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -35,13 +35,10 @@ class QubitDetectorAnalysis:
     p: float
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        alpha, beta, p = (np.asarray(real(vars(self)[name], name, InvalidInstance))
+                          for name in ("alpha", "beta", "p"))
         if alpha.shape[-1:] != (3,) or beta.shape != alpha.shape or p.shape != alpha.shape[:-1]:
             raise InvalidInstance("alpha and beta must be 3-vectors, with one p each")
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-            raise InvalidInstance("alpha and beta must be finite")
         na, nb = np.linalg.norm(alpha, axis=-1), np.linalg.norm(beta, axis=-1)
         if (np.abs(na - nb) > BLOCH_MATCH_TOL).any():
             raise InvalidInstance(f"|alpha| and |beta| differ by {np.abs(na - nb).max():.6g}")
@@ -50,9 +47,7 @@ class QubitDetectorAnalysis:
         outside = ~((-1.0 <= p) & (p <= 1.0))
         if outside.any():
             raise InvalidInstance(f"p = {p[outside].flat[0]} outside [-1, 1]")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "p", p[()])
+        vars(self).update(alpha=alpha, beta=beta, p=p[()])
 
     @property
     def a(self):

@@ -44,6 +44,27 @@ def hermitian_matrices(draw):
     return (m + m.conj().T) / 2
 
 
+class TestComplexRule:
+    @pytest.mark.parametrize("call, matrix, named", [
+        (require_unitary, [["1", "0"], ["0", "1"]], "'1'"),
+        (hermitian_eig, [[True, False], [False, True]], "True"),
+        (hermitian_eig, [[1.0, 0.0], [0.0, np.True_]], "True"),
+        (trace_norm, [[1, 0], [0]], "[[1, 0], [0]]"),
+        (trace_norm, "x", "'x'"),
+        (require_density, [[None, 0], [0, 1]], "None"),
+        (require_hermitian, np.array([[1.0, 0.0], [0.0, np.nan]]), "must be finite, got nan"),
+        (partial_trace_detector, [[1j, 0], [0, -np.inf]], "must be finite, got (-inf+0j)"),
+    ])
+    def test_refuses_what_is_not_a_finite_number_and_names_it(self, call, matrix, named):
+        with pytest.raises(DimensionMismatch, match=re.escape(named)):
+            call(matrix)
+
+    def test_takes_integers_floats_and_complex_numbers(self):
+        for matrix in ([[1, 0], [0, 1]], np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32),
+                       np.eye(2, dtype=np.complex64), [[1.0, 0j], [0, 1]]):
+            assert require_unitary(matrix).dtype == np.complex128
+
+
 class TestHermitianEig:
     def test_diagonal_input(self):
         vals, vecs = hermitian_eig(np.diag([1.0, -1.0]))

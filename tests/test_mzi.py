@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -547,9 +548,25 @@ class TestSampling:
     ])
     def test_refuses_tables_that_are_not_probability_tables(self, table):
         # rather than pass numpy's bare ValueError through, or let numpy give the last
-        # outcome whatever probability the others leave
-        with pytest.raises(InvalidArgument, match="not a 2x2 probability table"):
+        # outcome whatever probability the others leave; the real-number rule names a
+        # NaN or an infinity first
+        bad = np.asarray(table)[~np.isfinite(table)]
+        message = f"must be finite, got {bad[0]}" if bad.size else "not a 2x2 probability table"
+        with pytest.raises(InvalidArgument, match=message):
             mzi.sample_outcomes(table, 10, seed=0)
+
+    @pytest.mark.parametrize("table", [
+        np.full((2, 2), 0.25 + 0j),
+        [[0.25, 0.25], [0.25, 0.25j]],
+        [["0.25", "0.25"], ["0.25", "0.25"]],
+    ])
+    def test_refuses_complex_and_string_tables_without_a_warning(self, table):
+        # rather than sample the real part after numpy's ComplexWarning, or pass
+        # numpy's bare ValueError through
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="^outcome table must be real, got"):
+                mzi.sample_outcomes(table, 10, seed=0)
 
     def test_takes_any_integer_count_numpy_takes(self):
         probs = np.full((2, 2), 0.25)

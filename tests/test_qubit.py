@@ -11,11 +11,20 @@ from mzduality.errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidEffect,
+    InvalidInstance,
     InvalidState,
     ScenarioError,
 )
+from mzduality.jointmeas import JMInstance, build_candidate
 from mzduality.linalg import hermitian_eig
-from mzduality.mzi import Strategy, random_setups, random_strategies, sample_outcomes
+from mzduality.mzi import (
+    MZISetup,
+    Strategy,
+    phase_shifter,
+    random_setups,
+    random_strategies,
+    sample_outcomes,
+)
 from mzduality.qubit import (
     IDENTITY_2,
     MAX_COUNT,
@@ -30,9 +39,11 @@ from mzduality.qubit import (
     random_pure_detector_state,
     random_qubit_state,
     random_unitary,
+    real,
     require_dim,
     stream,
 )
+from mzduality.qubit_detector import QubitDetectorAnalysis
 from mzduality.scenarios import scenario_from_dict
 
 
@@ -147,7 +158,10 @@ class TestQubitState:
 
     @pytest.mark.parametrize("component", [1e300, -1e300, np.inf, 1.5])
     def test_rejects_a_large_component_as_given(self, component):
-        with pytest.raises(InvalidState, match=re.escape(f"component {component:.6g} exceeds 1")):
+        # an infinity is refused by the real-number rule, ahead of the component bound
+        message = (f"component {component:.6g} exceeds 1" if np.isfinite(component)
+                   else f"Bloch vector must be finite, got {component}")
+        with pytest.raises(InvalidState, match=re.escape(message)):
             QubitState.from_bloch([0.0, component, 0.0])
 
     def test_rejects_non_finite_bloch_vector(self):
@@ -328,3 +342,86 @@ class TestIntegerRule:
             integer(np.int64(3), "k", None, 2)
         with pytest.raises(ScenarioError, match=r"^seed must be an integer, got 1\.5$"):
             integer(1.5, "seed", None, None, ScenarioError)
+
+
+GROUND = np.diag([1.0, 0.0])
+PAIR = JMInstance(0.5, [0.1, 0.0, 0.0], [0.0, 0.0, 0.1])
+# Every caller of the one real-number rule: a call that puts its argument where a real
+# number belongs, at a place where 0 is valid, and the error it raises for anything else.
+REAL_CALLERS = {
+    "real": (lambda v: real(v, "value"), InvalidArgument),
+    "MZISetup phi": (lambda v: MZISetup(QubitState(GROUND), GROUND, np.eye(2), v),
+                     InvalidArgument),
+    "phase_shifter": (phase_shifter, InvalidArgument),
+    "QubitState.from_bloch": (lambda v: QubitState.from_bloch([0.0, v, 0.0]), InvalidState),
+    "bloch_to_matrix vector": (lambda v: bloch_to_matrix([v, 0.0, 0.0], 0.5), InvalidEffect),
+    "bloch_to_matrix bias": (lambda v: bloch_to_matrix(np.zeros(3), v), InvalidEffect),
+    "JMInstance m0": (lambda v: JMInstance(v, np.zeros(3), [0.0, 0.0, 0.1]), InvalidInstance),
+    "JMInstance m_vec": (lambda v: JMInstance(0.5, [v, 0.0, 0.0], [0.0, 0.0, 0.1]),
+                         InvalidInstance),
+    "JMInstance n_vec": (lambda v: JMInstance(0.5, [0.1, 0.0, 0.0], [0.0, 0.0, v]),
+                         InvalidInstance),
+    "build_candidate x": (lambda v: build_candidate(PAIR, v, np.zeros(3)), InvalidInstance),
+    "build_candidate y_vec": (lambda v: build_candidate(PAIR, 0.0, [0.0, v, 0.0]),
+                              InvalidInstance),
+    "QubitDetectorAnalysis alpha": (lambda v: QubitDetectorAnalysis([v, 0.0, 0.0], np.zeros(3),
+                                                                    0.0), InvalidInstance),
+    "QubitDetectorAnalysis beta": (lambda v: QubitDetectorAnalysis(np.zeros(3), [0.0, 0.0, v],
+                                                                   0.0), InvalidInstance),
+    "QubitDetectorAnalysis p": (lambda v: QubitDetectorAnalysis(np.zeros(3), np.zeros(3), v),
+                                InvalidInstance),
+    "sample_outcomes table": (lambda v: sample_outcomes([[v, 0.5], [0.5, 0.0]], 10, 0),
+                              InvalidArgument),
+}
+ZEROS = (0, 0.0, -0.0, np.int64(0), np.uint8(0), np.float32(0.0), np.float16(0.0))
+NOT_REAL = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, None, float("nan"), float("inf"), float("-inf")]),
+    st.floats(-1.0, 1.0).map(str),
+    st.sampled_from(["0", " 1", "1e3", "nan", "a"]),
+    st.complex_numbers(max_magnitude=1.0),
+    st.sampled_from([np.complex128(0.5j), 1j]),
+    # ragged: rows of two lengths
+    st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3).map(lambda row: [row, row + [0.0]]),
+)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("zero", ZEROS, ids=repr)
+    def test_every_caller_takes_numpy_and_python_integers_and_floats(self, zero):
+        for call, _ in REAL_CALLERS.values():
+            call(zero)
+        assert type(real(zero, "zero")) is float and real(zero, "zero") == 0.0
+        taken = real([np.int64(1), 2, np.float32(0.5)], "row")
+        assert taken.dtype == np.float64 and taken.tolist() == [1.0, 2.0, 0.5]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(NOT_REAL)
+    def test_every_caller_refuses_the_rest_and_names_it(self, value):
+        for name, (call, error) in REAL_CALLERS.items():
+            with pytest.raises(error) as caught:
+                call(value)
+            assert str(value) in str(caught.value), (name, str(caught.value))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, "0.3", True, None, 1j])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_bad_phase_in_a_stack_raises_as_that_row(self, bad, row):
+        setups = random_setups(2, [stream(5, k) for k in range(3)])
+        phases = [0.1, 0.2, 0.3]
+        phases[row] = bad
+        with pytest.raises(InvalidArgument) as alone:
+            MZISetup(setups[row].rho, setups[row].rho_d, setups[row].u, bad)
+        with pytest.raises(InvalidArgument) as stacked:
+            MZISetup(setups.rho, setups.rho_d, setups.u, phases)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_wordings(self):
+        with pytest.raises(InvalidArgument, match=r"^phase phi must be real, got '0\.3'$"):
+            real("0.3", "phase phi")
+        with pytest.raises(InvalidArgument, match=r"^x must be finite, got -inf$"):
+            real(np.array([[0.0, 1.0], [-np.inf, np.nan]]), "x")
+        # a bool among numbers in a list, which numpy would read as 1
+        with pytest.raises(InvalidState, match=r"^v must be real, got True$"):
+            real([0.5, [np.True_, 0.0]], "v", InvalidState)
+        with pytest.raises(InvalidArgument, match=re.escape("got [[0.0], [0.0, 0.0]]")):
+            real([[0.0], [0.0, 0.0]], "ragged")
