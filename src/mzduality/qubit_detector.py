@@ -44,7 +44,7 @@ class QubitDetectorAnalysis:
             raise InvalidInstance(f"|alpha| and |beta| differ by {np.abs(na - nb).max():.6g}")
         if (na > 1.0 + BLOCH_MATCH_TOL).any():
             raise InvalidInstance(f"|alpha| = {na.max():.6g} exceeds 1")
-        outside = ~((-1.0 <= p) & (p <= 1.0))
+        outside = np.abs(p) > 1.0
         if outside.any():
             raise InvalidInstance(f"p = {p[outside].flat[0]} outside [-1, 1]")
         vars(self).update(alpha=alpha, beta=beta, p=p[()])
