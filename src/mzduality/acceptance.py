@@ -35,6 +35,8 @@ STREAM_TAGS = dict(oracle=1, realizability=3, duality=4, optimum=5, pure=6, iden
 # tolerances of every bound and identity checked below, read at call time so patches reach them
 BOUND_TOL = 1e-10
 IDENTITY_TOL = 1e-12
+SLOPE_REL_TOL = 1e-3  # relative error of a finite-difference gap slope
+ZERO_MODE_TOL = 1e-8  # how far a boundary witness's smallest eigenvalue may lie from 0
 # most random strategies criterion 5 scores in one stack (at least one setup's);
 # this bounds its temporaries, about 5 MB at default counts against 23 MB unchunked
 STRATEGY_CHUNK = 2000
@@ -353,8 +355,9 @@ def criterion_gap_slope(seed: int, count: int = 100) -> CriterionResult:
     relative = (np.abs(empirical - predicted) / np.abs(predicted))[:-1]
     worst_rel = float(np.max(relative, initial=0.0))
     pred_ref, emp_ref = predicted[-1], empirical[-1]
-    ref_ok = abs(pred_ref - expected) <= IDENTITY_TOL and abs(emp_ref - expected) / expected <= 1e-3
-    passed = worst_rel <= 1e-3 and ref_ok
+    ref_ok = (abs(pred_ref - expected) <= IDENTITY_TOL
+              and abs(emp_ref - expected) / expected <= SLOPE_REL_TOL)
+    passed = worst_rel <= SLOPE_REL_TOL and ref_ok
     return CriterionResult(
         7,
         "tightness-gap slope matches finite differences",
@@ -412,7 +415,8 @@ def criterion_saturation(seed: int, n_boundary: int = 100) -> CriterionResult:
     low = effect_min_eigenvalue(jointmeas.construct_joint(inst).effects).min(axis=(1, 2))
     worst_zero = float(np.max(np.abs(low), initial=0.0))
     worst_neg = float(np.min(low, initial=0.0))
-    passed = saturation_gap <= IDENTITY_TOL and worst_zero <= 1e-8 and worst_neg >= -BOUND_TOL
+    passed = (saturation_gap <= IDENTITY_TOL and worst_zero <= ZERO_MODE_TOL
+              and worst_neg >= -BOUND_TOL)
     return CriterionResult(
         9,
         "saturation and boundary zero modes",

@@ -29,6 +29,10 @@ BALL_CHECK_TOL = 1e-10
 # pure floating-point guard inside the grid oracle; must stay far below the
 # margin band excluded from differential tests
 GRID_GUARD = 1e-9
+# rounding slack of a grid index taken by floor or ceil, and of the FULL oracle's block skip
+INDEX_SLACK = 1e-9
+REACH_SLACK = 1e-12  # rounding slack of the |y| <= m + n + 1 bound of the grids
+ZERO_N_TOL = 1e-14  # below this |n| a witness's direction is immaterial and y = 0
 ORACLE_RESOLUTION = 0.01  # default grid step of the oracle
 # side of the square blocks of y grid points the FULL oracle keeps or skips whole;
 # 16 ran fastest of 8, 16, 24 and 32 on criterion 1's instances
@@ -109,10 +113,13 @@ class JMVerdict:
     witness: JointCandidate | None
 
 
-def require_resolution(resolution: float) -> None:
-    """Reject a grid step outside [1e-3, 0.05]; finer grids need arrays of many gigabytes."""
-    if not (1e-3 <= resolution <= 0.05):
+def require_resolution(resolution) -> float:
+    """The grid step as a float: a real number (``qubit.real``) in [1e-3, 0.05], else
+    InvalidArgument, naming a NaN as out of range; finer grids need arrays of many gigabytes."""
+    step = resolution if isinstance(resolution, float) else real(resolution, "resolution")
+    if np.ndim(step) or not 1e-3 <= step <= 0.05:
         raise InvalidArgument(f"resolution must lie in [0.001, 0.05], got {resolution}")
+    return step
 
 
 def in_boundary_band(margin, resolution: float):
@@ -168,7 +175,7 @@ def construct_joint(inst: JMInstance) -> JointCandidate:
     s, t = criterion_roots(inst.m0, inst.m)
     along = np.minimum(s - inst.n, inst.n + t)[..., None] * inst.n_vec
     n = np.asarray(inst.n)[..., None]
-    y_vec = np.divide(along, n, out=np.zeros_like(along), where=n >= 1e-14)
+    y_vec = np.divide(along, n, out=np.zeros_like(along), where=n >= ZERO_N_TOL)
     return build_candidate(inst, 0.0, y_vec)
 
 
@@ -208,11 +215,11 @@ def _axis_grids(lengths, resolution: float) -> np.ndarray:
     """
     _, m, n = lengths
     reach = m + n + 1.0
-    k = np.floor(reach / resolution + 1e-9)
+    k = np.floor(reach / resolution + INDEX_SLACK)
     steps = np.arange(-np.max(k), np.max(k) + 1)
     ticks = resolution * steps
     vals = np.concatenate([n + ticks, -n + ticks], axis=-1)
-    inside = np.tile(np.abs(steps) <= k, 2) & (np.abs(vals) <= reach + 1e-12)
+    inside = np.tile(np.abs(steps) <= k, 2) & (np.abs(vals) <= reach + REACH_SLACK)
     return np.where(inside, vals, np.nan)
 
 
@@ -248,17 +255,18 @@ def _block_scan(lengths, resolution: float, y1_vals: np.ndarray, y2_vals: np.nda
     y2_blocks, y2_mid, y2_half = _blocks(y2_vals)
     columns = np.reshape(lengths, (3, -1, 1, 1))
     lo, hi = _x_window(columns, y1_mid[:, :, None], y2_mid[:, None, :])
-    slack = 2.0 * np.hypot(y1_half[:, :, None], y2_half[:, None, :]) + 2.0 * GRID_GUARD + 1e-9
+    half_diagonal = np.hypot(y1_half[:, :, None], y2_half[:, None, :])
+    slack = 2.0 * half_diagonal + 2.0 * GRID_GUARD + INDEX_SLACK
     owner, rows, cols = np.nonzero(lo - hi <= slack)
     m0, m, n = live = columns[:, owner]
     y1, y2 = y1_blocks[owner, rows][:, :, None], y2_blocks[owner, cols][:, None, :]
     # whether some grid x passes the four constraints at each y point (NaN never passes)
-    k_x = np.floor(np.minimum(m0, 1.0 - m0) / resolution + 1e-9)
+    k_x = np.floor(np.minimum(m0, 1.0 - m0) / resolution + INDEX_SLACK)
     reach = m + n + 1.0
     lo, hi = _x_window(live, y1, y2)
-    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - 1e-9), -k_x)
-    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + 1e-9), k_x)
-    hits = np.any((k_lo <= k_hi) & (y1 * y1 + y2**2 <= reach * reach + 1e-12), axis=(1, 2))
+    k_lo = np.maximum(np.ceil((lo - GRID_GUARD) / resolution - INDEX_SLACK), -k_x)
+    k_hi = np.minimum(np.floor((hi + GRID_GUARD) / resolution + INDEX_SLACK), k_x)
+    hits = np.any((k_lo <= k_hi) & (y1 * y1 + y2**2 <= reach * reach + REACH_SLACK), axis=(1, 2))
     found = np.zeros(len(y1_vals), dtype=bool)
     found[owner[hits]] = True
     return found
@@ -275,22 +283,24 @@ def feasibility_oracle(
     the m-n plane with ``|y| <= m + n + 1``.  REDUCED mode scans only x = 0
     with y parallel to n, the slice the feasibility problem provably reduces
     to.  Returns True iff some grid point satisfies all four ball constraints
-    (up to a 1e-9 floating-point guard), at a step ``require_resolution`` accepts.
+    (up to the floating-point guard ``GRID_GUARD``), at a step
+    ``require_resolution`` accepts.
 
     The reduced slice is part of FULL mode's grid, so FULL mode starts from
     the REDUCED verdict and scans the rest of its grid only where REDUCED
     finds no witness.  That pass over y1 >= 0 visits the y grid in blocks of
     ``BLOCK`` x ``BLOCK`` points and skips a block when ``lo - hi`` at its
-    centre exceeds ``2 h + 2 GRID_GUARD + 1e-9``, with h the half-diagonal of
-    the block and ``lo <= x <= hi`` the window the four constraints leave for
-    x.  The skip never changes the verdict: each constraint bounds x by the
-    distance from y to a fixed point, so ``lo`` (a max of such distances minus
-    constants) and ``hi`` (a min of constants minus such distances) are
-    1-Lipschitz in y and ``lo - hi`` changes by at most 2 h inside the block,
-    while a grid point passes only where ``lo - hi <= 2 GRID_GUARD + 2e-9
-    resolution``.  The bound uses only the four ball constraints, never the
-    closed-form criterion.  This picks one verdict of ``feasibility_batch``:
-    a bool for one instance, a bool array for a stack.
+    centre exceeds ``2 h + 2 GRID_GUARD + INDEX_SLACK``, with h the
+    half-diagonal of the block and ``lo <= x <= hi`` the window the four
+    constraints leave for x.  The skip never changes the verdict: each
+    constraint bounds x by the distance from y to a fixed point, so ``lo`` (a
+    max of such distances minus constants) and ``hi`` (a min of constants
+    minus such distances) are 1-Lipschitz in y and ``lo - hi`` changes by at
+    most 2 h inside the block, while a grid point passes only where
+    ``lo - hi <= 2 GRID_GUARD + 2 INDEX_SLACK resolution``, below the skip's
+    slack at any step up to 0.05.  The bound uses only the four ball
+    constraints, never the closed-form criterion.  This picks one verdict of
+    ``feasibility_batch``: a bool for one instance, a bool array for a stack.
     """
     if mode not in ("full", "reduced"):
         raise InvalidArgument(f"mode must be 'full' or 'reduced', got {mode!r}")
@@ -310,7 +320,7 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
     ``m + n``, since the widest instance of a chunk sizes its grids, and the
     verdicts are written back in input order.
     """
-    require_resolution(resolution)
+    resolution = require_resolution(resolution)
     lengths = np.array(lengths, dtype=float)
     full = np.zeros(lengths.shape[1], dtype=bool)
     reduced = np.zeros_like(full)
@@ -337,7 +347,7 @@ def feasibility_batch(lengths, resolution: float) -> tuple[np.ndarray, np.ndarra
         open_ = np.flatnonzero(~found)
         if open_.size:
             rest = part[:, open_]
-            k1 = np.floor((rest[1] + rest[2] + 1.0) / resolution + 1e-9)
+            k1 = np.floor((rest[1] + rest[2] + 1.0) / resolution + INDEX_SLACK)
             steps = np.arange(0, np.max(k1) + 1)
             along_m = np.where(steps <= k1, resolution * steps, np.nan)
             # each row's axis grid sorted, NaN last
@@ -353,7 +363,7 @@ def instance_from_setup(setup: MZISetup, strategy: Strategy | None) -> JMInstanc
     observable, and ``m0`` and ``m`` are the bias and vector of the guess, a
     smeared sigma_x.  The setup's row of ``Evaluation.pair``, checked once per stack."""
     evaluation, k = evaluate_setup(setup, strategy)
-    return evaluation.pair[k]
+    return evaluation.pair.row_list[k]
 
 
 def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 PSD_TOL = 1e-10
+PHASE_CUT = 1e-12  # an eigenvector's first component above this modulus is made real positive
 
 
 class EigDecomposition(NamedTuple):
@@ -122,7 +123,7 @@ def hermitian_eig(a) -> EigDecomposition:
 
     Returns eigenvalues sorted ascending with orthonormal eigenvector columns.
     Each eigenvector is rephased so that its first component larger than
-    1e-12 in modulus is real positive, so the result is deterministic for a
+    ``PHASE_CUT`` in modulus is real positive, so the result is deterministic for a
     fixed input on a given platform and numpy build.
 
     Raises NotHermitian on asymmetric input.
@@ -130,7 +131,7 @@ def hermitian_eig(a) -> EigDecomposition:
     vals, vecs = np.linalg.eigh(require_hermitian(a))
     # every column has unit norm, so each has a component above the cut
     columns = vecs.reshape(-1, vecs.shape[-1], vecs.shape[-1])
-    first = np.argmax(np.abs(columns) > 1e-12, axis=1)
+    first = np.argmax(np.abs(columns) > PHASE_CUT, axis=1)
     lead = columns[np.arange(len(columns))[:, None], first, np.arange(vecs.shape[-1])]
     phases = (lead.conj() / np.abs(lead)).reshape(vals.shape)[..., None, :]
     return EigDecomposition(vals, vecs * phases)
@@ -157,8 +158,9 @@ def trace_norm(a) -> float:
 
 def kron(a, b) -> np.ndarray:
     """Tensor product with the quanton as the first factor, of two matrices
-    or pairwise over stacks (..., m, m) and (..., n, n)."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    or pairwise over stacks (..., m, m) and (..., n, n), each taken as
+    ``as_complex_matrix`` takes it."""
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], -1))
 

@@ -17,7 +17,8 @@ stack, and read its row of the ``Evaluation`` it is bound to (see
 ``evaluated_rows``), or row 0 of its own.  The observable pairs a stack of
 setups and strategies realize, ``Evaluation.pair``, are validated once as one
 stacked ``jointmeas.JMInstance``; ``jointmeas.instance_from_setup`` reads a
-row of it.
+row of it.  Readers take report, stats and pair rows from the kept ``row_list``;
+bound setups keep none, which would make a reference cycle back to their stack.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
 ZERO_EIGENVALUE_TOL = 1e-12
 DEGENERATE_PHASE_TOL = 1e-12
 TABLE_SUM_TOL = 1e-12  # how far an outcome table's sum may stray from 1
+RECORD_TOL = 1e-12  # how far a report record's eta sums and optima may stray
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +131,9 @@ class StrategyStats(Stacked):
     eta_sbar_u: float
 
     def __post_init__(self):
-        if (np.abs(self.eta_s + self.eta_sbar - 1.0) > 1e-12).any():
+        if (np.abs(self.eta_s + self.eta_sbar - 1.0) > RECORD_TOL).any():
             raise MZDualityError("eta_s + eta_sbar must equal 1")
-        if (np.abs(self.eta_s_u + self.eta_sbar_u - 1.0) > 1e-12).any():
+        if (np.abs(self.eta_s_u + self.eta_sbar_u - 1.0) > RECORD_TOL).any():
             raise MZDualityError("eta_s_u + eta_sbar_u must equal 1")
 
 
@@ -159,9 +161,9 @@ class DualityReport(Stacked):
     jsve_lhs: float
 
     def __post_init__(self):
-        if np.greater(self.visibility, self.a_priori_visibility + 1e-12).any():
+        if np.greater(self.visibility, self.a_priori_visibility + RECORD_TOL).any():
             raise MZDualityError("visibility exceeds a priori visibility")
-        if np.greater(self.distinguishability, self.max_distinguishability + 1e-12).any():
+        if np.greater(self.distinguishability, self.max_distinguishability + RECORD_TOL).any():
             raise MZDualityError("strategy distinguishability exceeds the optimum")
 
 
@@ -361,12 +363,13 @@ def evaluate_setup(setup: MZISetup, strategy: Strategy | None = None) -> tuple[E
     under this very strategy object, else row 0 of a fresh evaluation it is
     then bound to.  So a report row and its checks compute each quantity
     once; setups and strategies are frozen, so a binding stays valid."""
+    kept = setup.__dict__.get("_evaluation")
+    if kept is not None and kept[0] is strategy:  # a bound setup is one item
+        return kept[1:]
     if not setup.one:
         raise DimensionMismatch(f"a stack of {len(setup.rho_d)} setups; use Evaluation for a stack")
-    kept = setup.__dict__.get("_evaluation")
-    if kept is None or kept[0] is not strategy:
-        kept = (strategy, Evaluation(setup, strategy), 0)
-        object.__setattr__(setup, "_evaluation", kept)
+    kept = (strategy, Evaluation(setup, strategy), 0)
+    object.__setattr__(setup, "_evaluation", kept)
     return kept[1:]
 
 
@@ -386,7 +389,7 @@ def evaluated_rows(setups: MZISetup, strategies: Strategy | None, optimal=None) 
 def strategy_stats(setup: MZISetup, strategy: Strategy | None) -> StrategyStats:
     """Probabilities of the detector landing in S / S-bar before and after U."""
     evaluation, k = evaluate_setup(setup, strategy)
-    return evaluation.stats[k]
+    return evaluation.stats.row_list[k]
 
 
 def optimal_strategy(setup: MZISetup) -> Strategy:
@@ -420,7 +423,7 @@ def duality_report(setup: MZISetup, strategy: Strategy | None) -> DualityReport:
     a priori visibility vanishes.
     """
     evaluation, k = evaluate_setup(setup, strategy)
-    return evaluation.report[k]
+    return evaluation.report.row_list[k]
 
 
 def outcome_probabilities(setup: MZISetup, strategy: Strategy | None) -> np.ndarray:

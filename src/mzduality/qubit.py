@@ -8,9 +8,9 @@ draws (``bloch_vectors`` here, ``mzi.random_setups``,
 ``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
 generator per item, make the fewest generator calls that give each stream's
 values, and shape the whole stack at once; one item is a batch of one.
-``Stacked`` is the base of every record of one item or a stack (``record.one``
-tells which, ``record[rows]`` takes rows).  ``integer`` is the one rule for an integer
-argument and its range, by default [0, ``MAX_COUNT``]; ``real`` is the one for real ones.
+``Stacked`` is the base of every record of one item or a stack (``one`` tells which,
+``[rows]`` takes rows, ``row_list`` keeps them all).  ``integer`` is the one rule for an
+integer argument and its range, by default [0, ``MAX_COUNT``]; ``real`` for real ones.
 """
 
 from __future__ import annotations
@@ -145,6 +145,23 @@ class Stacked:
             value = value[rows] if isinstance(value, Stacked) else held(np.asarray(value)[rows])
             vars(item)[name] = value
         return item
+
+    @property
+    def row_list(self) -> list:
+        """``[record[k] for k in range(N)]`` of a stack, built on first use in one pass per field
+        (``tolist()`` for a one-axis column, so its numbers are floats, else row views) and kept."""
+        rows = vars(self).get("_rows")
+        if rows is None:
+            if self.one:
+                raise DimensionMismatch(f"one {type(self).__name__} has no rows")
+            cls, names, rows = type(self), self.__dataclass_fields__, []
+            columns = [value.row_list if isinstance(value, Stacked) else value.tolist()
+                       if value.ndim == 1 else list(value) for value in map(vars(self).get, names)]
+            for row in zip(*columns):
+                rows.append(object.__new__(cls))
+                vars(rows[-1]).update(zip(names, row))
+            vars(self)["_rows"] = rows
+        return rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .qubit import QubitState, matrix_to_bloch, real
 
 BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
+DEGENERATE_FIDELITY_TOL = 1e-12
 P_STEP = 1e-4  # default path-bias step of the finite-difference gap slope
 
 
@@ -123,7 +124,7 @@ def gap_slope_prediction(rho_d, u):
     analysis = analysis_from_states(rho_d, u, np.zeros(np.shape(rho_d)[:-2]))
     a, b = analysis.a, analysis.b
     fid = np.sqrt(np.maximum(1.0 + 0.5 * (b - a), 0.0))
-    if np.any(fid <= 1e-12):
+    if np.any(fid <= DEGENERATE_FIDELITY_TOL):
         raise DegenerateFidelity("fidelity vanishes; the slope ratio is undefined")
     return np.maximum(1.0 - a, 0.0) / fid
 
@@ -145,11 +146,13 @@ def gap_slope_empirical(rho_d, u, p_step: float = P_STEP):
     The gap is even in p, so one-sided ratios at ``p_step`` and ``p_step/2``
     are combined by Richardson extrapolation; both run as one evaluation.
     """
-    if not 1e-6 <= p_step <= 1e-2:
+    # a float, NaN too, needs only its range; else the real-number rule names the value
+    step = p_step if isinstance(p_step, float) else real(p_step, "p_step")
+    if np.ndim(step) or not 1e-6 <= step <= 1e-2:
         raise InvalidArgument(f"p_step must lie in [1e-6, 1e-2], got {p_step}")
     single = np.ndim(rho_d) == 2
     rho_d, u = (np.reshape(x, (-1,) + np.shape(x)[-2:]) for x in (rho_d, u))
-    steps = np.array([[p_step], [0.5 * p_step]])
+    steps = np.array([[step], [0.5 * step]])
     twice = (np.concatenate([x, x]) for x in (rho_d, u))
     coarse, fine = gap_at_bias(*twice, np.repeat(steps, len(rho_d))).reshape(2, -1) / steps
     slope = 2.0 * fine - coarse

@@ -59,6 +59,16 @@ class TestComplexRule:
         with pytest.raises(DimensionMismatch, match=re.escape(named)):
             call(matrix)
 
+    @pytest.mark.parametrize("a, b, named", [
+        ([["1"]], [[True]], "'1'"),
+        ([[1]], [[True]], "True"),
+        ([[1, 0], [0]], [[1]], "[[1, 0], [0]]"),
+        (np.eye(2), [[np.inf]], "must be finite, got inf"),
+    ])
+    def test_kron_takes_both_factors_by_the_rule(self, a, b, named):
+        with pytest.raises(DimensionMismatch, match=re.escape(named)):
+            kron(a, b)
+
     def test_takes_integers_floats_and_complex_numbers(self):
         for matrix in ([[1, 0], [0, 1]], np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32),
                        np.eye(2, dtype=np.complex64), [[1.0, 0j], [0, 1]]):

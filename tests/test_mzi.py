@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import re
 import warnings
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -1295,3 +1297,83 @@ class TestRowAccessor:
         assert "_evaluation" in vars(setup)
         assert list(vars(setup[None])) == ["rho", "rho_d", "u", "phi"]
         assert mzi.Evaluation(setup).setups.rho_d.shape == (1, 2, 2)
+
+
+def sweep_chunk(count=7, dim=3):
+    """A chunk of ``count`` sweep rows, optimal and random strategies mixed as
+    ``sweep`` mixes them, and the ``Evaluation`` its rows are bound to."""
+    scenarios = random_scenarios(12, range(count), dim, [k % 2 == 0 for k in range(count)])
+    return scenarios, vars(scenarios[0].setup)["_evaluation"][1]
+
+
+def evaluation_records(evaluation):
+    """Each record type that holds one item or a stack, as an evaluation holds it."""
+    return {"QubitState": evaluation.setups.rho, "MZISetup": evaluation.setups,
+            "Strategy": evaluation.strategies, "JMInstance": evaluation.pair,
+            "StrategyStats": evaluation.stats, "DualityReport": evaluation.report}
+
+
+# the readers that take a setup's row from a kept row list, by the record they read
+KEPT_ROW_READERS = {"report": mzi.duality_report, "stats": mzi.strategy_stats,
+                    "pair": instance_from_setup}
+
+
+def read_every_row(scenarios):
+    """What sweep reads of each row: its CSV line and its six gates."""
+    for scenario in scenarios:
+        _result_row(scenario)
+        acceptance.setup_violations(scenario.setup, scenario.strategy)
+
+
+class TestKeptRows:
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("name", sorted(evaluation_records(sweep_chunk(1)[1])))
+    def test_every_kept_row_is_the_row_the_accessor_takes(self, name, count):
+        stack = evaluation_records(sweep_chunk(count)[1])[name]
+        assert type(stack).__name__ == name and "_rows" not in vars(stack)
+        kept = stack.row_list
+        assert len(kept) == count and stack.row_list is kept
+        for k, row in enumerate(kept):
+            taken = stack[k]
+            assert type(row) is type(taken) and row.one
+            assert list(vars(row)) == list(vars(taken))
+            expected = record_fields(taken)
+            for field, value in record_fields(row).items():
+                assert type(value) is type(expected[field]), (k, field)
+                value, want = np.asarray(value), np.asarray(expected[field])
+                assert (value.dtype, value.tobytes()) == (want.dtype, want.tobytes()), (k, field)
+
+    def test_one_item_has_no_row_list(self):
+        for name, stack in stacked_records().items():
+            with pytest.raises(DimensionMismatch, match=f"one {name} has no rows"):
+                stack[0].row_list
+
+    @pytest.mark.parametrize("record", sorted(KEPT_ROW_READERS))
+    def test_each_reader_reads_as_before_the_list_was_built(self, record):
+        reader = KEPT_ROW_READERS[record]
+        scenarios, evaluation = sweep_chunk()
+        stack = getattr(evaluation, record)
+        before = [as_bytes(stack[k]) for k in range(len(scenarios))]
+        assert "_rows" not in vars(stack)
+        read = [reader(scenario.setup, scenario.strategy) for scenario in scenarios]
+        assert "_rows" in vars(stack)
+        assert [as_bytes(row) for row in read] == before
+        for scenario, first in zip(scenarios, read):
+            assert reader(scenario.setup, scenario.strategy) is first
+            # one setup alone reads row 0 of a list of one
+            assert as_bytes(reader(*rebuilt(scenario.setup, scenario.strategy))) == as_bytes(first)
+
+    def test_a_chunk_evaluation_is_freed_by_reference_counting_alone(self):
+        # a kept list on the stack the rows are bound through would close a cycle:
+        # stack -> row -> binding -> Evaluation -> stack
+        gc.collect()
+        gc.disable()
+        try:
+            scenarios, evaluation = sweep_chunk()
+            read_every_row(scenarios)
+            assert all("_rows" in vars(getattr(evaluation, name)) for name in KEPT_ROW_READERS)
+            evaluation = weakref.ref(evaluation)
+            del scenarios
+            assert evaluation() is None
+        finally:
+            gc.enable()

@@ -15,7 +15,7 @@ from mzduality.errors import (
     InvalidState,
     ScenarioError,
 )
-from mzduality.jointmeas import JMInstance, build_candidate
+from mzduality.jointmeas import JMInstance, build_candidate, feasibility_oracle
 from mzduality.linalg import hermitian_eig
 from mzduality.mzi import (
     MZISetup,
@@ -43,7 +43,7 @@ from mzduality.qubit import (
     require_dim,
     stream,
 )
-from mzduality.qubit_detector import QubitDetectorAnalysis
+from mzduality.qubit_detector import QubitDetectorAnalysis, gap_slope_empirical
 from mzduality.scenarios import scenario_from_dict
 
 
@@ -385,6 +385,14 @@ NOT_REAL = st.one_of(
     st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3).map(lambda row: [row, row + [0.0]]),
 )
 
+# the real arguments with a range, which they name a NaN or infinity as outside of
+RANGED_CALLERS = {
+    "resolution": (lambda v: feasibility_oracle(PAIR, resolution=v),
+                   "resolution must lie in [0.001, 0.05], got "),
+    "p_step": (lambda v: gap_slope_empirical(np.diag([0.75, 0.25]), SIGMA_X, v),
+               "p_step must lie in [1e-6, 1e-2], got "),
+}
+
 
 class TestRealRule:
     @pytest.mark.parametrize("zero", ZEROS, ids=repr)
@@ -425,3 +433,25 @@ class TestRealRule:
             real([0.5, [np.True_, 0.0]], "v", InvalidState)
         with pytest.raises(InvalidArgument, match=re.escape("got [[0.0], [0.0, 0.0]]")):
             real([[0.0], [0.0, 0.0]], "ragged")
+
+    @pytest.mark.parametrize("name", sorted(RANGED_CALLERS))
+    @pytest.mark.parametrize("bad", ["0.01", "nan", True, np.False_, None, 0.01j,
+                                     np.array([0.001, 0.002]), [0.001]], ids=repr)
+    def test_ranged_callers_refuse_what_is_not_one_real_number(self, name, bad):
+        call, _ = RANGED_CALLERS[name]
+        with pytest.raises(InvalidArgument) as caught:
+            call(bad)
+        assert str(bad) in str(caught.value)
+
+    @pytest.mark.parametrize("name", sorted(RANGED_CALLERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.0, np.float64(np.nan)])
+    def test_ranged_callers_name_a_nan_or_infinity_as_out_of_range(self, name, bad):
+        call, wording = RANGED_CALLERS[name]
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(wording + str(bad))}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(RANGED_CALLERS))
+    def test_ranged_callers_take_numpy_scalars_and_0d_arrays(self, name):
+        call, _ = RANGED_CALLERS[name]
+        for step in (0.002, np.float64(0.002), np.float32(0.002), np.array(0.002)):
+            call(step)
