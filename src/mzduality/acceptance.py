@@ -75,7 +75,7 @@ def criteria_oracle_agreement(
         rngs = list(_streams(seed, "oracle", range(drawn, drawn + count - checked)))
         drawn += len(rngs)
         inst = jointmeas.JMInstance(*jointmeas.draw_instances(rngs))
-        margin = jointmeas.jm_margin(inst)
+        margin = inst.margin
         clear = ~jointmeas.in_boundary_band(margin, jointmeas.ORACLE_RESOLUTION)
         kept.append(np.array([inst.m0, inst.m, inst.n, margin])[:, clear])
         checked += int(np.count_nonzero(clear))
@@ -186,7 +186,7 @@ def setup_violations(setup: mzi.MZISetup, strategy: mzi.Strategy | None) -> list
     report = mzi.duality_report(setup, strategy)
     min_eig, completeness, marginal = joint_observable_residuals(setup, strategy)
     stats = mzi.strategy_stats(setup, strategy)
-    margin = jointmeas.jm_margin(jointmeas.instance_from_setup(setup, strategy))
+    margin = jointmeas.instance_from_setup(setup, strategy).margin
     checks = {
         "effect eigenvalue {:.3e} below tolerance": eigenvalue_gate(min_eig),
         "POVM residual {:.3e} above tolerance": povm_gate(completeness, marginal),
@@ -214,7 +214,7 @@ def criterion_physical_realizability(seed: int, count: int = 1000) -> CriterionR
         deviation = np.abs(result.effects - reference).max(axis=(1, 2, 3, 4))
         eigs.append(eigenvalue_gate(min_eig))
         residuals.append(povm_gate(completeness, marginal, deviation))
-        margins.append(margin_gate(jointmeas.jm_margin(result.pair)))
+        margins.append(margin_gate(result.pair.margin))
     (eig, eig_ok), (residual, residual_ok), (margin, margin_ok) = map(_pooled, gates)
     return CriterionResult(
         3,

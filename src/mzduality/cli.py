@@ -27,7 +27,6 @@ from .jointmeas import (
     in_boundary_band,
     instance_from_setup,
     jm_criterion,
-    jm_margin,
     require_resolution,
 )
 from .mzi import DualityReport, duality_report, outcome_probabilities, sample_outcomes, z_scores
@@ -39,18 +38,15 @@ log = logging.getLogger("mzduality")
 
 CSV_SCHEMA_LINE = "# schema=1"
 CSV_COLUMNS = ("scenario", "seed", *(f.name for f in fields(DualityReport)), "jm_margin")
+# a CSV row: the name, the seed, then every number with 17 significant digits
+CSV_ROW = "%s,%d" + ",%.17g" * (len(CSV_COLUMNS) - 2)
 SWEEP_CHUNK = 1024  # sweep rows drawn at once; the output does not depend on it
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 def _result_row(scenario: Scenario) -> str:
     report = duality_report(scenario.setup, scenario.strategy)
-    margin = jm_margin(instance_from_setup(scenario.setup, scenario.strategy))
-    numbers = [*vars(report).values(), margin]
-    return ",".join([scenario.name, str(scenario.seed), *map(_fmt, numbers)])
+    margin = instance_from_setup(scenario.setup, scenario.strategy).margin
+    return CSV_ROW % (scenario.name, scenario.seed, *vars(report).values(), margin)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -9,6 +9,8 @@ and on the feasible side an explicit four-effect witness can be written down.
 ``feasibility_oracle`` re-decides the same question by exhaustive grid search
 over the free parameters of the most general candidate joint observable, so
 criterion and construction can be differentially tested against it.
+``JMInstance`` computes the criterion's slack once, when it validates a pair or a
+stack, as its field ``margin``; ``jm_margin`` and every reader take that field.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class JMInstance(Stacked):
     One pair, or a row of a stack, has ``m0`` a float and 3-vectors; N pairs
     stacked have ``m0`` of shape (N,) and vectors of shape (N, 3).  ``m`` and
     ``n`` are the lengths of ``m_vec`` and ``n_vec``, floats or (N,) arrays as
-    ``m0`` is.  Raises InvalidInstance unless every pair is finite and
-    orthogonal with ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
+    ``m0`` is; so is ``margin``, the criterion slack, computed once here.
+    Raises InvalidInstance unless every pair is finite and orthogonal with
+    ``0 <= m0 <= 1``, ``|n| <= 1/2`` and ``|m| <= min(m0, 1 - m0)``.
     """
 
     m0: float | np.ndarray
@@ -58,6 +61,7 @@ class JMInstance(Stacked):
     n_vec: np.ndarray
     m: float | np.ndarray = field(init=False)
     n: float | np.ndarray = field(init=False)
+    margin: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         m0, m_vec, n_vec = (np.asarray(real(vars(self)[name], name, InvalidInstance))
@@ -83,7 +87,9 @@ class JMInstance(Stacked):
             raise InvalidInstance(
                 f"|m| = {m[over][0]:.6g} exceeds min(m0, 1-m0) = {cap[over][0]:.6g}"
             )
-        vars(self).update(m0=held(m0), m_vec=m_vec, n_vec=n_vec, m=held(m), n=held(n))
+        s, t = criterion_roots(m0, m)
+        vars(self).update(m0=held(m0), m_vec=m_vec, n_vec=n_vec, m=held(m), n=held(n),
+                          margin=held(s + t - 2.0 * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +144,8 @@ def criterion_roots(m0, m):
 
 def jm_margin(inst: JMInstance):
     """Criterion slack ``s + t - 2n`` (see ``criterion_roots``), of one
-    instance or elementwise over a stack."""
-    s, t = criterion_roots(inst.m0, inst.m)
-    return s + t - 2.0 * inst.n
+    instance or elementwise over a stack: the ``margin`` it was validated with."""
+    return inst.margin
 
 
 def build_candidate(inst: JMInstance, x, y_vec) -> JointCandidate:
@@ -169,7 +174,7 @@ def construct_joint(inst: JMInstance) -> JointCandidate:
     Raises NotMeasurable when the criterion fails for any instance.  For
     n = 0 the direction is immaterial and y = 0 is used.
     """
-    margin = np.min(jm_margin(inst), initial=np.inf)
+    margin = np.min(inst.margin, initial=np.inf)
     if margin < -MEASURABLE_TOL:
         raise NotMeasurable(f"criterion margin {margin:.6g} is negative")
     s, t = criterion_roots(inst.m0, inst.m)
@@ -198,7 +203,7 @@ def jm_criterion(inst: JMInstance) -> JMVerdict:
     explicit witness when the answer is positive."""
     if not inst.one:
         raise InvalidInstance(f"jm_criterion reads one pair, got a stack of {len(inst.m0)}")
-    margin = float(jm_margin(inst))
+    margin = inst.margin
     measurable = margin >= -MEASURABLE_TOL
     witness = construct_joint(inst) if measurable else None
     return JMVerdict(measurable=measurable, margin=margin, witness=witness)

@@ -16,9 +16,11 @@ strategies, and an ``optimal`` row mask as one stack of both kinds, as a
 stack, and read its row of the ``Evaluation`` it is bound to (see
 ``evaluated_rows``), or row 0 of its own.  The observable pairs a stack of
 setups and strategies realize, ``Evaluation.pair``, are validated once as one
-stacked ``jointmeas.JMInstance``; ``jointmeas.instance_from_setup`` reads a
-row of it.  Readers take report, stats and pair rows from the kept ``row_list``;
-bound setups keep none, which would make a reference cycle back to their stack.
+stacked ``jointmeas.JMInstance``, criterion margin included;
+``jointmeas.instance_from_setup`` reads a row of it.  Readers take report,
+stats and pair rows from the kept ``row_list``; ``evaluated_rows`` cuts setups
+and strategies with ``rows()`` and keeps no list, which would make a reference
+cycle back to their stack.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, MZDualityError
-from .linalg import dagger, hermitian_eig, require_density, require_unitary
+from .linalg import _entries, dagger, hermitian_eig, require_density, require_unitary
 from .qubit import (
     IDENTITY_2,
     SIGMA_X,
@@ -89,14 +91,22 @@ class MZISetup(Stacked):
 class Strategy(Stacked):
     """Orthonormal detector basis and the mask ``in_s`` of its columns, the
     outcomes S that vote for path |0>: one strategy as (d, d) and (d,), or N
-    stacked as (N, d, d) and (N, d).  Validated and indexed as ``MZISetup``."""
+    stacked as (N, d, d) and (N, d), the mask of booleans.  Validated and indexed
+    as ``MZISetup``."""
 
     ITEM_NDIM = 2
     basis: np.ndarray
     in_s: np.ndarray
 
     def __post_init__(self):
-        basis, in_s = require_unitary(self.basis), np.asarray(self.in_s, dtype=bool)
+        basis = require_unitary(self.basis)
+        try:
+            in_s = np.asarray(self.in_s)
+        except ValueError:  # a ragged mask
+            in_s = np.asarray(None)
+        if in_s.dtype != bool:
+            bad = [x for x in _entries(self.in_s) if type(x) is not bool]
+            raise InvalidArgument(f"guess mask must be booleans, got {(bad + [self.in_s])[0]!r}")
         if basis.ndim > 3 or in_s.shape != basis.shape[:-1]:
             raise DimensionMismatch(f"guess mask {in_s.shape} does not fit basis {basis.shape}")
         vars(self).update(basis=basis, in_s=in_s)
@@ -378,9 +388,10 @@ def evaluated_rows(setups: MZISetup, strategies: Strategy | None, optimal=None) 
     strategy (None where the mask ``optimal`` marks a row, else the next row
     of ``strategies``) and bound to its row of one ``Evaluation`` of the
     stack, whose first read of a quantity computes every row's."""
-    evaluation, drawn = Evaluation(setups, strategies, optimal), iter(range(len(setups.phi)))
+    evaluation = Evaluation(setups, strategies, optimal)
     flags = [strategies is None] * len(setups.phi) if optimal is None else optimal
-    rows = [(setups[k], None if flag else strategies[next(drawn)]) for k, flag in enumerate(flags)]
+    drawn = iter(() if strategies is None else strategies.rows())
+    rows = [(setup, None if flag else next(drawn)) for setup, flag in zip(setups.rows(), flags)]
     for k, (setup, strategy) in enumerate(rows):
         object.__setattr__(setup, "_evaluation", (strategy, evaluation, k))
     return rows

@@ -9,8 +9,9 @@ draws (``bloch_vectors`` here, ``mzi.random_setups``,
 generator per item, make the fewest generator calls that give each stream's
 values, and shape the whole stack at once; one item is a batch of one.
 ``Stacked`` is the base of every record of one item or a stack (``one`` tells which,
-``[rows]`` takes rows, ``row_list`` keeps them all).  ``integer`` is the one rule for an
-integer argument and its range, by default [0, ``MAX_COUNT``]; ``real`` for real ones.
+``[rows]`` takes rows, ``rows()`` cuts them all in one pass per field, ``row_list``
+keeps that cut).  ``integer`` is the one rule for an integer argument and its range,
+by default [0, ``MAX_COUNT``]; ``real`` for real ones.
 """
 
 from __future__ import annotations
@@ -146,21 +147,25 @@ class Stacked:
             vars(item)[name] = value
         return item
 
+    def rows(self) -> list:
+        """``[record[k] for k in range(N)]`` of a stack, built in one pass per field
+        (``tolist()`` for a one-axis column, so its numbers are floats, else row views)."""
+        if self.one:
+            raise DimensionMismatch(f"one {type(self).__name__} has no rows")
+        cls, names, rows = type(self), self.__dataclass_fields__, []
+        columns = [value.rows() if isinstance(value, Stacked) else value.tolist()
+                   if value.ndim == 1 else list(value) for value in map(vars(self).get, names)]
+        for row in zip(*columns):
+            rows.append(object.__new__(cls))
+            vars(rows[-1]).update(zip(names, row))
+        return rows
+
     @property
     def row_list(self) -> list:
-        """``[record[k] for k in range(N)]`` of a stack, built on first use in one pass per field
-        (``tolist()`` for a one-axis column, so its numbers are floats, else row views) and kept."""
+        """``rows()``, built on first use and kept on the stack."""
         rows = vars(self).get("_rows")
         if rows is None:
-            if self.one:
-                raise DimensionMismatch(f"one {type(self).__name__} has no rows")
-            cls, names, rows = type(self), self.__dataclass_fields__, []
-            columns = [value.row_list if isinstance(value, Stacked) else value.tolist()
-                       if value.ndim == 1 else list(value) for value in map(vars(self).get, names)]
-            for row in zip(*columns):
-                rows.append(object.__new__(cls))
-                vars(rows[-1]).update(zip(names, row))
-            vars(self)["_rows"] = rows
+            rows = vars(self)["_rows"] = self.rows()
         return rows
 
 

@@ -8,6 +8,7 @@ a parse / re-emit / parse round trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,7 +98,10 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "x-rotation" in spec:
         if dim != 2:
             raise ScenarioError("preset 'x-rotation' requires dim = 2")
-        half = _number(spec["x-rotation"], "x-rotation angle") / 2.0
+        angle = _number(spec["x-rotation"], "x-rotation angle")
+        if not math.isfinite(angle):  # numpy's cos and sin would warn, and the matrix is NaN
+            raise ScenarioError(f"x-rotation angle must be finite, got {angle}")
+        half = angle / 2.0
         return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * SIGMA_X
     if isinstance(spec, dict) and "matrix" in spec:
         return matrix_from_json(spec["matrix"], "detector unitary")

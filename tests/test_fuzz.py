@@ -121,6 +121,7 @@ def scenario_mutations(draw):
 @example(("saturating_pure_detector.json", ("detector", "dim"), 1))
 @example(("saturating_pure_detector.json", ("detector", "dim"), 2**63))
 @example(("saturating_pure_detector.json", ("detector", "dim"), -1))
+@example(("quarter_turn_detector.json", ("detector", "unitary", "x-rotation"), float("inf")))
 def test_mutated_scenarios_keep_the_exit_contract(mutation):
     name, path, value = mutation
     data = copy.deepcopy(SCENARIOS[name])

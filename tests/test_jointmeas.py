@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzduality.errors import InvalidInstance, NotMeasurable
-from mzduality import jointmeas, mzi
+from mzduality import acceptance, cli, jointmeas, mzi
 from mzduality.jointmeas import (
     GRID_GUARD,
     MEASURABLE_TOL,
@@ -853,3 +853,83 @@ class TestDualityEquivalence:
         assert np.max(report.predictability) <= 1e-15
         rhs = equivalence_rhs(result.pair)
         assert np.max(np.abs(report.duality_rhs - report.duality_lhs - rhs)) <= 1e-13
+
+
+def criterion_slack(inst):
+    """``s + t - 2n`` of the criterion roots, computed from the instance's lengths."""
+    s, t = jointmeas.criterion_roots(inst.m0, inst.m)
+    return s + t - 2.0 * inst.n
+
+
+# how far a stack's margin may lie from the same formula on one pair's Python floats
+MARGIN_DRIFT = 4.0 * np.finfo(float).eps
+
+
+class TestMarginField:
+    """``JMInstance.margin`` is the criterion slack, computed once when the pair is validated."""
+
+    def stacks(self):
+        rngs = [np.random.default_rng([88, k]) for k in range(12)]
+        drawn = JMInstance(*jointmeas.draw_instances(rngs))
+        # a clamped root (|m| at its cap), |n| at 1/2, both zero and the sharp ends of m0
+        edges = stack_of([axis_instance(0.5, 0.5, 0.5), axis_instance(0.3, 0.3, 0.0),
+                          axis_instance(0.0, 0.0, 0.25), axis_instance(1.0, 0.0, 0.5)])
+        setups = mzi.random_setups(3, rngs)
+        optimal = [k % 2 == 0 for k in range(len(rngs))]
+        realized = mzi.Evaluation(setups, mzi.random_strategies(3, rngs[1::2]), optimal).pair
+        return {"drawn": drawn, "edges": edges, "realized": realized}
+
+    @pytest.mark.parametrize("name", ["drawn", "edges", "realized"])
+    def test_a_stack_and_its_rows_carry_the_slack_bit_for_bit(self, name):
+        stack = self.stacks()[name]
+        want = criterion_slack(stack)
+        assert stack.margin.dtype == float and stack.margin.shape == stack.m0.shape
+        assert stack.margin.tobytes() == want.tobytes()
+        assert jm_margin(stack) is stack.margin
+        for rows in (stack.row_list, stack.rows(), [stack[k] for k in range(len(want))]):
+            for k, row in enumerate(rows):
+                assert type(row.margin) is float, (name, k)
+                assert np.float64(row.margin).tobytes() == want[k].tobytes(), (name, k)
+                assert jm_margin(row) is row.margin
+
+    @pytest.mark.parametrize("name", ["drawn", "edges", "realized"])
+    def test_one_pair_carries_its_slack_as_a_float(self, name):
+        stack = self.stacks()[name]
+        for k in range(len(stack.m0)):
+            one = JMInstance(stack.m0[k], stack.m_vec[k], stack.n_vec[k])
+            assert type(one.margin) is float and jm_margin(one) is one.margin
+            assert np.float64(one.margin).tobytes() == np.float64(criterion_slack(one)).tobytes()
+            assert abs(one.margin - stack.margin[k]) <= MARGIN_DRIFT, (name, k)
+            assert jm_criterion(one).margin == one.margin
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_a_row_margin_moves_from_its_float_formula_by_rounding_alone(self, dim):
+        # a row's margin is its stack's, where numpy squares 1 - m0 as a product; the
+        # same formula on the row's Python floats squares it with libm's pow, which
+        # can round the other way
+        rngs = [np.random.default_rng([90, dim, k]) for k in range(2048)]
+        optimal = [k % 2 == 0 for k in range(len(rngs))]
+        strategies = mzi.random_strategies(dim, rngs[1::2])
+        pairs = mzi.Evaluation(mzi.random_setups(dim, rngs), strategies, optimal).pair
+        drift = [abs(row.margin - criterion_slack(row)) for row in pairs.row_list]
+        assert max(drift) <= MARGIN_DRIFT
+
+    def test_the_margin_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            JMInstance(0.5, [0.1, 0.0, 0.0], [0.0, 0.0, 0.2], margin=1.0)
+
+    def test_readers_take_the_kept_margin_without_recomputing_it(self):
+        # the criterion, the construction, the CSV line, the sweep gates and criteria 1
+        # and 3 read the field
+        inst = axis_instance(0.5, 0.3, 0.2)
+        with patch.object(jointmeas, "criterion_roots", side_effect=AssertionError("recomputed")):
+            assert jm_margin(inst) == inst.margin
+        scenario = load_scenario(SCENARIO_DIR / "biased_mixed_detector.json")
+        pair = instance_from_setup(scenario.setup, scenario.strategy)
+        with patch.object(jointmeas, "jm_margin", side_effect=AssertionError("recomputed")):
+            assert jm_criterion(inst).margin == inst.margin
+            construct_joint(stack_of([inst, inst]))
+            assert cli._result_row(scenario).endswith(f",{pair.margin:.17g}")
+            assert acceptance.setup_violations(scenario.setup, scenario.strategy) == []
+            assert acceptance.criteria_oracle_agreement(3, count=20)[0].passed
+            assert acceptance.criterion_physical_realizability(3, count=6).passed

@@ -27,6 +27,7 @@ from mzduality.qubit import (
     SIGMA_Y,
     SIGMA_Z,
     QubitState,
+    Stacked,
     bloch_to_matrix,
     random_detector_state,
     random_pure_detector_state,
@@ -129,6 +130,28 @@ class TestSetupConstruction:
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(InvalidArgument):
             mzi.MZISetup(rho=QubitState(GROUND), rho_d=GROUND, u=np.eye(2), phi=phi)
+
+    # a guess mask that is not booleans, and the entry its error names; None names the mask
+    BAD_MASKS = [
+        ([0.5, 0.0], "0.5"), ([1.0, 0.0], "1.0"), ([1, 0], "1"), (["yes", ""], "'yes'"),
+        ([None, 1], "None"), ([np.nan, 0], "nan"), ([True, 0.5], "0.5"),
+        (np.array([1, 0]), "1"), (np.array([0.0, 1.0]), "0.0"), ([[1], 0], "1"),
+        ([[True], False], None), ([], None),
+    ]
+
+    @pytest.mark.parametrize("mask, named", BAD_MASKS)
+    def test_a_mask_that_is_not_booleans_is_refused(self, mask, named):
+        # one strategy, then the same mask as the first row of a stack of two
+        for basis, given in ((np.eye(2), mask), (np.array([np.eye(2)] * 2), [mask, [True, False]])):
+            message = re.escape(f"guess mask must be booleans, got {named or repr(given)}")
+            with pytest.raises(InvalidArgument, match=f"^{message}$"):
+                mzi.Strategy(basis, given)
+
+    def test_boolean_masks_are_taken(self):
+        for mask in ([True, False], np.array([False, False]), [np.True_, np.False_]):
+            assert mzi.Strategy(np.eye(2), mask).in_s.dtype == bool
+        empty = mzi.random_strategies(3, [])
+        assert empty.in_s.shape == (0, 3) and not empty.one
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31), st.integers(0, 10**4), st.integers(2, 8), st.booleans())
@@ -1347,6 +1370,29 @@ class TestKeptRows:
         for name, stack in stacked_records().items():
             with pytest.raises(DimensionMismatch, match=f"one {name} has no rows"):
                 stack[0].row_list
+            with pytest.raises(DimensionMismatch, match=f"one {name} has no rows"):
+                stack[0].rows()
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(evaluation_records(sweep_chunk(1)[1])))
+    def test_rows_cuts_the_rows_the_accessor_takes_and_keeps_none(self, name, count):
+        stack = evaluation_records(sweep_chunk(max(count, 1))[1])[name]
+        stack = stack[:count]
+        cut = stack.rows()
+        assert len(cut) == count and "_rows" not in vars(stack)
+        assert stack.rows() is not cut  # a fresh list, and fresh rows, on every call
+        for k, row in enumerate(cut):
+            taken = stack[k]
+            assert type(row) is type(taken) and row.one
+            assert list(vars(row)) == list(vars(taken))
+            expected = record_fields(taken)  # a nested QubitState field by field too
+            assert list(record_fields(row)) == list(expected)
+            for field, value in record_fields(row).items():
+                assert type(value) is type(expected[field]), (k, field)
+                value, want = np.asarray(value), np.asarray(expected[field])
+                assert (value.dtype, value.tobytes()) == (want.dtype, want.tobytes()), (k, field)
+        assert all("_rows" not in vars(value) for value in vars(stack).values()
+                   if isinstance(value, Stacked))
 
     @pytest.mark.parametrize("record", sorted(KEPT_ROW_READERS))
     def test_each_reader_reads_as_before_the_list_was_built(self, record):
@@ -1363,15 +1409,26 @@ class TestKeptRows:
             # one setup alone reads row 0 of a list of one
             assert as_bytes(reader(*rebuilt(scenario.setup, scenario.strategy))) == as_bytes(first)
 
-    def test_a_chunk_evaluation_is_freed_by_reference_counting_alone(self):
+    @pytest.mark.parametrize("optimal", [None, [True] * 5, [k % 2 == 0 for k in range(5)]])
+    def test_a_chunk_evaluation_is_freed_by_reference_counting_alone(self, optimal):
         # a kept list on the stack the rows are bound through would close a cycle:
         # stack -> row -> binding -> Evaluation -> stack
         gc.collect()
         gc.disable()
         try:
-            scenarios, evaluation = sweep_chunk()
+            if optimal is None:  # a sweep chunk, cut by rows() in evaluated_rows
+                scenarios, evaluation = sweep_chunk()
+            else:  # every row optimal, or a mask of both kinds, cut by rows() here too
+                rngs = [np.random.default_rng([89, k]) for k in range(len(optimal))]
+                setups = mzi.random_setups(2, rngs)
+                drawn = mzi.random_strategies(2, [r for r, o in zip(rngs, optimal) if not o])
+                scenarios = [Scenario("row", setup, strategy, 0)
+                             for setup, strategy in mzi.evaluated_rows(setups, drawn, optimal)]
+                evaluation = vars(scenarios[0].setup)["_evaluation"][1]
+                assert "_rows" not in vars(setups) and "_rows" not in vars(drawn)
             read_every_row(scenarios)
             assert all("_rows" in vars(getattr(evaluation, name)) for name in KEPT_ROW_READERS)
+            assert not any("_rows" in vars(c) for c in (evaluation.setups, evaluation.setups.rho))
             evaluation = weakref.ref(evaluation)
             del scenarios
             assert evaluation() is None

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from mzduality import acceptance, cli, mzi
 from mzduality.cli import build_parser, main
-from mzduality.jointmeas import JMInstance
+from mzduality.jointmeas import JMInstance, instance_from_setup
 from mzduality.qubit_detector import gap_slope_empirical
 from mzduality.scenarios import (
     load_scenario,
     matrix_to_json,
     random_scenario,
+    random_scenarios,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -85,6 +86,19 @@ class TestScenarioFiles:
             }
         )
         np.testing.assert_allclose(scenario.setup.rho_d, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
+    def test_a_non_finite_rotation_angle_is_named(self, angle, tmp_path, capsys):
+        # Python's json reads these words; numpy's cos and sin would warn on an infinity
+        text = QUARTER_TURN.read_text().replace("1.5707963267948966", angle)
+        (tmp_path / "angle.json").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--scenario", str(tmp_path / "angle.json")]) == 2
+        captured = capsys.readouterr()
+        value = float(angle)
+        assert captured.err == f"error: x-rotation angle must be finite, got {value}\n"
+        assert captured.out == ""
 
     def test_malformed_scenarios_rejected(self):
         from mzduality.errors import ScenarioError
@@ -487,3 +501,29 @@ class TestCli:
         # the criterion 1-2 lines carry counts; their time goes to the log
         assert "skipped of" in outputs[0]
         assert any("criteria 1-2: 50 instances in" in r.getMessage() for r in caplog.records)
+
+
+def joined_line(name, seed, numbers):
+    """A CSV row as it was joined value by value before the one template."""
+    return ",".join([name, str(seed), *(f"{float(v):.17g}" for v in numbers)])
+
+
+class TestCsvTemplate:
+    def test_a_sweep_chunk_prints_the_joined_lines(self):
+        scenarios = random_scenarios(13, range(9), 3, [k % 2 == 0 for k in range(9)])
+        for scenario in scenarios:
+            report = mzi.duality_report(scenario.setup, scenario.strategy)
+            margin = instance_from_setup(scenario.setup, scenario.strategy).margin
+            numbers = [*vars(report).values(), margin]
+            assert len(numbers) == len(cli.CSV_COLUMNS) - 2
+            assert cli._result_row(scenario) == joined_line(scenario.name, scenario.seed, numbers)
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, 1.0, -1e308, 1.7976931348623157e308,
+                                       0.1, 1 / 3, 1e16, 123456789.0, np.float64(-2.5e-300),
+                                       np.inf, np.nan])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+    def test_the_template_formats_every_value_as_the_join(self, value, seed):
+        numbers = [value] * (len(cli.CSV_COLUMNS) - 2)
+        line = cli.CSV_ROW % ("sweep-1-0", seed, *numbers)
+        assert line == joined_line("sweep-1-0", seed, numbers)
+        assert cli.CSV_ROW.count(",") == len(cli.CSV_COLUMNS) - 1
