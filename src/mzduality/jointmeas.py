@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
-from .linalg import row_dots, row_norms
+from .linalg import INPUT_TOL, require_within, row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
 from .qubit import IDENTITY_2, PAULI_STACK, Stacked, held, real
 
-ORTHOGONALITY_TOL = 1e-10
 NORM_SLACK = 1e-12
 MEASURABLE_TOL = 1e-10
 BALL_CHECK_TOL = 1e-10
@@ -72,11 +71,10 @@ class JMInstance(Stacked):
         if outside.any():
             raise InvalidInstance(f"m0 = {float(m0[outside][0])} outside [0, 1]")
         for name, vec in (("m_vec", m_vec), ("n_vec", n_vec)):  # ahead of any product
-            large = np.abs(vec) > 0.5 + NORM_SLACK
-            if large.any():
-                raise InvalidInstance(f"{name} component {vec[large][0]:.6g} exceeds 1/2")
+            require_within(vec, 0.5, NORM_SLACK, InvalidInstance,
+                           name + " component {:.6g} exceeds 1/2")
         dot = np.abs((m_vec * n_vec).sum(axis=-1))
-        if (dot > ORTHOGONALITY_TOL).any():
+        if (dot > INPUT_TOL).any():
             raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
         m, n = row_norms(m_vec), row_norms(n_vec)
         if (n > 0.5 + NORM_SLACK).any():
@@ -138,7 +136,7 @@ def criterion_roots(m0, m):
     """The criterion's square roots ``s = sqrt(m0^2 - m^2)`` and
     ``t = sqrt((1-m0)^2 - m^2)``, elementwise, with rounding below 0 clamped."""
     s = np.sqrt(np.maximum(m0 * m0 - m * m, 0.0))
-    t = np.sqrt(np.maximum((1.0 - m0) ** 2 - m * m, 0.0))
+    t = np.sqrt(np.maximum((1.0 - m0) * (1.0 - m0) - m * m, 0.0))
     return s, t
 
 

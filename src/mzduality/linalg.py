@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 
-HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-PSD_TOL = 1e-10
+INPUT_TOL = 1e-10  # how far a validated input may miss an exact constraint
 PHASE_CUT = 1e-12  # an eigenvector's first component above this modulus is made real positive
 
 
@@ -38,19 +36,21 @@ def _entries(value) -> list:
 
 
 def as_numbers(value, what: str, kinds: str, error) -> np.ndarray:
-    """``value`` as an array of numpy dtype kinds ``kinds``, "iuf" for real or "iufc" for
-    complex numbers, with finite entries; else raises ``error`` naming the first entry
-    that is a bool, string, None or other object, complex for "iuf", NaN or an infinity,
-    or naming a ragged list whole."""
+    """``value`` as an array of numpy dtype kinds ``kinds``, "b" for booleans, "iuf" for
+    real or "iufc" for complex numbers, with finite entries; else raises ``error`` naming
+    the first entry that is a bool among numbers or a number among booleans, a string, None
+    or other object, complex for "iuf", NaN or an infinity, or naming a ragged list whole."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged list
         array = np.asarray(None)
-    listed = isinstance(value, (list, tuple))  # where numpy reads a bool among numbers as one
+    boolean = kinds == "b"
+    listed = not boolean and isinstance(value, (list, tuple))  # numpy reads its bools as numbers
     if array.dtype.kind not in kinds or listed and bool in map(type, _entries(value)):
-        numbers = (int, float, complex) if "c" in kinds else (int, float)
-        bad = [x for x in _entries(value) if type(x) is bool or not isinstance(x, numbers)]
-        kind = "numbers" if "c" in kinds else "real"
+        numbers = bool if boolean else (int, float, complex) if "c" in kinds else (int, float)
+        bad = [x for x in _entries(value)
+               if not isinstance(x, numbers) or type(x) is bool and not boolean]
+        kind = "booleans" if boolean else "numbers" if "c" in kinds else "real"
         raise error(f"{what} must be {kind}, got {(bad + [value])[0]!r}")
     finite = np.isfinite(array)
     if np.count_nonzero(finite) < array.size:  # faster than finite.all() on small arrays
@@ -75,25 +75,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def require_hermitian(a) -> np.ndarray:
     m = as_complex_matrix(a)
     dev = float(np.abs(m - dagger(m)).max(initial=0.0))
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    if dev > INPUT_TOL:
+        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {INPUT_TOL:.1e}")
     return m
 
 
-def require_entries_within_1(m: np.ndarray, tol: float, error) -> None:
-    """Raise ``error`` for an entry of modulus above 1 + tol, which no density matrix or
-    unitary has: checked before any product, so a huge entry is named, not overflowed."""
-    modulus = np.abs(m)
-    if modulus.max(initial=0.0) > 1.0 + tol:
-        raise error(f"entry {m.flat[modulus.argmax()]:.6g} has modulus above 1")
+def require_within(values: np.ndarray, bound: float, tol: float, error, message: str) -> None:
+    """Raise ``error(message.format(entry))`` for the first entry of modulus above
+    ``bound + tol``: checked before any product, so a huge entry is named, not overflowed."""
+    beyond = np.abs(values) > bound + tol
+    if beyond.any():
+        raise error(message.format(values[beyond][0]))
 
 
 def require_unitary(a) -> np.ndarray:
     m = as_complex_matrix(a)
-    require_entries_within_1(m, UNITARITY_TOL, NotUnitary)
+    require_within(m, 1.0, INPUT_TOL, NotUnitary, "entry {:.6g} has modulus above 1")
     dev = float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(initial=0.0))
-    if dev > UNITARITY_TOL:
-        raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}")
+    if dev > INPUT_TOL:
+        raise NotUnitary(f"max |U^dag U - I| = {dev:.3e} exceeds {INPUT_TOL:.1e}")
     return m
 
 
@@ -101,7 +101,7 @@ def require_density(a, dim: int | None = None) -> np.ndarray:
     """Validate a density operator, or a stack (..., d, d) of them, with one
     eigendecomposition that also checks Hermiticity: unit trace, positive semidefinite."""
     m = as_complex_matrix(a)
-    require_entries_within_1(m, PSD_TOL, InvalidState)
+    require_within(m, 1.0, INPUT_TOL, InvalidState, "entry {:.6g} has modulus above 1")
     try:
         lo = float(hermitian_eig(m).eigenvalues[..., 0].min(initial=np.inf))
     except NotHermitian as exc:
@@ -110,10 +110,10 @@ def require_density(a, dim: int | None = None) -> np.ndarray:
     if dim is not None and d != dim:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {d}x{d}")
     trace_dev = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
-    if trace_dev > PSD_TOL:
-        raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {PSD_TOL:.1e}")
-    if lo < -PSD_TOL:
-        raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL:.1e}")
+    if trace_dev > INPUT_TOL:
+        raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}, beyond {INPUT_TOL:.1e}")
+    if lo < -INPUT_TOL:
+        raise InvalidState(f"smallest eigenvalue {lo:.3e} below -{INPUT_TOL:.1e}")
     return m
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, MZDualityError
-from .linalg import _entries, dagger, hermitian_eig, require_density, require_unitary
+from .linalg import as_numbers, dagger, hermitian_eig, require_density, require_unitary
 from .qubit import (
     IDENTITY_2,
     SIGMA_X,
@@ -100,13 +100,7 @@ class Strategy(Stacked):
 
     def __post_init__(self):
         basis = require_unitary(self.basis)
-        try:
-            in_s = np.asarray(self.in_s)
-        except ValueError:  # a ragged mask
-            in_s = np.asarray(None)
-        if in_s.dtype != bool:
-            bad = [x for x in _entries(self.in_s) if type(x) is not bool]
-            raise InvalidArgument(f"guess mask must be booleans, got {(bad + [self.in_s])[0]!r}")
+        in_s = as_numbers(self.in_s, "guess mask", "b", InvalidArgument)
         if basis.ndim > 3 or in_s.shape != basis.shape[:-1]:
             raise DimensionMismatch(f"guess mask {in_s.shape} does not fit basis {basis.shape}")
         vars(self).update(basis=basis, in_s=in_s)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect,
                      InvalidState, NotHermitian)
-from .linalg import (PSD_TOL, as_numbers, dagger, require_density, require_hermitian, row_dots,
-                     row_norms)
+from .linalg import (INPUT_TOL, as_numbers, dagger, require_density, require_hermitian,
+                     require_within, row_dots, row_norms)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,7 +85,7 @@ def bloch_to_matrix(vector, bias) -> np.ndarray:
     if np.shape(v)[-1:] != (3,):
         raise InvalidEffect(f"Bloch vector must have shape (3,), got {np.shape(v)}")
     excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
-    if (excess > PSD_TOL).any():
+    if (excess > INPUT_TOL).any():
         raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
     # each entry sums at most two nonzero terms, so any order gives the same bits
     vector_part = np.einsum("...k,kij->...ij", v, PAULI_STACK)
@@ -186,13 +186,10 @@ class QubitState(Stacked):
         v = real(vector, "Bloch vector", InvalidState)
         if np.shape(v)[-1:] != (3,) or v.ndim > 2:
             raise InvalidState(f"Bloch vector must have shape (3,), got {np.shape(v)}")
-        large = np.abs(v) > 1.0 + PSD_TOL  # ahead of the norm, which a huge one overflows
-        if large.any():
-            raise InvalidState(f"Bloch component {v[large][0]:.6g} exceeds 1 in absolute value")
-        norms = row_norms(np.atleast_2d(v))
-        outside = ~(norms <= 1.0 + PSD_TOL)
-        if outside.any():
-            raise InvalidState(f"Bloch norm {norms[outside][0]:.6g} must be finite and at most 1")
+        require_within(v, 1.0, INPUT_TOL, InvalidState,  # ahead of the norm, which it overflows
+                       "Bloch component {:.6g} exceeds 1 in absolute value")
+        require_within(row_norms(np.atleast_2d(v)), 1.0, INPUT_TOL, InvalidState,
+                       "Bloch norm {:.6g} must be finite and at most 1")
         return cls(bloch_to_matrix(v / 2.0, 0.5))
 
     def bloch(self) -> np.ndarray:

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFidelity, DimensionMismatch, InvalidArgument, InvalidInstance
-from .linalg import dagger, require_density, require_unitary
+from .linalg import INPUT_TOL, dagger, require_density, require_unitary
 from .mzi import Evaluation, MZISetup
 from .qubit import QubitState, matrix_to_bloch, real
 
-BLOCH_MATCH_TOL = 1e-10
 DEGENERATE_DIRECTION_TOL = 1e-12
 DEGENERATE_FIDELITY_TOL = 1e-12
 P_STEP = 1e-4  # default path-bias step of the finite-difference gap slope
@@ -41,9 +40,9 @@ class QubitDetectorAnalysis:
         if alpha.shape[-1:] != (3,) or beta.shape != alpha.shape or p.shape != alpha.shape[:-1]:
             raise InvalidInstance("alpha and beta must be 3-vectors, with one p each")
         na, nb = np.linalg.norm(alpha, axis=-1), np.linalg.norm(beta, axis=-1)
-        if (np.abs(na - nb) > BLOCH_MATCH_TOL).any():
+        if (np.abs(na - nb) > INPUT_TOL).any():
             raise InvalidInstance(f"|alpha| and |beta| differ by {np.abs(na - nb).max():.6g}")
-        if (na > 1.0 + BLOCH_MATCH_TOL).any():
+        if (na > 1.0 + INPUT_TOL).any():
             raise InvalidInstance(f"|alpha| = {na.max():.6g} exceeds 1")
         outside = np.abs(p) > 1.0
         if outside.any():

@@ -172,9 +172,10 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario of a JSON file read as UTF-8 (RFC 8259); ScenarioError if it cannot be."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     return scenario_from_dict(data)
 

@@ -30,6 +30,7 @@ from mzduality.qubit import (
     random_detector_state,
     random_qubit_state,
     random_unitary,
+    streams,
     unchecked,
 )
 from mzduality.scenarios import load_scenario
@@ -190,7 +191,7 @@ class TestInstanceValidation:
         vectors = {"m_vec": np.array([0.1, 0.0, 0.0]), "n_vec": np.array([0.0, 0.0, 0.1])}
         vectors[field][1] = value
         message = re.escape(f"{field} component {value:.6g} exceeds 1/2")
-        with pytest.raises(InvalidInstance, match=message):
+        with pytest.raises(InvalidInstance, match=f"^{message}$"):
             JMInstance(0.5, **vectors)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -902,11 +903,18 @@ class TestMarginField:
             assert abs(one.margin - stack.margin[k]) <= MARGIN_DRIFT, (name, k)
             assert jm_criterion(one).margin == one.margin
 
+    def test_each_pair_carries_its_stacked_row_margin_bit_for_bit(self):
+        # 1 - m0 is squared as a product for one pair as for a stack; squared by ``** 2``,
+        # one pair's 0-d value took libm's pow, which rounds 7 of these pairs differently
+        m0, m_vec, n_vec = jointmeas.draw_instances(list(streams((77, k) for k in range(20000))))
+        stack = JMInstance(m0, m_vec, n_vec)
+        margins = np.array([JMInstance(*pair).margin for pair in zip(m0, m_vec, n_vec)])
+        assert margins.tobytes() == stack.margin.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_a_row_margin_moves_from_its_float_formula_by_rounding_alone(self, dim):
-        # a row's margin is its stack's, where numpy squares 1 - m0 as a product; the
-        # same formula on the row's Python floats squares it with libm's pow, which
-        # can round the other way
+        # a row's margin is its stack's; the same formula on the row's Python floats
+        # squares 1 - m0 by the same product, so the two may differ by rounding alone
         rngs = [np.random.default_rng([90, dim, k]) for k in range(2048)]
         optimal = [k % 2 == 0 for k in range(len(rngs))]
         strategies = mzi.random_strategies(dim, rngs[1::2])

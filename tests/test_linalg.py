@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mzduality import mzi
-from mzduality.errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
+from mzduality.errors import (DimensionMismatch, InvalidArgument, InvalidEffect, InvalidInstance,
+                              InvalidState, NotHermitian, NotUnitary)
+from mzduality.jointmeas import JMInstance
 from mzduality.linalg import (
+    INPUT_TOL,
     EigDecomposition,
+    as_numbers,
     hermitian_eig,
     kron,
     partial_trace_detector,
@@ -21,11 +25,14 @@ from mzduality.linalg import (
 )
 from mzduality.qubit import (
     SIGMA_X,
+    QubitState,
+    bloch_to_matrix,
     random_detector_state,
     random_pure_detector_state,
     random_qubit_state,
     random_unitary,
 )
+from mzduality.qubit_detector import QubitDetectorAnalysis
 
 
 def random_hermitian(rng, n):
@@ -246,7 +253,70 @@ def test_entries_beyond_modulus_1_are_named_before_any_product(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for check, error in ((require_density, InvalidState), (require_unitary, NotUnitary)):
-            with pytest.raises(error, match=re.escape(f"entry {complex(entry):.6g} has modulus")):
+            message = re.escape(f"entry {complex(entry):.6g} has modulus above 1")
+            with pytest.raises(error, match=f"^{message}$"):
                 check(np.array([np.eye(2) / 2, huge]))
     # at the tolerance, the other checks decide
     assert require_unitary(np.diag([1.0 + 1e-11, 1.0])).shape == (2, 2)
+
+
+def diagonal_pair(x):
+    return [1.0, 1.0, 0.0] / np.sqrt(2.0) * x
+
+
+# one validated input per constraint, given a miss of it, with the error and wording of a refusal
+SLACK_TABLE = {
+    "hermiticity": (lambda miss: require_hermitian([[0.5, 0.3], [0.3 + miss, 0.5]]),
+                    NotHermitian, "A - A^dag"),
+    "unitarity": (lambda miss: require_unitary(np.diag([np.sqrt(1.0 + miss), 1.0])),
+                  NotUnitary, "U^dag U - I"),
+    "trace": (lambda miss: require_density(np.diag([0.5 + miss, 0.5])), InvalidState, "trace"),
+    "positivity": (lambda miss: require_density(np.diag([0.5 + miss, 0.5, -miss])),
+                   InvalidState, "smallest eigenvalue"),
+    "quanton Bloch ball": (lambda miss: QubitState.from_bloch(diagonal_pair(1.0 + miss)),
+                           InvalidState, "Bloch norm"),
+    "effect Bloch ball": (lambda miss: bloch_to_matrix(diagonal_pair(0.5 + miss), 0.5),
+                          InvalidEffect, "exceeds min"),
+    "detector Bloch ball": (
+        lambda miss: QubitDetectorAnalysis(diagonal_pair(1.0 + miss), diagonal_pair(1.0 + miss), 0.0),
+        InvalidInstance, "|alpha| = "),
+    "m.n = 0": (lambda miss: JMInstance(0.5, [0.1, 0.0, 0.0], [10.0 * miss, 0.0, 0.3]),
+                InvalidInstance, "m.n = "),
+    "|alpha| = |beta|": (
+        lambda miss: QubitDetectorAnalysis([0.5, 0.0, 0.0], [0.5 + miss, 0.0, 0.0], 0.0),
+        InvalidInstance, "differ by"),
+}
+
+
+class TestInputSlack:
+    """Every validated input may miss its exact constraint by ``INPUT_TOL`` and no more."""
+
+    @pytest.mark.parametrize("name", SLACK_TABLE)
+    def test_a_miss_within_the_slack_is_taken_and_one_beyond_it_refused(self, name):
+        build, error, wording = SLACK_TABLE[name]
+        build(0.9 * INPUT_TOL)
+        with pytest.raises(error, match=re.escape(wording)):
+            build(1.1 * INPUT_TOL)
+
+    @pytest.mark.parametrize("call, matrix, error, tail", [
+        (require_hermitian, [[0.0, 1.0], [0.0, 0.0]], NotHermitian, "exceeds 1.0e-10"),
+        (require_unitary, np.eye(2) * 0.5, NotUnitary, "exceeds 1.0e-10"),
+        (require_density, np.eye(2), InvalidState, "beyond 1.0e-10"),
+        (require_density, np.diag([0.6, 0.6, -0.2]), InvalidState, "below -1.0e-10"),
+    ])
+    def test_each_refusal_prints_the_slack(self, call, matrix, error, tail):
+        with pytest.raises(error, match=f"{re.escape(tail)}$"):
+            call(matrix)
+
+
+class TestBooleanKind:
+    """``as_numbers`` kind "b": booleans, Python's or numpy's, and nothing else."""
+
+    @pytest.mark.parametrize("mask", [
+        [True, False], [np.True_, np.False_], [np.True_, False], np.array([False, True]),
+        [np.array([True, False]), [np.False_, True]], np.ones((2, 3), dtype=bool), np.True_,
+    ], ids=repr)
+    def test_takes_python_and_numpy_bools(self, mask):
+        taken = as_numbers(mask, "mask", "b", InvalidArgument)
+        assert taken.dtype == bool
+        np.testing.assert_array_equal(taken, np.asarray(mask))

@@ -148,8 +148,13 @@ class TestSetupConstruction:
                 mzi.Strategy(basis, given)
 
     def test_boolean_masks_are_taken(self):
-        for mask in ([True, False], np.array([False, False]), [np.True_, np.False_]):
-            assert mzi.Strategy(np.eye(2), mask).in_s.dtype == bool
+        for mask in ([True, False], np.array([False, False]), [np.True_, np.False_],
+                     [np.True_, False], [np.array([True, False]), [np.False_, True]],
+                     np.array([[True, False], [False, True]])):
+            basis = np.eye(2) if np.ndim(mask) == 1 else np.array([np.eye(2)] * 2)
+            strategy = mzi.Strategy(basis, mask)
+            assert strategy.in_s.dtype == bool
+            np.testing.assert_array_equal(strategy.in_s, np.asarray(mask))
         empty = mzi.random_strategies(3, [])
         assert empty.in_s.shape == (0, 3) and not empty.one
 

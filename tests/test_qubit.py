@@ -159,9 +159,9 @@ class TestQubitState:
     @pytest.mark.parametrize("component", [1e300, -1e300, np.inf, 1.5])
     def test_rejects_a_large_component_as_given(self, component):
         # an infinity is refused by the real-number rule, ahead of the component bound
-        message = (f"component {component:.6g} exceeds 1" if np.isfinite(component)
-                   else f"Bloch vector must be finite, got {component}")
-        with pytest.raises(InvalidState, match=re.escape(message)):
+        message = (f"Bloch component {component:.6g} exceeds 1 in absolute value"
+                   if np.isfinite(component) else f"Bloch vector must be finite, got {component}")
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
             QubitState.from_bloch([0.0, component, 0.0])
 
     def test_rejects_non_finite_bloch_vector(self):

@@ -322,16 +322,21 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["check-jm", "--m0", "0.5", "--m", "1e300", "--n", "0.1"],
-            ["report", "--scenario", "QUANTON_BLOCH"],
-            ["report", "--scenario", "DETECTOR_BLOCH"],
-            ["report", "--scenario", "UNITARY_ENTRY"],
+            (["check-jm", "--m0", "0.5", "--m", "1e300", "--n", "0.1"],
+             "m_vec component 1e+300 exceeds 1/2"),
+            (["report", "--scenario", "QUANTON_BLOCH"],
+             "invalid setup: Bloch component 1e+300 exceeds 1 in absolute value"),
+            (["report", "--scenario", "DETECTOR_BLOCH"],
+             "invalid setup: Bloch component 1e+300 exceeds 1 in absolute value"),
+            (["report", "--scenario", "UNITARY_ENTRY"],
+             "invalid setup: entry 1e+300+0j has modulus above 1"),
         ],
         ids=["check-jm-m", "quanton-bloch", "detector-bloch", "unitary-entry"],
     )
-    def test_huge_magnitudes_are_named_before_any_arithmetic(self, argv, capsys, tmp_path):
+    def test_huge_magnitudes_are_named_before_any_arithmetic(self, argv, message, capsys,
+                                                             tmp_path):
         # each overflowed in a product before, printing RuntimeWarning lines
         # ahead of an error that named inf instead of the value given
         biased = json.loads(BIASED.read_text())
@@ -347,9 +352,37 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "1e+300" in err
-        assert "Warning" not in err
+        # the whole message, which one guard words for each of the three callers
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    UNREADABLE = {"not-utf-8": b"\xff\xfe\x00bad", "too-deep": b"[" * 1000 + b"]" * 1000}
+
+    @pytest.mark.parametrize("command", ["report", "sample", "check-jm", "gamma-slope"])
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_a_file_that_is_not_utf_8_or_nests_too_deep_exits_2(
+        self, kind, command, capsys, tmp_path
+    ):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(self.UNREADABLE[kind])
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read scenario file {path}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_the_entry_point_refuses_an_unreadable_file_without_a_traceback(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(self.UNREADABLE[kind])
+        src = Path(cli.__file__).resolve().parents[1]
+        path_var = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "mzduality", "report", "--scenario", str(path)],
+            env={**os.environ, "PYTHONPATH": path_var}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: cannot read scenario file")
+        assert "Traceback" not in done.stderr
 
     def test_sweep_deterministic_and_clean(self, tmp_path):
         first = tmp_path / "a.csv"
