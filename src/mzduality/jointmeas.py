@@ -74,14 +74,14 @@ class JMInstance(Stacked):
             require_within(vec, 0.5, NORM_SLACK, InvalidInstance,
                            name + " component {:.6g} exceeds 1/2")
         dot = np.abs((m_vec * n_vec).sum(axis=-1))
-        if (dot > INPUT_TOL).any():
-            raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
         m, n = row_norms(m_vec), row_norms(n_vec)
-        if (n > 0.5 + NORM_SLACK).any():
-            raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
         cap = np.minimum(m0, 1.0 - m0)
-        over = m > cap + NORM_SLACK
-        if over.any():
+        skew, long_n, over = dot > INPUT_TOL, n > 0.5 + NORM_SLACK, m > cap + NORM_SLACK
+        if (skew | long_n | over).any():  # one test of every row; the message is the first check's
+            if skew.any():
+                raise InvalidInstance(f"m.n = {dot.max():.3e} is not 0")
+            if long_n.any():
+                raise InvalidInstance(f"|n| = {n.max():.6g} exceeds 1/2")
             raise InvalidInstance(
                 f"|m| = {m[over][0]:.6g} exceeds min(m0, 1-m0) = {cap[over][0]:.6g}"
             )

@@ -124,15 +124,18 @@ def hermitian_eig(a) -> EigDecomposition:
     Returns eigenvalues sorted ascending with orthonormal eigenvector columns.
     Each eigenvector is rephased so that its first component larger than
     ``PHASE_CUT`` in modulus is real positive, so the result is deterministic for a
-    fixed input on a given platform and numpy build.
+    fixed input on a given platform and numpy build.  It is row 0's when every
+    column's row-0 entry is above the cut, else searched for: the same entry either way.
 
     Raises NotHermitian on asymmetric input.
     """
     vals, vecs = np.linalg.eigh(require_hermitian(a))
-    # every column has unit norm, so each has a component above the cut
-    columns = vecs.reshape(-1, vecs.shape[-1], vecs.shape[-1])
-    first = np.argmax(np.abs(columns) > PHASE_CUT, axis=1)
-    lead = columns[np.arange(len(columns))[:, None], first, np.arange(vecs.shape[-1])]
+    lead = vecs[..., 0, :]
+    if np.count_nonzero(np.abs(lead) > PHASE_CUT) < lead.size:
+        # every column has unit norm, so each has a component above the cut
+        columns = vecs.reshape(-1, vecs.shape[-1], vecs.shape[-1])
+        first = np.argmax(np.abs(columns) > PHASE_CUT, axis=1)
+        lead = columns[np.arange(len(columns))[:, None], first, np.arange(vecs.shape[-1])]
     phases = (lead.conj() / np.abs(lead)).reshape(vals.shape)[..., None, :]
     return EigDecomposition(vals, vecs * phases)
 

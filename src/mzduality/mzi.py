@@ -38,8 +38,8 @@ from .qubit import (
     SIGMA_Z,
     QubitState,
     Stacked,
-    bloch_to_matrix,
     bloch_vectors,
+    build_effect,
     effect_min_eigenvalue,
     haar_unitary,
     hilbert_schmidt_states,
@@ -135,10 +135,10 @@ class StrategyStats(Stacked):
     eta_sbar_u: float
 
     def __post_init__(self):
-        if (np.abs(self.eta_s + self.eta_sbar - 1.0) > RECORD_TOL).any():
-            raise MZDualityError("eta_s + eta_sbar must equal 1")
-        if (np.abs(self.eta_s_u + self.eta_sbar_u - 1.0) > RECORD_TOL).any():
-            raise MZDualityError("eta_s_u + eta_sbar_u must equal 1")
+        plain = np.abs(self.eta_s + self.eta_sbar - 1.0) > RECORD_TOL
+        if (plain | (np.abs(self.eta_s_u + self.eta_sbar_u - 1.0) > RECORD_TOL)).any():
+            raise MZDualityError("eta_s + eta_sbar must equal 1" if plain.any()
+                                 else "eta_s_u + eta_sbar_u must equal 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +165,21 @@ class DualityReport(Stacked):
     jsve_lhs: float
 
     def __post_init__(self):
-        if np.greater(self.visibility, self.a_priori_visibility + RECORD_TOL).any():
-            raise MZDualityError("visibility exceeds a priori visibility")
-        if np.greater(self.distinguishability, self.max_distinguishability + RECORD_TOL).any():
-            raise MZDualityError("strategy distinguishability exceeds the optimum")
+        wave = np.greater(self.visibility, self.a_priori_visibility + RECORD_TOL)
+        path = np.greater(self.distinguishability, self.max_distinguishability + RECORD_TOL)
+        if (wave | path).any():
+            raise MZDualityError("visibility exceeds a priori visibility" if wave.any()
+                                 else "strategy distinguishability exceeds the optimum")
 
 
 def phase_shifter(phi) -> np.ndarray:
-    """``diag(exp(i phi/2), exp(-i phi/2))``, stacked as (..., 2, 2) for stacked phases."""
-    phi = real(phi, "phase phi")
+    """``diag(exp(i phi/2), exp(-i phi/2))``, stacked as (..., 2, 2) for stacked
+    phases: the real-number check (``qubit.real``), then ``build_shifter``."""
+    return build_shifter(real(phi, "phase phi"))
+
+
+def build_shifter(phi) -> np.ndarray:
+    """``phase_shifter`` of float phases that passed its check, as a setup's have, unchecked."""
     shifter = np.zeros(np.shape(phi) + (2, 2), dtype=complex)
     shifter[..., 0, 0] = np.exp(0.5j * phi)
     shifter[..., 1, 1] = np.exp(-0.5j * phi)
@@ -341,7 +347,7 @@ class Evaluation:
         middle[..., 0, 1] = sign * xi
         middle[..., 1, 0] = sign * xi.conj()
         middle[..., 1, 1] = np.stack([stats.eta_s_u, stats.eta_sbar_u], -1)[:, None, :]
-        entry = (phase_shifter(self.setups.phi) @ HADAMARD)[:, None, None]
+        entry = (build_shifter(self.setups.phi) @ HADAMARD)[:, None, None]
         return 0.5 * dagger(entry) @ middle @ entry
 
     @cached_property
@@ -351,8 +357,9 @@ class Evaluation:
         distance of a marginal from the realized pair."""
         effects, pair = self.effects, self.pair
         m0, m_vec, n_vec = pair.m0, pair.m_vec, pair.n_vec
-        ports = bloch_to_matrix(np.stack([n_vec, -n_vec], 1), 0.5)
-        guesses = bloch_to_matrix(np.stack([m_vec, -m_vec], 1), np.stack([m0, 1.0 - m0], 1))
+        # a validated pair bounds |n| by 1/2 and |m| by min(m0, 1 - m0): bloch_to_matrix's check
+        ports = build_effect(np.stack([n_vec, -n_vec], 1), 0.5)
+        guesses = build_effect(np.stack([m_vec, -m_vec], 1), np.stack([m0, 1.0 - m0], 1))
         marginal = np.maximum(
             np.abs(effects.sum(axis=2) - ports).max(axis=(1, 2, 3)),
             np.abs(effects.sum(axis=1) - guesses).max(axis=(1, 2, 3)),

@@ -80,13 +80,19 @@ def stream(*key: int) -> np.random.Generator:
 def bloch_to_matrix(vector, bias) -> np.ndarray:
     """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for a
     stack (..., 3) of vectors with matching biases; raises InvalidEffect
-    unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``."""
+    unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``: the check
+    at the boundary, then ``build_effect``, which callers of checked values call."""
     v, bias = real(vector, "Bloch vector", InvalidEffect), real(bias, "bias", InvalidEffect)
     if np.shape(v)[-1:] != (3,):
         raise InvalidEffect(f"Bloch vector must have shape (3,), got {np.shape(v)}")
     excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
     if (excess > INPUT_TOL).any():
         raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
+    return build_effect(v, bias)
+
+
+def build_effect(v: np.ndarray, bias) -> np.ndarray:
+    """``bloch_to_matrix`` of float vectors and biases that pass its check, unchecked."""
     # each entry sums at most two nonzero terms, so any order gives the same bits
     vector_part = np.einsum("...k,kij->...ij", v, PAULI_STACK)
     return np.asarray(bias)[..., None, None] * IDENTITY_2 + vector_part
@@ -190,7 +196,7 @@ class QubitState(Stacked):
                        "Bloch component {:.6g} exceeds 1 in absolute value")
         require_within(row_norms(np.atleast_2d(v)), 1.0, INPUT_TOL, InvalidState,
                        "Bloch norm {:.6g} must be finite and at most 1")
-        return cls(bloch_to_matrix(v / 2.0, 0.5))
+        return cls(build_effect(v / 2.0, 0.5))  # |v/2| <= 1/2 + INPUT_TOL: bloch_to_matrix's check
 
     def bloch(self) -> np.ndarray:
         return 2.0 * matrix_to_bloch(self.matrix)[1]

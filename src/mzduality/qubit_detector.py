@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFidelity, DimensionMismatch, InvalidArgument, InvalidInstance
-from .linalg import INPUT_TOL, dagger, require_density, require_unitary
+from .linalg import INPUT_TOL, dagger, require_density, require_unitary, require_within
 from .mzi import Evaluation, MZISetup
 from .qubit import QubitState, matrix_to_bloch, real
 
@@ -39,6 +39,10 @@ class QubitDetectorAnalysis:
                           for name in ("alpha", "beta", "p"))
         if alpha.shape[-1:] != (3,) or beta.shape != alpha.shape or p.shape != alpha.shape[:-1]:
             raise InvalidInstance("alpha and beta must be 3-vectors, with one p each")
+        # ahead of the norms, which overflow; a valid |beta| may pass 1 by twice the slack
+        for name, vec in (("alpha", alpha), ("beta", beta)):
+            require_within(vec, 1.0 + INPUT_TOL, INPUT_TOL, InvalidInstance,
+                           name + " component {:.6g} exceeds 1")
         na, nb = np.linalg.norm(alpha, axis=-1), np.linalg.norm(beta, axis=-1)
         if (np.abs(na - nb) > INPUT_TOL).any():
             raise InvalidInstance(f"|alpha| and |beta| differ by {np.abs(na - nb).max():.6g}")

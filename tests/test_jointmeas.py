@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mzduality.errors import InvalidInstance, NotMeasurable
+from mzduality.errors import InvalidInstance, MZDualityError, NotMeasurable
 from mzduality import acceptance, cli, jointmeas, mzi
 from mzduality.jointmeas import (
     GRID_GUARD,
@@ -517,6 +519,129 @@ class TestStacks:
             build_candidate(stack, 0.0, np.zeros(3))
         with pytest.raises(InvalidInstance):
             build_candidate(axis_instance(0.5, 0.1, 0.1), 0.0, np.zeros((1, 3)))
+
+
+def report_of(visibility, distinguishability):
+    """A duality report, one or stacked, with every field 1/2 but the two given."""
+    names = (f.name for f in dataclasses.fields(mzi.DualityReport))
+    fields = {name: np.full(np.shape(visibility), 0.5) for name in names}
+    fields.update(visibility=np.asarray(visibility, dtype=float),
+                  distinguishability=np.asarray(distinguishability, dtype=float))
+    return mzi.DualityReport(**fields)
+
+
+# records that fail checks, most of them two at once, one pair or in rows of a stack, with the
+# message of the check that comes first, as each record's checks were walked one by one
+FIRST_FAILED_CHECK = {
+    "bias out and huge component": (lambda: JMInstance(1.5, [1e300, 0.0, 0.0], [0.0, 0.0, 0.1]),
+                                    "m0 = 1.5 outside [0, 1]"),
+    "both components": (lambda: JMInstance(0.5, [0.6, 0.0, 0.0], [0.0, 0.0, 0.7]),
+                        "m_vec component 0.6 exceeds 1/2"),
+    "skew and long n": (lambda: JMInstance(0.5, [0.2, 0.0, 0.0], [0.1, 0.5, 0.0]),
+                        "m.n = 2.000e-02 is not 0"),
+    "skew and long m": (lambda: JMInstance(0.3, [0.4, 0.0, 0.0], [0.1, 0.0, 0.1]),
+                        "m.n = 4.000e-02 is not 0"),
+    "long n and long m": (lambda: JMInstance(0.3, [0.4, 0.0, 0.0], [0.0, 0.4, 0.4]),
+                          "|n| = 0.565685 exceeds 1/2"),
+    "long m alone": (lambda: JMInstance(0.3, [0.4, 0.0, 0.0], [0.0, 0.0, 0.1]),
+                     "|m| = 0.4 exceeds min(m0, 1-m0) = 0.3"),
+    "long m, then long n, in rows": (
+        lambda: JMInstance([0.3, 0.5], [[0.4, 0.0, 0.0], [0.1, 0.0, 0.0]],
+                           [[0.0, 0.0, 0.1], [0.0, 0.4, 0.4]]),
+        "|n| = 0.565685 exceeds 1/2"),
+    "long m, then skew, in rows": (
+        lambda: JMInstance([0.3, 0.5], [[0.4, 0.0, 0.0], [0.2, 0.0, 0.0]],
+                           [[0.0, 0.0, 0.1], [0.1, 0.0, 0.1]]),
+        "m.n = 2.000e-02 is not 0"),
+    "both eta sums": (lambda: mzi.StrategyStats(0.5, 0.6, 0.5, 0.6),
+                      "eta_s + eta_sbar must equal 1"),
+    "eta_U sum alone": (lambda: mzi.StrategyStats(0.5, 0.5, 0.5, 0.6),
+                        "eta_s_u + eta_sbar_u must equal 1"),
+    "eta_U sum, then eta sum, in rows": (
+        lambda: mzi.StrategyStats(*np.array([[0.5, 0.5], [0.5, 0.6], [0.5, 0.5], [0.6, 0.5]])),
+        "eta_s + eta_sbar must equal 1"),
+    "both report bounds": (lambda: report_of(0.9, 0.9), "visibility exceeds a priori visibility"),
+    "report optimum alone": (lambda: report_of(0.5, 0.9),
+                             "strategy distinguishability exceeds the optimum"),
+    "report optimum, then visibility, in rows": (lambda: report_of([0.5, 0.9], [0.9, 0.5]),
+                                                 "visibility exceeds a priori visibility"),
+}
+
+
+class TestFirstFailedCheck:
+    """A record that tests every row at once still names the first check its rows fail."""
+
+    @pytest.mark.parametrize("name", FIRST_FAILED_CHECK)
+    def test_the_message_is_the_first_failed_check(self, name):
+        build, message = FIRST_FAILED_CHECK[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MZDualityError, match=f"^{re.escape(message)}$"):
+                build()
+
+
+# the four ball constraints of ``positivity_check``, |c_i + r_i y| <= b_i + s_i x, with
+# centres c = m + n, m - n, m - n, m + n and bounds b = m0, 1 - m0, m0, 1 - m0
+X_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+Y_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def ball_slacks(inst, x, y_vec):
+    """The slacks ``b_i + s_i x - |c_i + r_i y|`` of the four ball constraints at (x, y) for
+    one pair, and the unit vectors along ``c_i + r_i y`` (zero for a zero vector)."""
+    m_vec, n_vec = inst.m_vec, inst.n_vec
+    arms = np.array([m_vec + n_vec, m_vec - n_vec, m_vec - n_vec, m_vec + n_vec])
+    arms += Y_SIGNS[:, None] * y_vec
+    lengths = np.sqrt((arms * arms).sum(axis=1))
+    bounds = np.array([inst.m0, 1.0 - inst.m0, inst.m0, 1.0 - inst.m0])
+    units = np.divide(arms, lengths[:, None], out=np.zeros_like(arms), where=lengths[:, None] > 0)
+    return bounds + X_SIGNS * x - lengths, units
+
+
+def best_ball_slack(inst) -> float:
+    """The largest t with every ball constraint of one pair kept with slack t, over (x, y)
+    in R^4, by SLSQP from x = 0, y = 0: an oracle that reads neither the criterion nor its
+    witness.  Each slack is concave in (x, y), so the pair is jointly measurable iff t >= 0."""
+    from scipy.optimize import minimize
+
+    def kept(z):  # z = (x, y, t)
+        return ball_slacks(inst, z[0], z[1:4])[0] - z[4]
+
+    def kept_jacobian(z):
+        units = ball_slacks(inst, z[0], z[1:4])[1]
+        return np.column_stack([X_SIGNS, -Y_SIGNS[:, None] * units, -np.ones(4)])
+
+    start = np.zeros(5)
+    start[4] = kept(start).min()
+    found = minimize(lambda z: -z[4], start, jac=lambda z: -np.eye(5)[4], method="SLSQP",
+                     constraints=[{"type": "ineq", "fun": kept, "jac": kept_jacobian}],
+                     options={"ftol": 1e-14, "maxiter": 200})
+    return float(found.x[4])
+
+
+class TestBoundaryBand:
+    """The instances criteria 1-2 skip, within three grid steps of the boundary, decided by
+    ``best_ball_slack``: every band instance of ``verify``'s criterion 1 at its default seed,
+    drawn from the same streams.  That run prints "1069 in the boundary band skipped of 11069
+    drawn"."""
+
+    def test_the_optimum_decides_the_band_as_the_margin_does(self):
+        rngs = list(streams((20260810, acceptance.STREAM_TAGS["oracle"], k) for k in range(11069)))
+        drawn = JMInstance(*jointmeas.draw_instances(rngs))
+        band = np.flatnonzero(jointmeas.in_boundary_band(drawn.margin, jointmeas.ORACLE_RESOLUTION))
+        assert len(band) >= 200
+        feasible = 0
+        for k in band:
+            inst = drawn[k]
+            optimum = best_ball_slack(inst)
+            if abs(inst.margin) > 1e-9:
+                assert (optimum >= 0.0) == (inst.margin >= 0.0), (k, inst.margin, optimum)
+            if inst.margin >= -MEASURABLE_TOL:
+                witness = construct_joint(inst)
+                at_witness = ball_slacks(inst, witness.x, witness.y_vec)[0].min()
+                assert optimum >= at_witness - 1e-9, (k, optimum, at_witness)
+                feasible += 1
+        assert 0 < feasible < len(band)
 
 
 class TestFeasibilityOracle:

@@ -13,6 +13,7 @@ from mzduality.errors import (DimensionMismatch, InvalidArgument, InvalidEffect,
 from mzduality.jointmeas import JMInstance
 from mzduality.linalg import (
     INPUT_TOL,
+    PHASE_CUT,
     EigDecomposition,
     as_numbers,
     hermitian_eig,
@@ -166,6 +167,48 @@ class TestHermitianEig:
             mixed = mzi.strategy_stats(setup, mzi.Strategy(basis, optimal.in_s))
             assert mixed.eta_s == pytest.approx(stats.eta_s, abs=1e-12)
             assert mixed.eta_s_u == pytest.approx(stats.eta_s_u, abs=1e-12)
+
+
+def searched_phases(a) -> tuple:
+    """``hermitian_eig`` with each eigenvector's lead entry searched for down its column."""
+    vals, vecs = np.linalg.eigh(require_hermitian(a))
+    columns = vecs.reshape(-1, vecs.shape[-1], vecs.shape[-1])
+    first = np.argmax(np.abs(columns) > PHASE_CUT, axis=1)
+    lead = columns[np.arange(len(columns))[:, None], first, np.arange(vecs.shape[-1])]
+    phases = (lead.conj() / np.abs(lead)).reshape(vals.shape)[..., None, :]
+    return vals, vecs * phases
+
+
+class TestRowZeroPhases:
+    """``hermitian_eig`` reads each lead entry from row 0 when every column's row-0 entry
+    is above ``PHASE_CUT`` and searches for it otherwise: the same entry, so the same bits,
+    on stacks of either kind of column or both."""
+
+    def stacks(self) -> dict:
+        rng = np.random.default_rng(108)
+        generic = np.array([random_hermitian(rng, 4) for _ in range(6)])
+        diagonal = np.array([np.diag(rng.standard_normal(4)) for _ in range(3)])
+        block = np.zeros((3, 4, 4), dtype=complex)  # eigenvectors of the lower block miss row 0
+        block[:, :2, :2], block[:, 2:, 2:] = generic[:3, :2, :2], generic[3:, 2:, 2:]
+        near_cut = np.array([np.diag([1.0, 2.0, 3.0, 4.0])] * 2, dtype=complex)
+        near_cut[:, 0, 1:] = [[1e-13j], [5e-12j]]  # row-0 entries about the cut, complex ones
+        near_cut[:, 1:, 0] = near_cut[:, 0, 1:].conj()
+        mixed = np.concatenate([generic, diagonal, block])
+        return {"generic": generic, "diagonal": diagonal, "block diagonal": block,
+                "near the cut": near_cut, "mixed": mixed, "mixed, two stack axes":
+                mixed.reshape(3, 4, 4, 4)}
+
+    @pytest.mark.parametrize("name", ["generic", "diagonal", "block diagonal", "near the cut",
+                                      "mixed", "mixed, two stack axes"])
+    def test_the_same_bits_as_the_search_down_every_column(self, name):
+        stack = self.stacks()[name]
+        row_0 = np.abs(np.linalg.eigh(stack)[1][..., 0, :]) > PHASE_CUT
+        assert row_0.all() == (name == "generic")
+        for a in (stack, stack[0]):
+            vals, vecs = hermitian_eig(a)
+            want_vals, want_vecs = searched_phases(a)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert vecs.shape == want_vecs.shape and vecs.tobytes() == want_vecs.tobytes()
 
 
 class TestTraceNorm:

@@ -17,9 +17,11 @@ from mzduality.errors import (
 )
 from mzduality.jointmeas import JMInstance, build_candidate, feasibility_oracle
 from mzduality.linalg import hermitian_eig
+from mzduality import mzi, qubit
 from mzduality.mzi import (
     MZISetup,
     Strategy,
+    build_shifter,
     phase_shifter,
     random_setups,
     random_strategies,
@@ -33,6 +35,7 @@ from mzduality.qubit import (
     SIGMA_Z,
     QubitState,
     bloch_to_matrix,
+    build_effect,
     integer,
     matrix_to_bloch,
     random_detector_state,
@@ -141,6 +144,42 @@ class TestPauliPhi:
             sharp = np.cos(phi) * SIGMA_Z - np.sin(phi) * SIGMA_Y
             np.testing.assert_allclose(hermitian_eig(sharp).eigenvalues, [-1.0, 1.0], atol=1e-12)
             np.testing.assert_allclose(sharp @ sharp, IDENTITY_2, atol=1e-15)
+
+
+class TestCheckedBuilders:
+    """``build_effect`` and ``build_shifter`` are ``bloch_to_matrix`` and ``phase_shifter``
+    without the checks, bit for bit, and the callers of checked values build with them."""
+
+    def test_the_effect_builder_is_the_checked_conversion(self):
+        rng = np.random.default_rng(34)
+        bias = rng.random((6, 2))
+        direction = rng.standard_normal((6, 2, 3))
+        length = rng.random((6, 2)) * np.minimum(bias, 1.0 - bias)
+        v = direction / np.linalg.norm(direction, axis=-1, keepdims=True) * length[..., None]
+        pair = mzi.Evaluation(random_setups(3, [stream(34, k) for k in range(6)])).pair
+        cases = [(v, bias), (v[0, 0], float(bias[0, 0])), (v / 2.0, 0.5), (np.zeros(3), 0.5),
+                 (np.stack([pair.n_vec, -pair.n_vec], 1), 0.5),
+                 (np.stack([pair.m_vec, -pair.m_vec], 1), np.stack([pair.m0, 1.0 - pair.m0], 1))]
+        for vector, b in cases:
+            built, checked = build_effect(vector, b), bloch_to_matrix(vector, b)
+            assert built.shape == checked.shape and built.tobytes() == checked.tobytes()
+
+    def test_the_shifter_builder_is_the_checked_shifter(self):
+        phi = np.random.default_rng(35).uniform(-10.0, 10.0, 8)
+        setups = random_setups(2, [stream(35)])
+        for phase in (phi, phi.reshape(2, 4), float(phi[0]), 0.0, setups.phi):
+            built, checked = build_shifter(phase), phase_shifter(phase)
+            assert built.shape == checked.shape and built.tobytes() == checked.tobytes()
+
+    def test_checked_values_are_built_without_a_second_check(self, monkeypatch):
+        setups = random_setups(3, [stream(36, k) for k in range(4)])
+        want = [np.asarray(part).tobytes() for part in mzi.Evaluation(setups).residuals]
+        for module, name in ((qubit, "bloch_to_matrix"), (mzi, "phase_shifter")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("checked again"))
+        got = [np.asarray(part).tobytes() for part in mzi.Evaluation(setups).residuals]
+        assert got == want
+        assert QubitState.from_bloch([0.6, 0.0, 0.8]).matrix.tobytes() == (
+            build_effect(np.array([0.3, 0.0, 0.4]), 0.5).tobytes())
 
 
 class TestQubitState:

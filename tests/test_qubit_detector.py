@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from mzduality.errors import (
     NotUnitary,
 )
 from mzduality import mzi
+from mzduality.linalg import INPUT_TOL
 from mzduality.qubit import (
     SIGMA_X,
     QubitState,
@@ -52,6 +56,22 @@ class TestAnalysis:
     def test_rejects_mismatched_radii(self):
         with pytest.raises(InvalidInstance):
             QubitDetectorAnalysis(alpha=np.array([0.5, 0, 0]), beta=np.array([0.4, 0, 0]), p=0.1)
+
+    @pytest.mark.parametrize("alpha, beta, named", [
+        ([1e300, 0.0, 0.0], [1e300, 0.0, 0.0], "alpha component 1e+300 exceeds 1"),
+        ([0.5, 0.0, 0.0], [0.0, -1e300, 0.0], "beta component -1e+300 exceeds 1"),
+    ])
+    def test_names_a_huge_component_before_the_norms_overflow(self, alpha, beta, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInstance, match=f"^{re.escape(named)}$"):
+                QubitDetectorAnalysis(alpha=alpha, beta=beta, p=0.0)
+
+    def test_the_component_guard_refuses_no_pair_the_norms_take(self):
+        # |alpha| may pass 1 by INPUT_TOL, and |beta| pass |alpha| by as much again
+        miss = 0.9 * INPUT_TOL
+        beta = [1.0 + 2.0 * miss, 0.0, 0.0]
+        QubitDetectorAnalysis(alpha=[1.0 + miss, 0.0, 0.0], beta=beta, p=0.0)
 
     def test_derived_quantities(self):
         analysis = QubitDetectorAnalysis(
