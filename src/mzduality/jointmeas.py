@@ -66,7 +66,8 @@ class JMInstance(Stacked):
         m0, m_vec, n_vec = (np.asarray(real(vars(self)[name], name, InvalidInstance))
                             for name in ("m0", "m_vec", "n_vec"))
         if m0.ndim > 1 or m_vec.shape != m0.shape + (3,) or n_vec.shape != m_vec.shape:
-            raise InvalidInstance("m_vec and n_vec must be 3-vectors, one pair per m0")
+            raise InvalidInstance(f"m_vec {m_vec.shape} and n_vec {n_vec.shape} must be "
+                                  f"3-vectors, one pair per m0 {m0.shape}")
         outside = np.abs(m0 - 0.5) > 0.5 + NORM_SLACK
         if outside.any():
             raise InvalidInstance(f"m0 = {float(m0[outside][0])} outside [0, 1]")
@@ -150,8 +151,8 @@ def build_candidate(inst: JMInstance, x, y_vec) -> JointCandidate:
     """Assemble the four candidate effects for given free parameters (x, y),
     of one instance or of each in a stack, x a float or one per instance."""
     x, y = real(x, "x", InvalidInstance), real(y_vec, "y_vec", InvalidInstance)
-    if np.shape(y) != inst.m_vec.shape:
-        raise InvalidInstance("y_vec must be a 3-vector per instance")
+    if np.shape(y) != inst.m_vec.shape or np.ndim(x) and np.shape(x) != np.shape(inst.m0):
+        raise InvalidInstance(f"x {np.shape(x)} and y_vec {np.shape(y)} do not fit the instance")
     # (-1)^i down the rows and (-1)^j along the columns of the (2, 2) outcome grid
     s_i, s_j = SIGNS[:, None], SIGNS
     m0 = np.asarray(inst.m0)[..., None, None]

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, InvalidState, NotHermitian, NotUnitary
 
 INPUT_TOL = 1e-10  # how far a validated input may miss an exact constraint
 PHASE_CUT = 1e-12  # an eigenvector's first component above this modulus is made real positive
+KINDS = {bool: ("b", "booleans"), float: ("iuf", "real"), complex: ("iufc", "numbers")}
 
 
 class EigDecomposition(NamedTuple):
@@ -35,33 +36,34 @@ def _entries(value) -> list:
     return [entry for part in value for entry in _entries(part)]
 
 
-def as_numbers(value, what: str, kinds: str, error) -> np.ndarray:
-    """``value`` as an array of numpy dtype kinds ``kinds``, "b" for booleans, "iuf" for
-    real or "iufc" for complex numbers, with finite entries; else raises ``error`` naming
-    the first entry that is a bool among numbers or a number among booleans, a string, None
-    or other object, complex for "iuf", NaN or an infinity, or naming a ragged list whole."""
+def as_numbers(value, what: str, dtype, error) -> np.ndarray:
+    """``value`` as an array of ``dtype`` (bool, float or complex) whose entries are finite
+    and of the numpy kinds ``KINDS`` gives it; else raises ``error`` naming the first other
+    entry (in ``KINDS``' word), NaN or infinity, or whole a ragged list or an int beyond a
+    float.  A list, tuple or int is read in one pass as objects: numpy reads a bool as 1."""
+    kinds, word = KINDS[dtype]
     try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged list
+        if isinstance(value, (list, tuple, int)):  # as objects; [] as float, as numpy reads it
+            array = np.asarray(value, object)
+            if all(np.dtype(t).kind in kinds for t in set(map(type, array.flat)) or {float}):
+                array = array.astype(dtype)
+        else:
+            array = np.asarray(value)
+    except (ValueError, OverflowError):  # a ragged list, or an int beyond a float
         array = np.asarray(None)
-    boolean = kinds == "b"
-    listed = not boolean and isinstance(value, (list, tuple))  # numpy reads its bools as numbers
-    if array.dtype.kind not in kinds or listed and bool in map(type, _entries(value)):
-        numbers = bool if boolean else (int, float, complex) if "c" in kinds else (int, float)
-        bad = [x for x in _entries(value)
-               if not isinstance(x, numbers) or type(x) is bool and not boolean]
-        kind = "booleans" if boolean else "numbers" if "c" in kinds else "real"
-        raise error(f"{what} must be {kind}, got {(bad + [value])[0]!r}")
+    if array.dtype.kind not in kinds:
+        bad = [x for x in _entries(value) if np.dtype(type(x)).kind not in kinds]
+        raise error(f"{what} must be {word}, got {(bad + [value])[0]!r}")
     finite = np.isfinite(array)
     if np.count_nonzero(finite) < array.size:  # faster than finite.all() on small arrays
-        raise error(f"{what} must be finite, got {array[~finite][0]}")
-    return array
+        raise error(f"{what} must be finite, got {np.asarray(value)[~finite][0]}")
+    return array.astype(dtype, copy=False)
 
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a square complex ndarray, or a stack (..., d, d) of them,
     with finite entries (see ``as_numbers``)."""
-    m = as_numbers(a, "matrix entries", "iufc", DimensionMismatch).astype(complex, copy=False)
+    m = as_numbers(a, "matrix entries", complex, DimensionMismatch)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m

@@ -100,7 +100,7 @@ class Strategy(Stacked):
 
     def __post_init__(self):
         basis = require_unitary(self.basis)
-        in_s = as_numbers(self.in_s, "guess mask", "b", InvalidArgument)
+        in_s = as_numbers(self.in_s, "guess mask", bool, InvalidArgument)
         if basis.ndim > 3 or in_s.shape != basis.shape[:-1]:
             raise DimensionMismatch(f"guess mask {in_s.shape} does not fit basis {basis.shape}")
         vars(self).update(basis=basis, in_s=in_s)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect,
-                     InvalidState, NotHermitian)
+from .errors import BadDimension, DimensionMismatch, InvalidArgument, InvalidEffect, InvalidState
 from .linalg import (INPUT_TOL, as_numbers, dagger, require_density, require_hermitian,
                      require_within, row_dots, row_norms)
 
@@ -78,13 +77,15 @@ def stream(*key: int) -> np.random.Generator:
 
 
 def bloch_to_matrix(vector, bias) -> np.ndarray:
-    """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for a
-    stack (..., 3) of vectors with matching biases; raises InvalidEffect
-    unless bias and v are finite and ``|v| <= min(bias, 1 - bias)``: the check
-    at the boundary, then ``build_effect``, which callers of checked values call."""
+    """Effect matrix ``bias * I + v . sigma``, stacked as (..., 2, 2) for a stack (..., 3)
+    of vectors with one or matching biases; raises InvalidEffect unless bias and v are
+    finite and ``|v| <= min(bias, 1 - bias)``, naming a component above 1/2 ahead of the
+    norm: the check at the boundary, then ``build_effect``, which checked values take."""
     v, bias = real(vector, "Bloch vector", InvalidEffect), real(bias, "bias", InvalidEffect)
-    if np.shape(v)[-1:] != (3,):
-        raise InvalidEffect(f"Bloch vector must have shape (3,), got {np.shape(v)}")
+    if np.shape(v)[-1:] != (3,) or np.shape(bias) not in ((), np.shape(v)[:-1]):
+        raise InvalidEffect(f"Bloch vector must have shape (3,), got {np.shape(v)}, with one "
+                            f"bias or one per vector, got {np.shape(bias)}")
+    require_within(v, 0.5, INPUT_TOL, InvalidEffect, "Bloch component {:.6g} exceeds 1/2")
     excess = np.sqrt((v * v).sum(axis=-1)) - np.minimum(bias, 1.0 - bias)
     if (excess > INPUT_TOL).any():
         raise InvalidEffect(f"|vector| exceeds min(bias, 1-bias) by {excess.max():.6g}")
@@ -112,7 +113,7 @@ def matrix_to_bloch(effect) -> tuple:
     3-vector, or (...,) and (..., 3) arrays for a stack (..., 2, 2)."""
     m = require_hermitian(effect)
     if m.shape[-1] != 2:
-        raise NotHermitian("expected a 2x2 matrix")
+        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {m.shape}")
     bias = np.real(np.trace(m, axis1=-2, axis2=-1)) / 2.0
     # tr(m sigma_k); each sums at most two nonzero terms, so any order gives the same bits
     vector = np.real(np.einsum("...ij,kji->...k", m, PAULI_STACK)) / 2.0
@@ -218,7 +219,7 @@ def integer(value, what: str, low=0, high=MAX_COUNT, error=InvalidArgument) -> i
 def real(value, what: str, error=InvalidArgument):
     """``value``, numpy's or Python's integers and floats, as a float array, or a float when
     0-d; raises ``error`` naming its first other entry, NaN or infinity (``linalg.as_numbers``)."""
-    return held(as_numbers(value, what, "iuf", error).astype(float, copy=False))
+    return held(as_numbers(value, what, float, error))
 
 
 def require_dim(d) -> int:

@@ -38,7 +38,8 @@ class QubitDetectorAnalysis:
         alpha, beta, p = (np.asarray(real(vars(self)[name], name, InvalidInstance))
                           for name in ("alpha", "beta", "p"))
         if alpha.shape[-1:] != (3,) or beta.shape != alpha.shape or p.shape != alpha.shape[:-1]:
-            raise InvalidInstance("alpha and beta must be 3-vectors, with one p each")
+            raise InvalidInstance(f"alpha {alpha.shape} and beta {beta.shape} must be "
+                                  f"3-vectors, with one p each {p.shape}")
         # ahead of the norms, which overflow; a valid |beta| may pass 1 by twice the slack
         for name, vec in (("alpha", alpha), ("beta", beta)):
             require_within(vec, 1.0 + INPUT_TOL, INPUT_TOL, InvalidInstance,

@@ -2,13 +2,14 @@
 
 Complex numbers are encoded as ``[re, im]`` pairs and matrices as row-major
 nested lists, so files stay language-neutral and diffable.  Matrices survive
-a parse / re-emit / parse round trip bit-exactly.
+a parse / re-emit / parse round trip bit-exactly, signed zeros included.  The
+loader checks no number itself: each goes as read to the constructor that checks
+it (see README), and the pairs to ``qubit.real``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MZDualityError, ScenarioError
 from .mzi import MZISetup, Strategy, evaluated_rows, random_setups, random_strategies
-from .qubit import IDENTITY_2, SIGMA_X, QubitState, integer, require_dim, streams
+from .qubit import IDENTITY_2, SIGMA_X, QubitState, integer, real, require_dim, streams
 
 OPTIMAL = "optimal"  # the file's word for the optimal strategy, None in a Scenario
 # a name is the first CSV column, so it may hold no comma, quote or line break
@@ -38,33 +39,27 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a float; strings and booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{what}: {value!r} is not a number")
-    return float(value)
+def matrix_from_json(data, what: str, dim: int) -> np.ndarray:
+    """The (dim, dim) complex matrix of rows of ``[re, im]`` pairs, read by ``qubit.real``
+    and viewed as complex bit for bit: ``re + 1j * im`` would turn a -0.0 into +0.0."""
+    pairs = real(data, what, ScenarioError)
+    if np.shape(pairs) != (dim, dim, 2):
+        raise ScenarioError(f"{what}: expected {dim}x{dim} [re, im] pairs, got {np.shape(pairs)}")
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
-def _vector(values, what: str) -> np.ndarray:
-    return np.array([_number(value, what) for value in values])
-
-
-def matrix_from_json(data, what: str) -> np.ndarray:
-    try:
-        rows = [[complex(_number(re, what), _number(im, what)) for re, im in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{what}: entries must be [re, im] pairs ({exc})") from None
-    m = np.array(rows, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ScenarioError(f"{what}: expected a square matrix, got shape {m.shape}")
-    return m
+def _bloch_state(spec, what: str) -> QubitState:
+    state = QubitState.from_bloch(spec["bloch"])  # which also takes a stack (N, 3)
+    if not state.one:
+        raise ScenarioError(f"{what} Bloch vector must have shape (3,), got {state.bloch().shape}")
+    return state
 
 
 def _parse_quanton(spec) -> QubitState:
     if isinstance(spec, dict) and "bloch" in spec:
-        return QubitState.from_bloch(_vector(spec["bloch"], "quanton Bloch vector"))
+        return _bloch_state(spec, "quanton")
     if isinstance(spec, dict) and "matrix" in spec:
-        return QubitState(matrix_from_json(spec["matrix"], "quanton matrix"))
+        return QubitState(matrix_from_json(spec["matrix"], "quanton matrix", 2))
     raise ScenarioError("quanton must provide 'bloch' or 'matrix'")
 
 
@@ -80,9 +75,9 @@ def _parse_detector_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "bloch" in spec:
         if dim != 2:
             raise ScenarioError("a Bloch detector state requires dim = 2")
-        return QubitState.from_bloch(_vector(spec["bloch"], "detector Bloch vector")).matrix
+        return _bloch_state(spec, "detector").matrix
     if isinstance(spec, dict) and "matrix" in spec:
-        return matrix_from_json(spec["matrix"], "detector state")
+        return matrix_from_json(spec["matrix"], "detector state", dim)
     raise ScenarioError("detector state must be a preset name, 'bloch', or 'matrix'")
 
 
@@ -98,25 +93,23 @@ def _parse_unitary(spec, dim: int) -> np.ndarray:
     if isinstance(spec, dict) and "x-rotation" in spec:
         if dim != 2:
             raise ScenarioError("preset 'x-rotation' requires dim = 2")
-        angle = _number(spec["x-rotation"], "x-rotation angle")
-        if not math.isfinite(angle):  # numpy's cos and sin would warn, and the matrix is NaN
-            raise ScenarioError(f"x-rotation angle must be finite, got {angle}")
+        angle = real(spec["x-rotation"], "x-rotation angle", ScenarioError)
+        if np.ndim(angle):
+            raise ScenarioError(f"x-rotation angle must be one number, got shape {angle.shape}")
         half = angle / 2.0
         return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * SIGMA_X
     if isinstance(spec, dict) and "matrix" in spec:
-        return matrix_from_json(spec["matrix"], "detector unitary")
+        return matrix_from_json(spec["matrix"], "detector unitary", dim)
     raise ScenarioError("unitary must be a preset name, 'x-rotation', or 'matrix'")
 
 
-def _parse_strategy(spec) -> Strategy | None:
+def _parse_strategy(spec, dim: int) -> Strategy | None:
     if spec == OPTIMAL:
         return None
     if isinstance(spec, dict) and "basis" in spec and "subset" in spec:
-        basis = matrix_from_json(spec["basis"], "strategy basis")
+        basis = matrix_from_json(spec["basis"], "strategy basis", dim)
         try:
-            subset = (integer(k, "strategy subset index", None, None, ScenarioError)
-                      for k in spec["subset"])
-            return Strategy.from_subset(basis, subset)
+            return Strategy.from_subset(basis, spec["subset"])
         except MZDualityError as exc:
             raise ScenarioError(f"invalid strategy: {exc}") from None
     raise ScenarioError("strategy must be 'optimal' or {'basis': ..., 'subset': [...]}")
@@ -125,29 +118,24 @@ def _parse_strategy(spec) -> Strategy | None:
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         detector = data["detector"]
-        dim = require_dim(integer(detector["dim"], "detector dim", None, None, ScenarioError))
+        dim = require_dim(detector["dim"])
         setup = MZISetup(
             rho=_parse_quanton(data["quanton"]),
             rho_d=_parse_detector_state(detector["state"], dim),
             u=_parse_unitary(detector["unitary"], dim),
-            phi=_number(data.get("phi", 0.0), "phi"),
+            phi=data.get("phi", 0.0),
         )
         seed = integer(data.get("seed", 0), "seed", None, None, ScenarioError)
         name = data.get("name", "scenario")
         if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
             raise ScenarioError(f"name must match {NAME_PATTERN.pattern}, got {name!r}")
-        strategy = _parse_strategy(data.get("strategy", OPTIMAL))
+        strategy = _parse_strategy(data.get("strategy", OPTIMAL), dim)
     except ScenarioError:
         raise
     except MZDualityError as exc:
         raise ScenarioError(f"invalid setup: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
-    if setup.detector_dim != dim:
-        d = setup.detector_dim
-        raise ScenarioError(f"detector matrices are {d}x{d} but detector dim is {dim}")
-    if strategy is not None and strategy.dim != dim:
-        raise ScenarioError("strategy dimension does not match detector dimension")
     return Scenario(name=name, setup=setup, strategy=strategy, seed=seed)
 
 

@@ -353,13 +353,13 @@ class TestInputSlack:
 
 
 class TestBooleanKind:
-    """``as_numbers`` kind "b": booleans, Python's or numpy's, and nothing else."""
+    """``as_numbers`` to bool: booleans, Python's or numpy's, and nothing else."""
 
     @pytest.mark.parametrize("mask", [
         [True, False], [np.True_, np.False_], [np.True_, False], np.array([False, True]),
         [np.array([True, False]), [np.False_, True]], np.ones((2, 3), dtype=bool), np.True_,
     ], ids=repr)
     def test_takes_python_and_numpy_bools(self, mask):
-        taken = as_numbers(mask, "mask", "b", InvalidArgument)
+        taken = as_numbers(mask, "mask", bool, InvalidArgument)
         assert taken.dtype == bool
         np.testing.assert_array_equal(taken, np.asarray(mask))

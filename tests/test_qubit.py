@@ -88,6 +88,14 @@ class TestBlochConversions:
         assert stack_bias.tobytes() == np.array([bias for bias, _ in rows]).tobytes()
         assert stack_vector.tobytes() == np.array([vector for _, vector in rows]).tobytes()
 
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(1), np.zeros((2, 4, 4))],
+                             ids=lambda m: str(m.shape))
+    def test_a_hermitian_matrix_that_is_not_2x2_is_refused_by_its_shape(self, matrix):
+        # Hermitian, so the refusal is the shape's, as every other shape refusal is
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"expected a 2x2 matrix, got shape {matrix.shape}")):
+            matrix_to_bloch(matrix)
+
     def test_invalid_effect_rejected(self):
         with pytest.raises(InvalidEffect):
             bloch_to_matrix(np.array([0.6, 0.0, 0.0]), 0.5)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mzduality import acceptance, cli, mzi
 from mzduality.cli import build_parser, main
 from mzduality.jointmeas import JMInstance, instance_from_setup
+from mzduality.qubit import SIGMA_X
 from mzduality.qubit_detector import gap_slope_empirical
 from mzduality.scenarios import (
     load_scenario,
@@ -29,6 +30,59 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SATURATING = SCENARIO_DIR / "saturating_pure_detector.json"
 QUARTER_TURN = SCENARIO_DIR / "quarter_turn_detector.json"
 BIASED = SCENARIO_DIR / "biased_mixed_detector.json"
+
+
+def altered(detector=(), **fields):
+    """The saturating scenario's data with ``fields`` and the detector's ``detector`` replaced."""
+    data = json.loads(SATURATING.read_text())
+    data["detector"].update(detector)
+    return {**data, **fields}
+
+
+BASIS_2 = matrix_to_json(np.eye(2))
+# each refusal of the loader: the scenario, and the whole line ``report`` prints to stderr
+LOADER_REFUSALS = {
+    "1x2 quanton matrix": (altered(quanton={"matrix": [[[1, 0], [0, 0]]]}),
+                           "quanton matrix: expected 2x2 [re, im] pairs, got (1, 2, 2)"),
+    "Bloch detector state at dim 3": (altered({"dim": 3, "state": {"bloch": [0, 0, 0.5]}}),
+                                      "a Bloch detector state requires dim = 2"),
+    "pauli-x at dim 3": (altered({"dim": 3, "unitary": "pauli-x"}),
+                         "preset 'pauli-x' requires dim = 2"),
+    "x-rotation at dim 3": (altered({"dim": 3, "unitary": {"x-rotation": 0.5}}),
+                            "preset 'x-rotation' requires dim = 2"),
+    "3x3 basis under dim 2": (
+        altered(strategy={"basis": matrix_to_json(np.eye(3)), "subset": [0]}),
+        "strategy basis: expected 2x2 [re, im] pairs, got (3, 3, 2)"),
+    "3x3 matrices under dim 2": (
+        altered({"state": {"matrix": matrix_to_json(np.eye(3) / 3)},
+                 "unitary": {"matrix": matrix_to_json(np.eye(3))}}),
+        "detector state: expected 2x2 [re, im] pairs, got (3, 3, 2)"),
+    "true matrix entry": (altered({"unitary": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}}),
+                          "detector unitary must be real, got True"),
+    "NaN matrix entry": (altered(strategy={"basis": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]],
+                                           "subset": [0]}),
+                         "strategy basis must be finite, got nan"),
+    "string phi": (altered(phi="0.3"), "invalid setup: phase phi must be real, got '0.3'"),
+    "list phi": (altered(phi=[0.3]),
+                 "invalid setup: quanton (2, 2), detector (2, 2) and phase (1,) do not stack alike"),
+    "short Bloch vector": (altered(quanton={"bloch": [0.3, 0.4]}),
+                           "invalid setup: Bloch vector must have shape (3,), got (2,)"),
+    "stacked quanton Bloch vector": (altered(quanton={"bloch": [[0.3, 0.0, 0.4]]}),
+                                     "quanton Bloch vector must have shape (3,), got (1, 3)"),
+    "stacked detector Bloch vector": (altered({"state": {"bloch": [[0.0, 0.0, 0.5]]}}),
+                                      "detector Bloch vector must have shape (3,), got (1, 3)"),
+    "true Bloch component": (altered(quanton={"bloch": [0.3, True, 0.4]}),
+                             "invalid setup: Bloch vector must be real, got True"),
+    "string angle": (altered({"unitary": {"x-rotation": "1.0"}}),
+                     "x-rotation angle must be real, got '1.0'"),
+    "list angle": (altered({"unitary": {"x-rotation": [1.0]}}),
+                   "x-rotation angle must be one number, got shape (1,)"),
+    "integral float dim": (altered({"dim": 2.0}),
+                           "invalid setup: detector dimension must be an integer, got 2.0"),
+    "float subset index": (altered(strategy={"basis": BASIS_2, "subset": [1.5]}),
+                           "invalid strategy: outcome index must be an integer, got 1.5"),
+    "float seed": (altered(seed=1.5), "seed must be an integer, got 1.5"),
+}
 
 
 class TestScenarioFiles:
@@ -99,6 +153,33 @@ class TestScenarioFiles:
         value = float(angle)
         assert captured.err == f"error: x-rotation angle must be finite, got {value}\n"
         assert captured.out == ""
+
+    def test_the_pauli_x_preset_is_the_explicit_matrix(self, capsys, tmp_path):
+        rows = []
+        for unitary in ("pauli-x", {"matrix": matrix_to_json(SIGMA_X)}):
+            (tmp_path / "s.json").write_text(json.dumps(altered({"unitary": unitary})))
+            assert main(["report", "--scenario", str(tmp_path / "s.json")]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    def test_signed_zeros_survive_a_round_trip_bit_for_bit(self, tmp_path):
+        # -0.0 in real and imaginary parts; re + 1j * im would turn the real ones into +0.0
+        half = [[[0.5, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.5, -0.0]]]
+        flip = [[[-0.0, -0.0], [1.0, 0.0]], [[1.0, -0.0], [-0.0, 0.0]]]
+        ground = [[[1.0, -0.0], [-0.0, 0.0]], [[0.0, -0.0], [-0.0, -0.0]]]
+        data = altered({"state": {"matrix": ground}, "unitary": {"matrix": flip}},
+                       quanton={"matrix": half}, strategy={"basis": flip, "subset": [1]})
+        (tmp_path / "s.json").write_text(json.dumps(data))
+        loaded = load_scenario(tmp_path / "s.json")
+        save_scenario(loaded, tmp_path / "again.json")
+        again = load_scenario(tmp_path / "again.json")
+        for scenario in (loaded, again):
+            matrices = (scenario.setup.rho.matrix, scenario.setup.rho_d, scenario.setup.u,
+                        scenario.strategy.basis)
+            for given, matrix in zip((half, ground, flip, flip), matrices):
+                pairs = np.array(given)
+                assert matrix.tobytes() == pairs.tobytes()  # re, im, re, im... in row order
+                assert np.array_equal(np.signbit(matrix.real), np.signbit(pairs[..., 0]))
 
     def test_malformed_scenarios_rejected(self):
         from mzduality.errors import ScenarioError
@@ -180,6 +261,17 @@ class TestScenarioFiles:
         assert load_scenario(tmp_path / "g.json").name == "sweep-12-34"
 
 
+class TestLoaderRefusals:
+    @pytest.mark.parametrize("case", LOADER_REFUSALS)
+    def test_report_exits_2_with_one_error_line(self, case, capsys, tmp_path):
+        data, message = LOADER_REFUSALS[case]
+        (tmp_path / "s.json").write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--scenario", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestCli:
     def test_check_jm_sharp_pair(self, capsys):
         assert main(["check-jm", "--m0", "0.5", "--m", "0.5", "--n", "0.5"]) == 0
@@ -198,6 +290,11 @@ class TestCli:
     def test_check_jm_invalid_input(self, capsys):
         assert main(["check-jm", "--m0", "1.5", "--m", "0.1", "--n", "0.1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_check_jm_without_a_scenario_needs_all_three_parameters(self, capsys):
+        assert main(["check-jm", "--m0", "0.5"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: either --scenario or all of --m0/--m/--n are required\n")
 
     def test_report_saturating_scenario(self, capsys):
         assert main(["report", "--scenario", str(SATURATING)]) == 0
@@ -294,7 +391,8 @@ class TestCli:
         if "--scenario" in argv and "--n" in argv:
             assert captured.err == "error: give --scenario or --m0/--m/--n, not both\n"
         if "MATRICES_3X3" in argv:
-            assert captured.err == "error: detector matrices are 3x3 but detector dim is 2\n"
+            assert captured.err == (
+                "error: detector state: expected 2x2 [re, im] pairs, got (3, 3, 2)\n")
 
     @pytest.mark.parametrize(
         "argv",
