@@ -273,21 +273,16 @@ def criterion_optimum_is_max(
         d_max = optimum.report.max_distinguishability
         # every subset of each guess operator's eigenbasis
         subsets = np.array(list(product((False, True), repeat=dim)))
-        each = np.arange(len(rngs))
-        exhaustive = mzi.Evaluation(
-            setups[np.repeat(each, len(subsets))],
-            mzi.Strategy(
-                np.repeat(optimum.strategies.basis, len(subsets), axis=0),
-                np.tile(subsets, (len(rngs), 1)),
-            ),
-        )
+        each, owners = np.arange(len(rngs)), np.repeat(np.arange(len(rngs)), len(subsets))
+        exhaustive = optimum.with_strategies(owners, mzi.Strategy(
+            optimum.strategies.basis[owners], np.tile(subsets, (len(rngs), 1))))
         best = exhaustive.distinguishability.reshape(len(rngs), -1).max(axis=1)
         worst_exhaustive = max(worst_exhaustive, float(np.max(np.abs(best - d_max))))
         per_chunk = max(1, STRATEGY_CHUNK // n_random)
         for first in range(0, len(rngs), per_chunk):
             chunk = each[first : first + per_chunk]
             randoms = mzi.random_strategies(dim, [rngs[i] for i in chunk for _ in range(n_random)])
-            scored = mzi.Evaluation(setups[np.repeat(chunk, n_random)], randoms)
+            scored = optimum.with_strategies(np.repeat(chunk, n_random), randoms)
             best = scored.distinguishability.reshape(len(chunk), -1).max(axis=1)
             worst_random = max(worst_random, float(np.max(best - d_max[chunk])))
     passed = worst_exhaustive <= BOUND_TOL and worst_random <= BOUND_TOL

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidInstance, NotMeasurable
 from .linalg import INPUT_TOL, require_within, row_dots, row_norms
 from .mzi import MZISetup, Strategy, evaluate_setup
-from .qubit import IDENTITY_2, PAULI_STACK, Stacked, held, real
+from .qubit import IDENTITY_2, PAULI_STACK, Stacked, generator, held, real
 
 NORM_SLACK = 1e-12
 MEASURABLE_TOL = 1e-10
@@ -401,4 +401,4 @@ def draw_instances(rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def random_instance(seed) -> JMInstance:
     """One ``draw_instances`` draw from one stream, as a validated instance."""
-    return JMInstance(*(v[0] for v in draw_instances([np.random.default_rng(seed)])))
+    return JMInstance(*(v[0] for v in draw_instances([generator(seed)])))

@@ -41,6 +41,7 @@ from .qubit import (
     bloch_vectors,
     build_effect,
     effect_min_eigenvalue,
+    generator,
     haar_unitary,
     hilbert_schmidt_states,
     integer,
@@ -235,6 +236,13 @@ class Evaluation:
         # a mask of one kind reads as the stack of that kind without a mask
         self.setups, self._given = setups, strategies if drawn else None
         self._optimal = np.asarray(optimal, dtype=bool) if 0 < drawn < n else None
+
+    def with_strategies(self, rows, strategies: Strategy) -> "Evaluation":
+        """The kernel on rows ``rows`` of this stack, repeats and all, by ``strategies``."""
+        evaluation = Evaluation(self.setups[rows], strategies)
+        for name in ("_quanton", "_detector"):
+            vars(evaluation)[name] = tuple(term[rows] for term in getattr(self, name))
+        return evaluation
 
     @cached_property
     def _quanton(self) -> tuple:
@@ -452,7 +460,7 @@ def sample_outcomes(probs: np.ndarray, n_shots: int, seed) -> np.ndarray:
     n_shots, table = integer(n_shots, "n_shots", 1), np.asarray(real(probs, "outcome table"))
     if table.shape != (2, 2) or not (table.min() >= 0 and abs(table.sum() - 1) <= TABLE_SUM_TOL):
         raise InvalidArgument(f"outcome table {table.tolist()} is not a 2x2 probability table")
-    return np.random.default_rng(seed).multinomial(n_shots, table.ravel()).reshape(2, 2)
+    return generator(seed).multinomial(n_shots, table.ravel()).reshape(2, 2)
 
 
 def z_scores(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Bloch-vector algebra, qubit states, and the effects of binary unsharp observables.
 
 Randomized generators use numpy's PCG64 via ``default_rng``; every draw takes
-an explicit seed (or Generator).  ``streams(keys)`` makes each item's stream
-``default_rng(list(key))``, bit for bit, hashing numpy's ``SeedSequence``
-pools into PCG64 seeds in one array pass; ``stream(*key)`` makes one.  The bulk
+an explicit seed or Generator (``generator``).  ``streams(keys)`` makes each item's
+stream ``default_rng(list(key))``, bit for bit: ``SeedSequence`` pools, made in one
+array pass for ``POOL_PASS_MIN`` or more keys of one length with uint32 parts, else
+one by one, hashed into PCG64 seeds in one array pass; ``stream(*key)`` makes one.  The bulk
 draws (``bloch_vectors`` here, ``mzi.random_setups``,
 ``mzi.random_strategies`` and ``jointmeas.draw_instances``) take one
 generator per item, make the fewest generator calls that give each stream's
@@ -16,8 +17,10 @@ by default [0, ``MAX_COUNT``]; ``real`` for real ones.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +42,35 @@ MAX_COUNT = 2**63 - 1  # the largest count numpy's samplers take
 
 # SeedSequence.generate_state's hash: word i is x ^ (x >> 16), x = (pool[i % 4] ^ c_i) * c_(i+1)
 _HASH_CONSTANTS = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], np.uint32)
+POOL_PASS_MIN = 15  # the fewest keys whose pools one array pass makes faster than one by one
+
+
+@functools.cache
+def _mix_constants(length: int) -> np.ndarray:
+    """``SeedSequence.mix_entropy``'s hash pairs (a_k, a_(k+1)) on keys of ``length`` words,
+    in blocks of four calls: the pool fill, then one per word, with a dummy at the word itself."""
+    a = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32 for k in range(4 * max(length, 4) + 1)]
+    return np.insert(np.array([a[:-1], a[1:]], np.uint32), [4, 8, 12, 16], 0, 1).reshape(2, -1, 4)
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).pool`` of each row of an (N, L) uint32 array in one array pass of
+    ``mix_entropy``: words 0-3 are hashed into the pool, then each word in turn (0-3 as the
+    pool holds them) is hashed and mixed into every other pool word."""
+    a, length = _mix_constants(entropy.shape[1]), entropy.shape[1]
+
+    def hashed(x, block):
+        x = (x ^ a[0, block]) * a[1, block]
+        return x ^ (x >> 16)
+
+    words = np.zeros((len(entropy), max(length, 4)), np.uint32)
+    words[:, :length] = entropy
+    pool = words[:, :4]
+    pool[:] = hashed(pool, 0)
+    for word in range(words.shape[1]):  # Python-int constants keep uint32 arrays uint32
+        x = 0xCA01F9DD * pool - 0x4973F715 * hashed(words[:, word, None], word + 1)
+        np.copyto(pool, x ^ (x >> 16), where=np.arange(4) != word)
+    return pool
 
 
 class SeedWords:
@@ -57,13 +89,16 @@ def streams(keys):
     """The generators ``default_rng(list(key))`` of keys of non-negative
     integers, bit for bit, yielded lazily; every key is checked, and raises
     what ``default_rng`` raises, at the call."""
-    random, pools = np.random, []  # loaded on first use, not by ``import mzduality.cli``
+    random = np.random  # loaded on first use, not by ``import mzduality.cli``
     random.bit_generator.ISeedSequence.register(SeedWords)  # a no-op once registered
-    for key in keys:
-        key = tuple(map(operator.index, key))
-        # parts all in [0, 2**32) go in as the uint32 array numpy would build from the list
-        entropy = list(key) if any(part >> 32 for part in key) else np.array(key, np.uint32)
-        pools.append(random.SeedSequence(entropy).pool)
+    keys = [tuple(map(operator.index, key)) for key in keys]
+    # keys of one length with every part in [0, 2**32) (not negative) share one array pass
+    if len(keys) >= POOL_PASS_MIN and len(set(map(len, keys))) == 1 and not any(
+            part >> 32 for part in chain(*keys)):
+        pools = _pools(np.array(keys, np.uint32))
+    else:  # uint32 parts go in as the array numpy would build from the list
+        pools = [random.SeedSequence(list(key) if any(part >> 32 for part in key)
+                                     else np.array(key, np.uint32)).pool for key in keys]
     words = np.array(pools, np.uint32).reshape(-1, 1, 4) ^ _HASH_CONSTANTS[:-1].reshape(2, 4)
     words *= _HASH_CONSTANTS[1:].reshape(2, 4)
     words ^= words >> 16
@@ -222,6 +257,13 @@ def real(value, what: str, error=InvalidArgument):
     return held(as_numbers(value, what, float, error))
 
 
+def generator(seed) -> np.random.Generator:
+    """A Generator as it is, else ``default_rng`` of a seed, an ``integer`` from 0 up."""
+    if isinstance(seed, np.random.Generator):  # loads numpy.random, as ``streams`` does
+        return seed
+    return np.random.default_rng(integer(seed, "seed", 0, None))
+
+
 def require_dim(d) -> int:
     """The detector dimension as an int; raises BadDimension unless an integer in range."""
     return integer(d, "detector dimension", MIN_DETECTOR_DIM, MAX_DETECTOR_DIM, BadDimension)
@@ -245,13 +287,13 @@ def bloch_vectors(rngs) -> np.ndarray:
 
 def random_qubit_state(seed) -> QubitState:
     """Qubit state drawn uniformly from the Bloch ball."""
-    return QubitState.from_bloch(bloch_vectors([np.random.default_rng(seed)])[0])
+    return QubitState.from_bloch(bloch_vectors([generator(seed)])[0])
 
 
 def complex_gaussian(d: int, seed) -> np.ndarray:
     """d x d matrix of independent standard complex Gaussians (real part drawn first)."""
     d = require_dim(d)
-    parts = np.random.default_rng(seed).standard_normal((2, d, d))
+    parts = generator(seed).standard_normal((2, d, d))
     return parts[0] + 1j * parts[1]
 
 
@@ -280,7 +322,7 @@ def random_detector_state(d: int, seed) -> np.ndarray:
 
 def random_pure_detector_state(d: int, seed) -> np.ndarray:
     """Haar-random pure d x d detector state."""
-    parts = np.random.default_rng(seed).standard_normal((2, require_dim(d)))
+    parts = generator(seed).standard_normal((2, require_dim(d)))
     return pure_states(parts[0] + 1j * parts[1])
 
 

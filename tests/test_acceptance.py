@@ -27,6 +27,7 @@ from mzduality.acceptance import (
     criterion_sampler,
     criterion_saturation,
 )
+from mzduality.errors import MZDualityError
 
 SEED = 20260810
 
@@ -118,6 +119,37 @@ def test_criterion_5_chunks_do_not_change_the_result(chunk, monkeypatch):
     # every setup's strategies are scored, in stacks no larger than the chunk allows
     assert sum(drawn) == 7 * 150
     assert max(drawn) == min(max(chunk // 150, 1), 4) * 150
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_criterion_5_scores_each_setup_once_with_the_scores_of_repeated_setups(dim):
+    # three setups' terms, indexed per strategy, give the bits of the repeated setups' own
+    rngs = list(qubit.streams((7, dim, k) for k in range(3)))
+    setups = mzi.random_setups(dim, rngs)
+    owners = np.repeat(np.arange(3), 40)
+    strategies = mzi.random_strategies(dim, [rngs[k] for k in owners])
+    scored = mzi.Evaluation(setups).with_strategies(owners, strategies)
+    want = mzi.Evaluation(setups[owners], strategies)
+    assert np.array_equal(scored.distinguishability, want.distinguishability)
+    assert np.array_equal(scored.effects, want.effects)
+
+
+def test_criterion_5_still_checks_the_statistics_of_its_scored_strategies(monkeypatch):
+    # a check that fails every stack longer than a dimension's three setups fails the
+    # exhaustive and random stacks, which the optimum's stack of three passes
+    check = mzi.StrategyStats.__post_init__
+
+    def failing(stats):
+        if np.size(stats.eta_s) > 3:
+            raise MZDualityError("eta_s + eta_sbar must equal 1")
+        check(stats)
+
+    monkeypatch.setattr(mzi.StrategyStats, "__post_init__", failing)
+    with pytest.raises(MZDualityError, match="^eta_s"):
+        criterion_optimum_is_max(SEED, n_setups=6, n_random=20)
+    monkeypatch.setattr(acceptance, "STRATEGY_CHUNK", 1)
+    with pytest.raises(MZDualityError, match="^eta_s"):
+        criterion_optimum_is_max(SEED, n_setups=6, n_random=20)
 
 
 def test_criterion_6_pure_gap_and_identity():

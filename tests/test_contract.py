@@ -6,9 +6,9 @@ the shape of a value of the wrong shape, with warnings raised as errors: never a
 numpy or builtin exception, and never a warning.  The table is fixed, so every run
 makes the same calls.  An entry of modulus 1e300 is bad only where a bound is
 documented (states, unitaries, effects, pair and analysis parameters, grid steps);
-``hermitian_eig`` or ``kron`` of it is a finite number's.  Seeds go to numpy's
-``default_rng``, which documents what it takes, and the records a computation
-builds (``StrategyStats``, ``DualityReport``, ``JointCandidate``) are not inputs.
+``hermitian_eig`` or ``kron`` of it is a finite number's.  A seed is an integer of
+the integer rule, not negative, or a Generator (``qubit.generator``).  The records a
+computation builds (``StrategyStats``, ``DualityReport``, ``JointCandidate``) are not inputs.
 """
 
 import json
@@ -36,7 +36,9 @@ from mzduality import (
     matrix_to_bloch,
     partial_trace_detector,
     random_detector_state,
+    random_instance,
     random_pure_detector_state,
+    random_qubit_state,
     random_unitary,
     sample_outcomes,
     trace_norm,
@@ -121,6 +123,7 @@ BAD = {
         ("0-d", np.True_, "()"),
     ],
 }
+BAD["seed"] = BAD["integer"] + [("negative", -1, "-1")]
 
 
 def with_detector(**fields):
@@ -159,6 +162,12 @@ ENTRY_POINTS = {
     "Strategy basis": ("bounded matrix", lambda v: Strategy(v, [True, False]), EYE),
     "Strategy mask": ("mask", lambda v: Strategy(EYE, v), [True, False]),
     "Strategy.from_subset": ("integer", lambda v: Strategy.from_subset(EYE, [v]), 0),
+    "random_qubit_state seed": ("seed", random_qubit_state, 0),
+    "random_detector_state seed": ("seed", lambda v: random_detector_state(2, v), 0),
+    "random_pure_detector_state seed": ("seed", lambda v: random_pure_detector_state(2, v), 0),
+    "random_unitary seed": ("seed", lambda v: random_unitary(2, v), 0),
+    "random_instance seed": ("seed", random_instance, 0),
+    "sample_outcomes seed": ("seed", lambda v: sample_outcomes(np.full((2, 2), 0.25), 10, v), 0),
     "sample_outcomes table": ("real matrix", lambda v: sample_outcomes(v, 10, 0),
                               np.full((2, 2), 0.25)),
     "sample_outcomes n_shots": ("integer", lambda v: sample_outcomes(np.full((2, 2), 0.25), v, 0),

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzduality import jointmeas, mzi
+from mzduality import jointmeas, mzi, qubit
 from mzduality.errors import DimensionMismatch
-from mzduality.qubit import SeedWords, bloch_to_matrix, haar_unitary, stream, streams
+from mzduality.qubit import POOL_PASS_MIN, SeedWords, bloch_to_matrix, haar_unitary, stream, streams
 from mzduality.scenarios import random_scenario, random_scenarios
 
 
@@ -268,6 +268,48 @@ def test_streams_draw_what_default_rng_of_each_list_draws(keys):
     assert len(rngs) == len(keys)
     for rng, key in zip(rngs, keys):
         assert_draws_what_default_rng_draws(rng, key)
+
+
+def spy_on_pool_pass(monkeypatch):
+    """The batch sizes ``qubit.streams`` hands its array pass, as they come."""
+    sizes, pools = [], qubit._pools
+
+    def spied(entropy):
+        sizes.append(len(entropy))
+        return pools(entropy)
+
+    monkeypatch.setattr(qubit, "_pools", spied)
+    return sizes
+
+
+@pytest.mark.parametrize("size", [1, POOL_PASS_MIN - 1, POOL_PASS_MIN, 200])
+@pytest.mark.parametrize("parts", range(7))
+def test_stream_pools_of_one_array_pass_are_the_seed_sequence_pools(parts, size, monkeypatch):
+    # five and six parts run the loop over words past the pool's four; a key of no part runs too
+    draws = np.random.default_rng([parts, size]).integers(0, 2**32, (size, parts))
+    keys = [(2**32 - 1,) * parts] + [tuple(row) for row in draws.tolist()][1:]
+    want = [np.random.SeedSequence(list(key)).pool for key in keys]
+    assert np.array_equal(qubit._pools(np.array(keys, np.uint32).reshape(size, parts)), want)
+    sizes = spy_on_pool_pass(monkeypatch)
+    rngs = list(streams(keys))
+    assert sizes == ([size] if size >= POOL_PASS_MIN else [])
+    for rng, key in zip(rngs, keys):
+        assert_draws_what_default_rng_draws(rng, key)
+
+
+@pytest.mark.parametrize(
+    "odd", [(2**32, 1), (2**64 + 5, 1), (1,), (1, 2, 3)], ids=["2^32", "2^64+5", "short", "long"]
+)
+def test_streams_of_a_batch_with_a_wide_part_or_uneven_keys_go_key_by_key(odd, monkeypatch):
+    sizes = spy_on_pool_pass(monkeypatch)
+    keys = [(5, k) for k in range(POOL_PASS_MIN)] + [odd]
+    rngs = list(streams(keys))
+    assert sizes == []
+    for rng, key in zip(rngs, keys):
+        assert_draws_what_default_rng_draws(rng, key)
+    # a negative part raises numpy's error at the call, whatever the batch size
+    with pytest.raises(ValueError):
+        streams(keys[:-1] + [(5, -1)])
 
 
 def test_stream_key_rejects_what_default_rng_rejects():

@@ -266,6 +266,13 @@ class TestBinaryQubitObservable:
 
 
 class TestRandomGenerators:
+    def test_a_generator_passes_as_it_is_and_a_seed_is_default_rng_of_it(self):
+        rng = np.random.default_rng(4)
+        assert qubit.generator(rng) is rng
+        for seed in (0, np.int64(7), 2**64 + 5):
+            want = np.random.default_rng(seed).bit_generator.state
+            assert qubit.generator(seed).bit_generator.state == want
+
     def test_states_pass_validators(self):
         # constructing a QubitState runs the full validity check
         for seed in range(10_000):
